@@ -91,8 +91,8 @@ def wick_monomial_product(t1: Triple, t2: Triple, hbar) -> Element:
 def occupancy_count(t1: Triple, t2: Triple, target: Triple) -> int:
     """How many (k, K) cells of the e-basis double sum hit the target index.
 
-    The closed-form constant carries this count as a factor; it only ever
-    takes the values 0 and 1, which the test suite asserts."""
+    Brute-force witness for the closed-form occupancy in _tilde_coefficient:
+    the count is always 0 or 1, which the test suite asserts."""
     (P, Q, alpha), (R, S, beta) = t1, t2
     I, J, gamma = target
     count = 0
@@ -114,14 +114,13 @@ def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
     Kp = (P + R).minus(I)
     if Kp is None or (Q + S).minus(J) != Kp:
         return Fraction(0)
+    # the only (k, K) cell of the e-basis double sum that can hit the target
+    # is (kp, Kp); it lies in the summation range or the constant vanishes
     kp = alpha + beta - gamma - Kp.degree()
-    if kp < 0:
-        return Fraction(0)
-    occ = occupancy_count(t1, t2, target)
-    if occ == 0:
+    if not (0 <= kp <= min(alpha - P.degree(), beta - S.degree()) and Kp <= P.meet(S)):
         return Fraction(0)
     sign = -1 if kp % 2 else 1
-    c = Fraction(sign * occ, factorial(kp) * Kp.factorial())
+    c = Fraction(sign, factorial(kp) * Kp.factorial())
     c *= multi_binomial(I, R) * multi_binomial(J, Q)
     c *= binomial(gamma - I.degree(), beta - R.degree())
     c *= binomial(gamma - J.degree(), alpha - Q.degree())
@@ -201,25 +200,6 @@ def cone_rowsum(t: Triple, out_t: Triple) -> Fraction:
     return total
 
 
-def cone_colsum(t: Triple, out_t: Triple) -> Fraction:
-    """Sum of |C| over the left partners mapping t (as right factor) into out_t."""
-    R, S, beta = t
-    I, J, gamma = out_t
-    if beta > gamma:
-        return Fraction(0)
-    total = Fraction(0)
-    for Kp in multi_range(S):
-        P = (I + Kp).minus(R)
-        Q = (J + Kp).minus(S)
-        if P is None or Q is None or not Kp <= P:
-            continue
-        for alpha in range(max(P.degree(), Q.degree()), gamma + 1):
-            c = _tilde_coefficient((P, Q, alpha), t, out_t)
-            if c:
-                total += abs(c)
-    return total
-
-
 def cone_rowsum_gamma_total(t: Triple, gamma: int) -> Fraction:
     """Row sums of t against every target at one level, added up."""
     n = len(t[0])
@@ -257,7 +237,10 @@ class ConeModel(BaseModel):
         return cone_rowsum(alpha_idx, gamma_idx)
 
     def _col(self, beta_idx, gamma_idx):
-        return cone_colsum(beta_idx, gamma_idx)
+        # transpose symmetry: C^{(I,J,g)}_{t1,t2} = C^{(J,I,g)}_{t2^T,t1^T}, with
+        # (P,Q,a)^T = (Q,P,a), turns the left-partner sum into a row sum
+        (R, S, beta), (I, J, gamma) = beta_idx, gamma_idx
+        return cone_rowsum((S, R, beta), (J, I, gamma))
 
     def row_parents(self, gamma_idx):
         return self.indices_up_to(gamma_idx[2])
@@ -586,12 +569,7 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
 
 def reduce_class(t: Triple, hbar) -> Element:
     """Disk-basis expansion of the class of f_t modulo the y = 1 ideal."""
-    hbar = Fraction(hbar)
-    if not is_allowed_hbar(hbar):
-        raise DomainError(f"hbar {hbar} is not an allowed value")
-    return Element(
-        {idx: GaussianRational.coerce(c) for idx, c in _reduce_cached(t, hbar)}
-    )
+    return disk_reduce(Element.basis(t), hbar)
 
 
 def disk_lift(a: Element) -> Element:
@@ -601,12 +579,22 @@ def disk_lift(a: Element) -> Element:
     )
 
 
+def _reduce_sum(terms: dict, hbar: Fraction) -> dict:
+    """Disk-basis coefficients of sum_t c_t [f_t]; entries may be zero."""
+    acc: dict = {}
+    for t, c in terms.items():
+        for idx, rc in _reduce_cached(t, hbar):
+            prev = acc.get(idx)
+            acc[idx] = c * rc if prev is None else prev + c * rc
+    return acc
+
+
 def disk_reduce(a: Element, hbar) -> Element:
     """Reduce an upstairs element to its disk class, term by term."""
-    out = Element.zero()
-    for t, c in a.terms.items():
-        out = out + reduce_class(t, hbar).scale(c)
-    return out
+    hbar = Fraction(hbar)
+    if not is_allowed_hbar(hbar):
+        raise DomainError(f"hbar {hbar} is not an allowed value")
+    return Element(_reduce_sum(a.terms, hbar))
 
 
 def disk_multiply(a: Element, b: Element, hbar, n: int | None = None) -> Element:
@@ -689,11 +677,7 @@ class DiskModel(BaseModel):
         (P, Q), (R, S) = left, right
         t1 = (P, Q, max(P.degree(), Q.degree()))
         t2 = (R, S, max(R.degree(), S.degree()))
-        acc: dict = {}
-        for t, c in _tilde_pairs(t1, t2).items():
-            for idx, rc in _reduce_cached(t, self.hbar):
-                val = acc.get(idx, Fraction(0)) + c * rc
-                acc[idx] = val
+        acc = _reduce_sum(_tilde_pairs(t1, t2), self.hbar)
         return {idx: c for idx, c in acc.items() if c}
 
     def _row(self, alpha, gamma):

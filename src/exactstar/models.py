@@ -9,13 +9,11 @@ h_special, returning certified Bracket values (or witnessed divergence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .algebra import DomainError, Element, InfiniteFanError, Index
 from .scalars import (
-    ENN_INF,
     GaussianRational,
     MultiIndex,
     RootSum,
@@ -32,6 +30,7 @@ from .seminorms import (
     HVal,
     hval_product,
     rootsum_bracket,
+    truncated_sum,
 )
 
 
@@ -296,7 +295,9 @@ class LaurentModel(BaseModel):
             return HVal.infinite()
         if m == 2:
             return self._h2_factorial(table, ell, gamma)
-        return self._h_truncated(table, m, ell, gamma)
+        w = self.TRUNC_WINDOW
+        parents = ((n, self._row(n, gamma)) for n in range(-w, w + 1))
+        return truncated_sum(table, m, ell, parents, w)
 
     def _h2_factorial(self, table: HTable, ell: int, gamma: int) -> HVal:
         a = table.element
@@ -338,16 +339,6 @@ class LaurentModel(BaseModel):
             assert q is not None  # depth-1 values on a finite support are exact
             total += q * q * self._row(n, gamma)
         return total
-
-    def _h_truncated(self, table: HTable, m: int, ell: int, gamma):
-        pl = ell >> 1
-        w = self.TRUNC_WINDOW
-        total = Fraction(0)
-        for n in range(-w, w + 1):
-            hv = table.h(m - 1, pl, n)
-            lo = hv.to_bracket(table.tol).lo
-            total += lo * lo * self._row(n, gamma)
-        return HVal.bracket(Bracket.truncated(total, w))
 
 
 def laurent_rowsum(model: LaurentModel, n: int, k: int) -> Fraction:
@@ -479,7 +470,13 @@ class MatrixModel(BaseModel):
             return HVal.zero()
         if m == 2:
             return self._h2(table, ell, gamma)
-        return self._h_truncated(table, m, ell, gamma)
+        r, s = gamma
+        w = self.TRUNC_WINDOW
+        parents = (
+            ((r, t) if ell & 1 == 0 else (t, s), self.pair_weight(t))
+            for t in range(1, w + 1)
+        )
+        return truncated_sum(table, m, ell, parents, w)
 
     def _h2(self, table: HTable, ell: int, gamma) -> HVal:
         r, s = gamma
@@ -505,18 +502,6 @@ class MatrixModel(BaseModel):
                 acc = acc.plus(hv.squared().times(self.pair_weight(k)))
         return acc
 
-    def _h_truncated(self, table: HTable, m: int, ell: int, gamma):
-        r, s = gamma
-        bit0 = ell & 1
-        pl = ell >> 1
-        total = Fraction(0)
-        for t in range(1, self.TRUNC_WINDOW + 1):
-            parent = (r, t) if bit0 == 0 else (t, s)
-            hv = table.h(m - 1, pl, parent)
-            lo = hv.to_bracket(table.tol).lo
-            total += lo * lo * self.pair_weight(t)
-        return HVal.bracket(Bracket.truncated(total, self.TRUNC_WINDOW))
-
 
 def matrix_trace(model: MatrixModel, a: Element) -> GaussianRational:
     if not isinstance(model, MatrixModel):
@@ -526,55 +511,6 @@ def matrix_trace(model: MatrixModel, a: Element) -> GaussianRational:
 
 # ---------------------------------------------------------------------------
 # group algebras: Z, Z^d, free groups
-
-
-@dataclass(frozen=True)
-class SignedInterval:
-    """Certified enclosure [lo, hi] of a real value of either sign."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError("interval needs lo <= hi")
-
-    @staticmethod
-    def exact(q: Fraction) -> "SignedInterval":
-        q = Fraction(q)
-        return SignedInterval(q, q)
-
-    @staticmethod
-    def from_rootsum(rs: RootSum, tol: Fraction = DEFAULT_TOL) -> "SignedInterval":
-        if rs.is_rational():
-            return SignedInterval.exact(rs.rational_value())
-        lo, hi = rs.bracket(tol)
-        return SignedInterval(lo, hi)
-
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
-    def midpoint_float(self) -> float:
-        return float(self.lo + self.hi) / 2.0
-
-
-@dataclass(frozen=True)
-class ComplexBracket:
-    """Certified enclosure of a complex value, component-wise."""
-
-    re: SignedInterval
-    im: SignedInterval
-
-    def is_exact(self) -> bool:
-        return self.re.is_exact() and self.im.is_exact()
-
-    def exact_value(self) -> GaussianRational:
-        if not self.is_exact():
-            raise ValueError("not exact")
-        return GaussianRational(self.re.lo, self.im.lo)
 
 
 class GroupModel(BaseModel):
@@ -801,10 +737,11 @@ class GroupModel(BaseModel):
     def involution(self, a: Element) -> Element:
         return Element({self.inv(g): c.conjugate() for g, c in a.terms.items()})
 
-    def character(self, a: Element, generator_values: dict) -> ComplexBracket:
+    def character(self, a: Element, generator_values: dict) -> tuple[RootSum, RootSum]:
         """sum_g (a_g / c(g)) chi(g) for the homomorphism chi determined by
-        its values on the generators; exact at eps = 1, certified enclosure
-        at eps = 1/2.  Finite supports make the tail vanish."""
+        its values on the generators, as exact (re, im) root sums: rational
+        at eps = 1, sums of square roots at eps = 1/2 (use .bracket() for a
+        certified enclosure).  Finite supports make the tail vanish."""
         re_acc: RootSum = RootSum({})
         im_acc: RootSum = RootSum({})
         for g, coeff in a.terms.items():
@@ -818,10 +755,7 @@ class GroupModel(BaseModel):
             )
             re_acc = re_acc + inv_scale * RootSum.rational(val.re)
             im_acc = im_acc + inv_scale * RootSum.rational(val.im)
-        tol = DEFAULT_TOL
-        return ComplexBracket(
-            SignedInterval.from_rootsum(re_acc, tol), SignedInterval.from_rootsum(im_acc, tol)
-        )
+        return re_acc, im_acc
 
     def _char_value(self, g, generator_values: dict) -> GaussianRational:
         if self.kind == "Z":
@@ -845,7 +779,15 @@ class GroupModel(BaseModel):
             return HVal.zero()
         if m == 2:
             return self._h2(table, ell, gamma)
-        return self._h_truncated(table, m, ell, gamma)
+        weight = self._row if ell & 1 == 0 else self._col
+        parents, depth = [], 0
+        for s in range(0, 12):
+            sh = self.shell(s)
+            if len(parents) + len(sh) > self.TRUNC_PARENT_BUDGET and s > 0:
+                break
+            parents.extend(sh)
+            depth = s
+        return truncated_sum(table, m, ell, ((g, weight(g, gamma)) for g in parents), depth)
 
     def _h2(self, table: HTable, ell: int, gamma) -> HVal:
         a = table.element
@@ -900,29 +842,6 @@ class GroupModel(BaseModel):
                     hi = partial.hi.add(tail)
                     return HVal.bracket(Bracket(partial.lo, hi, s, TAG_MAJORANT))
             s += 1
-
-    def _h_truncated(self, table: HTable, m: int, ell: int, gamma):
-        bit0 = ell & 1
-        pl = ell >> 1
-        weight = self._row if bit0 == 0 else self._col
-        total = Fraction(0)
-        used = 0
-        depth = 0
-        for s in range(0, 12):
-            sh = self.shell(s)
-            if used + len(sh) > self.TRUNC_PARENT_BUDGET and s > 0:
-                break
-            used += len(sh)
-            depth = s
-            for g in sh:
-                hv = table.h(m - 1, pl, g)
-                lo = hv.to_bracket(table.tol).lo
-                if lo == 0:
-                    continue
-                w = weight(g, gamma)
-                w_lo = w if isinstance(w, Fraction) else rootsum_bracket(w, table.tol).lo
-                total += lo * lo * w_lo
-        return HVal.bracket(Bracket.truncated(total, depth))
 
 
 def group_rowsum(model: GroupModel, g, k, tol: Fraction = DEFAULT_TOL) -> Bracket:
@@ -1092,20 +1011,11 @@ class WickFlatModel(BaseModel):
             return None
         if table.element.is_zero():
             return HVal.zero()
-        bit0 = ell & 1
-        pl = ell >> 1
-        weight = self.row_sum if bit0 == 0 else self.col_sum
+        weight = self.row_sum if ell & 1 == 0 else self.col_sum
         supp_deg = max(self.index_rank(i) for i in table.element.terms)
         cap = self.index_rank(gamma) + supp_deg + self.TRUNC_DEGREE_PAD
-        total = Fraction(0)
-        for parent in self.indices_up_to(cap):
-            w = weight(parent, gamma)
-            if w == 0:
-                continue
-            hv = table.h(m - 1, pl, parent)
-            lo = hv.to_bracket(table.tol).lo
-            total += lo * lo * w
-        return HVal.bracket(Bracket.truncated(total, cap))
+        weighted = ((p, weight(p, gamma)) for p in self.indices_up_to(cap))
+        return truncated_sum(table, m, ell, ((p, w) for p, w in weighted if w != 0), cap)
 
 
 def wick_flat_product(model: WickFlatModel, a: Element, b: Element) -> Element:

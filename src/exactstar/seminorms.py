@@ -276,7 +276,7 @@ class HVal:
         return HVal.bracket(self.br * self.br)
 
     def times(self, w) -> "HVal":
-        """Multiply by a nonnegative weight (Fraction, RootSum, ENN, Bracket)."""
+        """Multiply by a nonnegative model weight (Fraction or RootSum)."""
         if isinstance(w, (int, Fraction)):
             w = Fraction(w)
             if w == 0 or self.is_zero():
@@ -288,10 +288,6 @@ class HVal:
             if self.kind == "root":
                 return HVal.root(self.rs * RootSum.rational(w))
             return HVal.bracket(self.br.scale(w))
-        if isinstance(w, ExtendedNonNeg):
-            if w.infinite:
-                return HVal.zero() if self.is_zero() else HVal.infinite()
-            return self.times(w.value)
         if isinstance(w, RootSum):
             if w.is_rational():
                 return self.times(w.rational_value())
@@ -300,8 +296,6 @@ class HVal:
             if self.kind in ("exact", "sqrt", "root"):
                 return HVal.root(self._as_rootsum() * w)
             return HVal.bracket(self.br * rootsum_bracket(w))
-        if isinstance(w, Bracket):
-            return HVal.bracket(self.to_bracket() * w)
         raise TypeError(f"unsupported weight type {type(w)!r}")
 
     def plus(self, other: "HVal") -> "HVal":
@@ -458,13 +452,26 @@ class HTable:
 def _weight_is_zero(w) -> bool:
     if isinstance(w, (int, Fraction)):
         return w == 0
-    if isinstance(w, ExtendedNonNeg):
-        return w.is_zero()
     if isinstance(w, RootSum):
         return w.is_zero()
-    if isinstance(w, Bracket):
-        return w.is_zero()
     return False
+
+
+def truncated_sum(table: HTable, m: int, ell: int, weighted_parents: Iterable, depth: int) -> HVal:
+    """Lower bound for h[m, ell, gamma] from a finite window of its fan.
+
+    weighted_parents yields (parent, weight) pairs with Fraction or RootSum
+    weights; each contributes lo^2 * weight_lo, where lo is the lower end of
+    h[m-1, ell >> 1, parent].  The parents left out are not bounded, so the
+    result is a truncated bracket at the given depth."""
+    total = Fraction(0)
+    for parent, w in weighted_parents:
+        lo = table.h(m - 1, ell >> 1, parent).to_bracket(table.tol).lo
+        if lo == 0:
+            continue
+        w_lo = w if isinstance(w, Fraction) else rootsum_bracket(w, table.tol).lo
+        total += lo * lo * w_lo
+    return HVal.bracket(Bracket.truncated(total, depth))
 
 
 def h(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = DEFAULT_TOL):

@@ -231,27 +231,41 @@ def _slice_norms(gamma: int, pairs) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _pullback_cached(U: tuple, gamma: int) -> dict:
-    n = len(U) - 1
+def _slice_action(rows: tuple, gamma: int, one) -> dict:
+    """Pullback along w -> rows . w on the level-gamma slice, by source.
+
+    Generic in the scalar ring like _expand_linear_power (entries also scale
+    by a Fraction).  Maps each source pair (I, J) to the tuple of its nonzero
+    ((K, L), entry) images."""
+    n = len(rows) - 1
     indices = list(multi_indices_up_to_degree(n, gamma))
     hols = {}
     for I in indices:
         counts = (gamma - I.degree(),) + tuple(I)
-        hols[I] = _expand_linear_power(U, counts, GR_ONE)
-    pairs = [(I, J) for I in indices for J in indices]
-    norms = _slice_norms(gamma, pairs)
+        hols[I] = [
+            (MultiIndex(mono[1:]), c)
+            for mono, c in _expand_linear_power(rows, counts, one).items()
+        ]
+    norms = _slice_norms(gamma, [(I, J) for I in indices for J in indices])
     out = {}
-    for I, J in pairs:
-        src_norm = norms[(I, J)]
-        for monoK, cK in hols[I].items():
-            K = MultiIndex(monoK[1:])
-            for monoL, cL in hols[J].items():
-                L = MultiIndex(monoL[1:])
+    for (I, J), src_norm in norms.items():
+        images = []
+        for K, cK in hols[I]:
+            for L, cL in hols[J]:
                 val = cK * cL.conjugate() * (norms[(K, L)] / src_norm)
                 if not val.is_zero():
-                    out[((I, J), (K, L))] = val
+                    images.append(((K, L), val))
+        out[(I, J)] = tuple(images)
     return out
+
+
+@lru_cache(maxsize=None)
+def _pullback_cached(U: tuple, gamma: int) -> dict:
+    return _slice_action(U, gamma, GR_ONE)
+
+
+def _flat(slices: dict) -> dict:
+    return {(src, tgt): val for src, images in slices.items() for tgt, val in images}
 
 
 def pullback_matrix(U, gamma: int) -> dict:
@@ -262,7 +276,7 @@ def pullback_matrix(U, gamma: int) -> dict:
     """
     if gamma < 0:
         raise DomainError("level must be nonnegative")
-    return dict(_pullback_cached(as_matrix(U), gamma))
+    return _flat(_pullback_cached(as_matrix(U), gamma))
 
 
 def compose_pullbacks(first: dict, second: dict) -> dict:
@@ -291,14 +305,14 @@ def pullback_entry_bound_holds(U, gamma: int) -> bool:
     bound_sq = Fraction(n + 1) ** (4 * gamma) * norm_sq ** (2 * gamma)
     return all(
         v.abs_squared() <= bound_sq
-        for v in _pullback_cached(U, gamma).values()
+        for images in _pullback_cached(U, gamma).values()
+        for _, v in images
     )
 
 
-def apply_pullback(U, a: Element) -> Element:
-    """Pull back a cone element along w -> U w, level by level."""
-    U = as_matrix(U)
-    n = len(U) - 1
+def _apply_slices(slices, M: tuple, a: Element) -> Element:
+    """Apply the per-level action slices(M, level) to a cone element."""
+    n = len(M) - 1
     pairs = []
     for (P, Q, alpha), coeff in a.terms.items():
         if len(P) != n:
@@ -306,11 +320,14 @@ def apply_pullback(U, a: Element) -> Element:
                 f"element lives on a cone with {len(P)} disk directions, "
                 f"the matrix acts on {n}"
             )
-        mat = _pullback_cached(U, alpha)
-        for (src, (K, L)), val in mat.items():
-            if src == (P, Q):
-                pairs.append((make_triple(K, L, alpha), coeff * val))
+        for (K, L), val in slices(M, alpha).get((P, Q), ()):
+            pairs.append((make_triple(K, L, alpha), coeff * val))
     return from_pairs(pairs)
+
+
+def apply_pullback(U, a: Element) -> Element:
+    """Pull back a cone element along w -> U w, level by level."""
+    return _apply_slices(_pullback_cached, as_matrix(U), a)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +362,7 @@ def check_y_invariance(U, hbar) -> bool:
 
 class _Dual:
     """a + b t with t^2 = 0 over Gaussian rationals; just enough ring ops
-    for the multinomial expansion."""
+    (and scaling by a rational) for the slice action."""
 
     __slots__ = ("a", "b")
 
@@ -357,6 +374,8 @@ class _Dual:
         return _Dual(self.a + other.a, self.b + other.b)
 
     def __mul__(self, other):
+        if not isinstance(other, _Dual):
+            return _Dual(self.a * other, self.b * other)
         return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
 
     def conjugate(self):
@@ -368,39 +387,16 @@ class _Dual:
 
 @lru_cache(maxsize=None)
 def _infinitesimal_cached(xi: tuple, gamma: int) -> dict:
-    n = len(xi) - 1
+    size = len(xi)
     rows = tuple(
-        tuple(
-            _Dual(GR_ONE if a == b else GR_ZERO, xi[a][b])
-            for b in range(n + 1)
-        )
-        for a in range(n + 1)
+        tuple(_Dual(GR_ONE if a == b else GR_ZERO, xi[a][b]) for b in range(size))
+        for a in range(size)
     )
-    one = _Dual(GR_ONE, GR_ZERO)
-    indices = list(multi_indices_up_to_degree(n, gamma))
-    hols = {}
-    for I in indices:
-        counts = (gamma - I.degree(),) + tuple(I)
-        hols[I] = _expand_linear_power(rows, counts, one)
-    pairs = [(I, J) for I in indices for J in indices]
-    norms = _slice_norms(gamma, pairs)
     out = {}
-    for I, J in pairs:
-        src_norm = norms[(I, J)]
-        for monoK, cK in hols[I].items():
-            K = MultiIndex(monoK[1:])
-            for monoL, cL in hols[J].items():
-                L = MultiIndex(monoL[1:])
-                v = cK * cL.conjugate()
-                base = v.a * (norms[(K, L)] / src_norm)
-                expected = GR_ONE if (I, J) == (K, L) else GR_ZERO
-                if base != expected:
-                    raise DomainError(
-                        "zeroth-order pullback is not the identity"
-                    )
-                lin = v.b * (norms[(K, L)] / src_norm)
-                if not lin.is_zero():
-                    out[((I, J), (K, L))] = lin
+    for src, images in _slice_action(rows, gamma, _Dual(GR_ONE, GR_ZERO)).items():
+        if {tgt: v.a for tgt, v in images if not v.a.is_zero()} != {src: GR_ONE}:
+            raise DomainError("zeroth-order pullback is not the identity")
+        out[src] = tuple((tgt, v.b) for tgt, v in images if not v.b.is_zero())
     return out
 
 
@@ -412,18 +408,11 @@ def infinitesimal_pullback(xi, gamma: int) -> dict:
     """
     if gamma < 0:
         raise DomainError("level must be nonnegative")
-    return dict(_infinitesimal_cached(as_matrix(xi), gamma))
+    return _flat(_infinitesimal_cached(as_matrix(xi), gamma))
 
 
 def apply_infinitesimal(xi, a: Element) -> Element:
-    xi = as_matrix(xi)
-    pairs = []
-    for (P, Q, alpha), coeff in a.terms.items():
-        mat = _infinitesimal_cached(xi, alpha)
-        for (src, (K, L)), val in mat.items():
-            if src == (P, Q):
-                pairs.append((make_triple(K, L, alpha), coeff * val))
-    return from_pairs(pairs)
+    return _apply_slices(_infinitesimal_cached, as_matrix(xi), a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from exactstar.algebra import Element, element_from_json, element_to_json, from_pairs, multiply
@@ -285,3 +286,32 @@ def test_malformed_element_file(tmp_path):
     missing_terms = write_json(tmp_path / "m.json", {"model": "poly:monomial"})
     res = run("--model", "poly:monomial", "seminorm", missing_terms)
     assert res.exit_code == 2
+
+
+def _zero_denominator_args(tmp_path, entry):
+    good = poly_file(tmp_path, "good.json", [(1, 1)])
+    if entry == "product":
+        bad = write_json(tmp_path / "bad.json", {"model": "poly:monomial", "terms": [
+            {"index": 1, "re": "1/0", "im": "0"}]})
+        return ["--model", "poly:monomial", "product", bad, good]
+    if entry == "gns inner":
+        bad = write_json(tmp_path / "psi.json", {"terms": [
+            {"index": [1], "re": "1/0", "im": "0"}]})
+        return ["gns", "inner", bad, bad]
+    if entry == "eval":
+        return ["--model", "poly:monomial", "eval", good, "--point", "1/0"]
+    if entry == "gns coherent":
+        return ["gns", "coherent", "--point", "1/0+i", "--cap", "2"]
+    m = get_model("cone", hbar=Fraction(1, 2))
+    t = make_triple(MultiIndex((0,)), MultiIndex((0,)), 1)
+    a = write_json(tmp_path / "a.json", element_to_json(m, Element.basis(t)))
+    return ["--model", "cone", "--hbar", "1/2", "seminorm", a, "--m-max", "0",
+            "--radius", "1/0"]
+
+
+@pytest.mark.parametrize(
+    "entry", ["product", "gns inner", "eval", "gns coherent", "seminorm --radius"])
+def test_zero_denominator_is_usage_error(tmp_path, entry):
+    res = run(*_zero_denominator_args(tmp_path, entry))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "Traceback" not in res.output

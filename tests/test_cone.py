@@ -7,6 +7,7 @@ from exactstar.algebra import DomainError, Element, InfiniteFanError, multiply
 from exactstar.cone import (
     ConeModel,
     DiskModel,
+    _tilde_coefficient,
     cone_rowsum,
     cone_rowsum_gamma_total,
     cone_y,
@@ -28,7 +29,7 @@ from exactstar.cone import (
     y_minus_one,
 )
 from exactstar.models import get_model
-from exactstar.scalars import GaussianRational, MultiIndex, pochhammer, factorial
+from exactstar.scalars import GaussianRational, MultiIndex, multi_range, pochhammer, factorial
 from exactstar.seminorms import HTable
 
 from oracles import random_cone_element, random_disk_element, random_gr, seeded
@@ -98,6 +99,24 @@ def test_constant_support_window_and_occupancy():
                 assert occupancy_count(t1, t2, (I, J, g)) in (0, 1)
 
 
+def test_closed_form_occupancy_matches_witness():
+    for n, level in ((1, 3), (2, 3)):
+        triples = _triples(n, level)
+        for t1 in triples:
+            P, Q, alpha = t1
+            for t2 in triples:
+                R, S, beta = t2
+                # every target triple with a consistent Kp = P+R-I = Q+S-J
+                # and kp = alpha+beta-gamma-|Kp| >= 0
+                for Kp in multi_range((P + R).meet(Q + S)):
+                    I, J = (P + R).minus(Kp), (Q + S).minus(Kp)
+                    low = max(I.degree(), J.degree())
+                    for gamma in range(low, alpha + beta - Kp.degree() + 1):
+                        target = (I, J, gamma)
+                        closed = _tilde_coefficient(t1, t2, target) != 0
+                        assert closed == (occupancy_count(t1, t2, target) == 1)
+
+
 def test_constant_transpose_mirror():
     for t1 in _triples(1, 2):
         for t2 in _triples(1, 2):
@@ -120,16 +139,17 @@ def test_rowsum_matches_brute_force():
 
     targets = [(I, J, g) for g in range(3) for I in (Z1, E1) for J in (Z1, E1)
                if I.degree() <= g and J.degree() <= g]
+    model = ConeModel(1, H)
     for t in [(Z1, Z1, 1), (E1, Z1, 1), (E1, E1, 2)]:
         for out in targets:
-            brute = Fraction(0)
+            brute_row = brute_col = Fraction(0)
             for beta in range(out[2] + 1):
                 for R in multi_indices_up_to_degree(1, beta):
                     for S in multi_indices_up_to_degree(1, beta):
-                        c = tilde_structure_constants(t, (R, S, beta)).get(out)
-                        if c is not None:
-                            brute += abs(c)
-            assert cone_rowsum(t, out) == brute
+                        brute_row += abs(tilde_structure_constants(t, (R, S, beta)).get(out, 0))
+                        brute_col += abs(tilde_structure_constants((R, S, beta), t).get(out, 0))
+            assert cone_rowsum(t, out) == brute_row
+            assert model.col_sum(t, out) == brute_col
 
 
 def test_rowsum_gamma_total_bound():

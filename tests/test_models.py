@@ -286,20 +286,21 @@ def test_group_epsilon_half_weights():
 def test_group_characters():
     z = get_model("group:Z")
     a = from_pairs([(2, 2)])
-    out = z.character(a, {0: GaussianRational.of(0, 1)})
-    assert out.is_exact()
-    assert out.exact_value() == GaussianRational.of(-1)
+    re, im = z.character(a, {0: GaussianRational.of(0, 1)})
+    assert re.is_rational() and im.is_rational()
+    assert (re.rational_value(), im.rational_value()) == (-1, 0)
 
     b = from_pairs([(2, 4)])
-    out = z.character(b, {0: GaussianRational.of(1)})
-    assert out.exact_value() == GaussianRational.of(2)
+    re, im = z.character(b, {0: GaussianRational.of(1)})
+    assert (re.rational_value(), im.rational_value()) == (2, 0)
 
     zh = get_model("group:Z", epsilon=Fraction(1, 2))
-    out = zh.character(b, {0: GaussianRational.of(1)})
+    re, im = zh.character(b, {0: GaussianRational.of(1)})
     # 4 / sqrt(2!) = 2 sqrt 2
-    assert not out.re.is_exact()
-    assert 0 < out.re.lo and out.re.lo**2 < 8 < out.re.hi**2
-    assert out.im.is_exact() and out.im.lo == 0
+    assert not re.is_rational()
+    lo, hi = re.bracket()
+    assert 0 < lo and lo**2 < 8 < hi**2
+    assert im.is_rational() and im.rational_value() == 0
 
 
 def test_group_json_round_trip():

@@ -126,8 +126,8 @@ def _flag_rational(text: str, name: str) -> Fraction:
 
 _GR_PATTERN = re.compile(
     r"""^\s*
-    (?P<re>[+-]?\d+(?:/\d+)?)?
-    (?P<im>(?:[+-]\d+(?:/\d+)?|[+-]?)i)?
+    (?P<re>[+-]?[0-9]+(?:/[0-9]+)?)?
+    (?P<im>(?:[+-][0-9]+(?:/[0-9]+)?|[+-]?)i)?
     \s*$""",
     re.VERBOSE,
 )
@@ -139,7 +139,7 @@ def parse_point_coordinate(text: str) -> GaussianRational:
     if not m or (m.group("re") is None and m.group("im") is None):
         raise click.UsageError(f"cannot parse coordinate {text!r}")
     try:
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+        re_part = parse_rational(m.group("re")) if m.group("re") else Fraction(0)
         im_text = m.group("im")
         if im_text is None:
             im_part = Fraction(0)
@@ -150,7 +150,7 @@ def parse_point_coordinate(text: str) -> GaussianRational:
             elif body == "-":
                 im_part = Fraction(-1)
             else:
-                im_part = Fraction(body)
+                im_part = parse_rational(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"cannot parse coordinate {text!r}: {exc}") from exc
     return GaussianRational.of(re_part, im_part)

@@ -26,6 +26,7 @@ from .scalars import (
     factorial,
     is_allowed_hbar,
     multi_binomial,
+    multi_indices_of_degree_within,
     multi_indices_up_to_degree,
     multi_range,
     pochhammer,
@@ -243,10 +244,36 @@ class ConeModel(BaseModel):
         return cone_rowsum((S, R, beta), (J, I, gamma))
 
     def row_parents(self, gamma_idx):
-        return self.indices_up_to(gamma_idx[2])
+        """Exactly the (P, Q, alpha) with row_sum != 0: alpha <= gamma,
+        Q <= J and alpha - |Q| <= gamma - |J| (a binomial of the closed form
+        vanishes otherwise), in indices_up_to order."""
+        _, J, gamma = gamma_idx
+        return self._fan(J, gamma, bounded_first=False)
 
     def col_parents(self, gamma_idx):
-        return self.indices_up_to(gamma_idx[2])
+        """Transpose of the row fan of (J, I, gamma): P <= I and
+        alpha - |P| <= gamma - |I|, in indices_up_to order."""
+        I, _, gamma = gamma_idx
+        return self._fan(I, gamma, bounded_first=True)
+
+    def _fan(self, bound: MultiIndex, gamma: int, bounded_first: bool) -> Iterator[Triple]:
+        slack = gamma - bound.degree()
+        for alpha in range(gamma + 1):
+            bounded = [
+                K for d in range(max(0, alpha - slack), alpha + 1)
+                for K in multi_indices_of_degree_within(bound, d)
+            ]
+            if not bounded:
+                continue
+            free = list(multi_indices_up_to_degree(self.n, alpha))
+            if bounded_first:
+                for P in bounded:
+                    for Q in free:
+                        yield (P, Q, alpha)
+            else:
+                for P in free:
+                    for Q in bounded:
+                        yield (P, Q, alpha)
 
     # -- index plumbing -----------------------------------------------------
     def validate_index(self, idx):

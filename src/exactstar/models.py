@@ -321,19 +321,22 @@ class LaurentModel(BaseModel):
         cutoff = smin
         while ratio_bound(cutoff + 1) >= Fraction(1, 2):
             cutoff += 1
-        partial = self._window_sum(table, 1, pl, gamma, cutoff)
+        partial = self._window_sum(table, 1, pl, gamma, range(-cutoff, cutoff + 1))
         tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
         while tail > table.tol * (partial + tail) and cutoff < smin + 300:
+            # Fraction sums are exact, so adding the 8 new indices gives the
+            # same partial as summing the widened window again
+            grown = [*range(-cutoff - 4, -cutoff), *range(cutoff + 1, cutoff + 5)]
             cutoff += 4
-            partial = self._window_sum(table, 1, pl, gamma, cutoff)
+            partial += self._window_sum(table, 1, pl, gamma, grown)
             tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
         return HVal.bracket(
             Bracket.enclosure(partial, partial + tail, cutoff, TAG_MAJORANT)
         )
 
-    def _window_sum(self, table: HTable, pm: int, pl: int, gamma: int, cutoff: int) -> Fraction:
+    def _window_sum(self, table: HTable, pm: int, pl: int, gamma: int, indices: Iterable[int]) -> Fraction:
         total = Fraction(0)
-        for n in range(-cutoff, cutoff + 1):
+        for n in indices:
             hv = table.h(pm, pl, n)
             q = hv.exact_rational()
             assert q is not None  # depth-1 values on a finite support are exact

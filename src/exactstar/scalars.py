@@ -9,6 +9,7 @@ appears only in explicit ``to_float`` presentations.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -56,9 +57,26 @@ def is_allowed_hbar(hbar: Fraction) -> bool:
     return not (u.denominator == 1 and u <= 0)
 
 
+# digits allowed on each side of a parsed rational; a longer numeral is
+# rejected before any integer is built from it
+RATIONAL_DIGIT_CAP = 1000
+_RATIONAL_PATTERN = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into a Fraction.
+
+    Only integers and integer ratios are accepted, each side with at most
+    RATIONAL_DIGIT_CAP digits; anything else raises ValueError (a zero
+    denominator raises ZeroDivisionError)."""
+    m = _RATIONAL_PATTERN.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"expected a rational 'p' or 'p/q', got {text!r}")
+    sign, num, den = m.groups()
+    if len(num) > RATIONAL_DIGIT_CAP or (den is not None and len(den) > RATIONAL_DIGIT_CAP):
+        raise ValueError(f"rational has more than {RATIONAL_DIGIT_CAP} digits on one side")
+    value = Fraction(int(num), int(den) if den is not None else 1)
+    return -value if sign == "-" else value
 
 
 def format_rational(q: RationalLike) -> str:
@@ -201,24 +219,33 @@ GR_I = GaussianRational.of(0, 1)
 
 
 class MultiIndex(tuple):
-    """Multiindex in N_0^n with componentwise arithmetic."""
+    """Multiindex in N_0^n with componentwise arithmetic.
+
+    The public constructor validates its entries (ints, not bools, all
+    nonnegative).  Results of arithmetic on valid multiindices are valid by
+    construction and are built by _multi_index without that check."""
 
     def __new__(cls, entries: Iterable[int]):
-        t = tuple(int(e) for e in entries)
-        if any(e < 0 for e in t):
-            raise ValueError("multiindex entries must be nonnegative")
+        if type(entries) is cls:
+            return entries
+        t = tuple(entries)
+        for e in t:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValueError(f"multiindex entries must be integers, got {e!r}")
+            if e < 0:
+                raise ValueError("multiindex entries must be nonnegative")
         return super().__new__(cls, t)
 
     @staticmethod
     def zero(n: int) -> "MultiIndex":
-        return MultiIndex((0,) * n)
+        return _multi_index((0,) * n)
 
     @staticmethod
     def unit(n: int, i: int) -> "MultiIndex":
-        return MultiIndex(tuple(1 if j == i else 0 for j in range(n)))
+        return _multi_index(1 if j == i else 0 for j in range(n))
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":  # type: ignore[override]
-        return MultiIndex(a + b for a, b in zip(self, other, strict=True))
+        return _multi_index(a + b for a, b in zip(self, other, strict=True))
 
     def minus(self, other: "MultiIndex") -> "MultiIndex | None":
         """Componentwise difference, or None when any entry would go negative."""
@@ -226,14 +253,14 @@ class MultiIndex(tuple):
             raise ValueError("dimension mismatch")
         if any(b > a for a, b in zip(self, other)):
             return None
-        return MultiIndex(a - b for a, b in zip(self, other))
+        return _multi_index(a - b for a, b in zip(self, other))
 
     def __le__(self, other: "MultiIndex") -> bool:  # type: ignore[override]
         return all(a <= b for a, b in zip(self, other, strict=True))
 
     def meet(self, other: "MultiIndex") -> "MultiIndex":
         """Componentwise minimum."""
-        return MultiIndex(min(a, b) for a, b in zip(self, other, strict=True))
+        return _multi_index(min(a, b) for a, b in zip(self, other, strict=True))
 
     def degree(self) -> int:
         return sum(self)
@@ -246,6 +273,11 @@ class MultiIndex(tuple):
 
     def __repr__(self) -> str:
         return "MultiIndex" + tuple.__repr__(self)
+
+
+def _multi_index(entries: Iterable[int]) -> MultiIndex:
+    """MultiIndex from entries already known to be nonnegative ints."""
+    return tuple.__new__(MultiIndex, entries)
 
 
 def multi_binomial(upper: MultiIndex, lower: MultiIndex) -> int:
@@ -262,11 +294,11 @@ def multi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
     """Iterate all K with 0 <= K <= bound componentwise (lexicographic)."""
     n = len(bound)
     if n == 0:
-        yield MultiIndex(())
+        yield _multi_index(())
         return
     current = [0] * n
     while True:
-        yield MultiIndex(current)
+        yield _multi_index(current)
         i = n - 1
         while i >= 0:
             if current[i] < bound[i]:
@@ -282,14 +314,29 @@ def multi_indices_of_degree(n: int, d: int) -> Iterator[MultiIndex]:
     """All multiindices in N_0^n with |I| = d."""
     if n == 0:
         if d == 0:
-            yield MultiIndex(())
+            yield _multi_index(())
         return
     if n == 1:
-        yield MultiIndex((d,))
+        yield _multi_index((d,))
         return
     for first in range(d, -1, -1):
         for rest in multi_indices_of_degree(n - 1, d - first):
-            yield MultiIndex((first,) + tuple(rest))
+            yield _multi_index((first,) + rest)
+
+
+def multi_indices_of_degree_within(bound: MultiIndex, d: int) -> Iterator[MultiIndex]:
+    """The K <= bound with |K| = d, in multi_indices_of_degree order."""
+    if not bound:
+        if d == 0:
+            yield _multi_index(())
+        return
+    if len(bound) == 1:
+        if d <= bound[0]:
+            yield _multi_index((d,))
+        return
+    for first in range(min(d, bound[0]), -1, -1):
+        for rest in multi_indices_of_degree_within(bound[1:], d - first):
+            yield _multi_index((first,) + rest)
 
 
 def multi_indices_up_to_degree(n: int, d: int) -> Iterator[MultiIndex]:

@@ -437,7 +437,11 @@ class HTable:
             parents: Iterable[Index] = list(self.element.support())
         else:
             parents = self.model.row_parents(gamma) if bit == 0 else self.model.col_parents(gamma)
-        acc = HVal.zero()
+        # While every contribution is a finite exact or sqrt cell times a
+        # Fraction weight, the HVal sum would be HVal.exact(total); keep the
+        # Fraction and switch to HVal arithmetic at the first other kind.
+        total = Fraction(0)
+        acc: HVal | None = None
         for p in parents:
             w = weight(p, gamma)
             if _weight_is_zero(w):
@@ -445,8 +449,17 @@ class HTable:
             hv = self.h(m - 1, parent_ell, p)
             if hv.is_zero():
                 continue
+            if acc is None and isinstance(w, Fraction):
+                if hv.kind == "sqrt":
+                    total += hv.sq * w
+                    continue
+                if hv.kind == "exact" and not hv.enn.infinite:
+                    total += hv.enn.value * hv.enn.value * w
+                    continue
+            if acc is None:
+                acc = HVal.exact(total)
             acc = acc.plus(hv.squared().times(w))
-        return acc
+        return HVal.exact(total) if acc is None else acc
 
 
 def _weight_is_zero(w) -> bool:

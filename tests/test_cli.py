@@ -315,3 +315,51 @@ def test_zero_denominator_is_usage_error(tmp_path, entry):
     res = run(*_zero_denominator_args(tmp_path, entry))
     assert res.exit_code == 2, (res.output, res.exception)
     assert "Traceback" not in res.output
+
+
+def _bad_multiindex_args(tmp_path, entry, P):
+    if entry == "product":
+        m = get_model("cone", hbar=Fraction(1, 2))
+        good = write_json(tmp_path / "good.json", element_to_json(
+            m, Element.basis(make_triple(MultiIndex((1,)), MultiIndex((0,)), 1))))
+        bad = write_json(tmp_path / "bad.json", {"model": "cone", "terms": [
+            {"index": {"P": P, "Q": [0], "alpha": 1}, "re": "1", "im": "0"}]})
+        return ["--model", "cone", "--hbar", "1/2", "product", bad, good]
+    bad = write_json(tmp_path / "psi.json", {"terms": [{"index": P, "re": "1", "im": "0"}]})
+    return ["gns", "inner", bad, bad]
+
+
+@pytest.mark.parametrize("P", [[1.5], [True], ["1"], "1"])
+@pytest.mark.parametrize("entry", ["product", "gns inner"])
+def test_non_integer_multiindex_is_usage_error(tmp_path, entry, P):
+    # each of these used to be coerced to the valid index [1]
+    res = run(*_bad_multiindex_args(tmp_path, entry, P))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "Traceback" not in res.output
+
+
+def _non_rational_args(tmp_path, entry):
+    good = poly_file(tmp_path, "good.json", [(1, 1)])
+    if entry == "--hbar":
+        return ["--model", "cone", "--hbar", "1e999999", "algebra", "list"]
+    if entry == "coefficient":
+        bad = write_json(tmp_path / "bad.json", {"model": "poly:monomial", "terms": [
+            {"index": 1, "re": "1e999999", "im": "0"}]})
+        return ["--model", "poly:monomial", "product", bad, good]
+    if entry == "--point digits":
+        return ["--model", "poly:monomial", "eval", good, "--point", "1" * 1001 + "i"]
+    if entry == "--point non-ascii":
+        return ["--model", "poly:monomial", "eval", good, "--point", "\u0663/2"]
+    m = get_model("cone", hbar=Fraction(1, 2))
+    t = make_triple(MultiIndex((0,)), MultiIndex((0,)), 1)
+    a = write_json(tmp_path / "a.json", element_to_json(m, Element.basis(t)))
+    return ["--model", "cone", "--hbar", "1/2", "seminorm", a, "--m-max", "0",
+            "--radius", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "entry", ["--hbar", "coefficient", "--radius", "--point digits", "--point non-ascii"])
+def test_rational_outside_p_over_q_is_usage_error(tmp_path, entry):
+    res = run(*_non_rational_args(tmp_path, entry))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "Traceback" not in res.output

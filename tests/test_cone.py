@@ -117,6 +117,19 @@ def test_closed_form_occupancy_matches_witness():
                         assert closed == (occupancy_count(t1, t2, target) == 1)
 
 
+def test_closed_form_fans_match_nonzero_weights():
+    # row_parents/col_parents generate the fan from alpha <= gamma, Q <= J,
+    # alpha - |Q| <= gamma - |J| (columns: the transpose); witness: the old
+    # fan, every index up to the level, filtered by a nonzero weight (same
+    # order too)
+    for n, level in ((1, 4), (2, 3), (3, 2)):
+        model = ConeModel(n, H)
+        for g in model.indices_up_to(level):
+            every = list(model.indices_up_to(g[2]))
+            assert list(model.row_parents(g)) == [p for p in every if model._row(p, g) != 0]
+            assert list(model.col_parents(g)) == [p for p in every if model._col(p, g) != 0]
+
+
 def test_constant_transpose_mirror():
     for t1 in _triples(1, 2):
         for t2 in _triples(1, 2):

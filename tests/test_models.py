@@ -425,3 +425,62 @@ def test_registry_names_resolve():
             kwargs["hbar"] = Fraction(1, 2)
         m = get_model(name, **kwargs)
         assert m.name == name
+
+
+def _reference_h2_factorial(model, table, ell, gamma):
+    """The depth-2 factorial-Laurent bracket with the window summed from
+    scratch at every widening; reference for the incremental window sum."""
+    from exactstar.seminorms import TAG_MAJORANT, Bracket
+
+    a = table.element
+    pl = ell >> 1
+    lk = abs(gamma)
+    L = max(abs(j) for j in a.terms)
+    k1 = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
+
+    def term_bound(s):
+        return 2 * k1 * k1 * Fraction(s + 1) ** (2 * L) * Fraction(
+            factorial(lk), factorial(s) * factorial(s - lk))
+
+    def ratio_bound(s):
+        return Fraction(s + 2, s + 1) ** (2 * L) / Fraction((s + 1) * (s + 1 - lk))
+
+    def window(cutoff):
+        total = Fraction(0)
+        for n in range(-cutoff, cutoff + 1):
+            q = table.h(1, pl, n).exact_rational()
+            total += q * q * model.rowsum(n, gamma)
+        return total
+
+    smin = max(L, lk) + 1
+    cutoff = smin
+    while ratio_bound(cutoff + 1) >= Fraction(1, 2):
+        cutoff += 1
+    partial = window(cutoff)
+    tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
+    while tail > table.tol * (partial + tail) and cutoff < smin + 300:
+        cutoff += 4
+        partial = window(cutoff)
+        tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
+    return Bracket.enclosure(partial, partial + tail, cutoff, TAG_MAJORANT)
+
+
+def test_laurent_incremental_window_matches_from_scratch():
+    m = get_model("laurent:factorial")
+    rng = seeded(17)
+    elements = [
+        from_pairs([(0, 1), (2, 1)]),
+        from_pairs([(-3, random_gr(rng)), (1, random_gr(rng)), (3, Fraction(1, 2))]),
+    ]
+    widened = 0
+    for a in elements:
+        for tol in (Fraction(1, 10**12), Fraction(1, 10**40)):
+            table = HTable(m, a, tol)
+            for ell in range(4):
+                for gamma in range(-4, 5):
+                    got = table.h(2, ell, gamma).to_bracket()
+                    want = _reference_h2_factorial(m, table, ell, gamma)
+                    assert got == want, (a, ell, gamma)
+                    widened += got.depth > max(max(abs(j) for j in a.terms), abs(gamma)) + 5
+    # the cases above must reach the widening loop, not only the first window
+    assert widened

@@ -13,6 +13,7 @@ from exactstar.scalars import (
     GR_ZERO,
     GaussianRational,
     MultiIndex,
+    RATIONAL_DIGIT_CAP,
     RootSum,
     binomial,
     factorial,
@@ -20,6 +21,7 @@ from exactstar.scalars import (
     is_allowed_hbar,
     multi_binomial,
     multi_indices_of_degree,
+    multi_indices_of_degree_within,
     multi_indices_up_to_degree,
     multi_range,
     parse_rational,
@@ -78,6 +80,23 @@ def test_multiindex_basics():
     assert MultiIndex.unit(3, 1) == MultiIndex((0, 1, 0))
 
 
+def test_multiindex_rejects_non_integer_entries():
+    for bad in ((1.5,), (True,), ("1",), (-1,), "12"):
+        with pytest.raises(ValueError):
+            MultiIndex(bad)
+    a = MultiIndex((2, 0))
+    assert MultiIndex(a) is a
+    assert type(a + a) is MultiIndex and type(a.meet(a)) is MultiIndex
+    assert all(type(K) is MultiIndex for K in multi_range(a))
+
+
+def test_multi_indices_of_degree_within():
+    for bound in (MultiIndex(()), MultiIndex((2,)), MultiIndex((2, 0, 1)), MultiIndex((1, 3))):
+        for d in range(6):
+            want = [K for K in multi_indices_of_degree(len(bound), d) if K <= bound]
+            assert list(multi_indices_of_degree_within(bound, d)) == want
+
+
 def test_combinatorial_helpers():
     assert binomial(5, 2) == 10
     assert binomial(3, 5) == 0 and binomial(3, -1) == 0
@@ -110,6 +129,18 @@ def test_rational_strings():
     assert parse_rational(format_rational(Fraction(-7, 11))) == Fraction(-7, 11)
     with pytest.raises(ValueError):
         parse_rational("one half")
+
+
+def test_parse_rational_only_p_over_q():
+    assert parse_rational(" +12/8 ") == Fraction(3, 2)
+    for bad in ("1e999999", "0.5", ".5", "1_000", "1/-2", "inf", "nan", ""):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    cap = RATIONAL_DIGIT_CAP
+    assert parse_rational("9" * cap + "/" + "7" * cap) == Fraction(int("9" * cap), int("7" * cap))
+    for bad in ("1" * (cap + 1), "1/" + "1" * (cap + 1)):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**3))

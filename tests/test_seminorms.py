@@ -434,3 +434,63 @@ def test_growth_classify_factorial():
     assert one["subfactorial"] is True
     assert one["certified_sup"].lo == 1
     assert three_half["subfactorial"] is True
+
+
+def _reference_cell(table, m, ell, gamma):
+    """One h cell by the plain HVal loop: every index up to the target's rank
+    as a parent at m >= 2, zero weights skipped, each contribution added with
+    HVal.plus.  Parent cells come from the table.  Reference for the Fraction
+    accumulation and the exact cone fans of HTable, on cells the model has no
+    h_special for."""
+    model = table.model
+    weight = model.row_sum if ell & 1 == 0 else model.col_sum
+    if m == 1:
+        parents = list(table.element.support())
+    else:
+        parents = list(model.indices_up_to(model.index_rank(gamma)))
+    acc = HVal.zero()
+    for p in parents:
+        w = weight(p, gamma)
+        if w == 0:
+            continue
+        hv = table.h(m - 1, ell >> 1, p)
+        if hv.is_zero():
+            continue
+        acc = acc.plus(hv.squared().times(w))
+    return acc
+
+
+def _hval_key(v):
+    return (v.kind, v.enn, v.sq, v.rs, v.br)
+
+
+def test_h_accumulation_matches_hval_reference():
+    from exactstar.cone import ConeModel
+
+    from oracles import random_cone_element
+
+    rng = seeded(303)
+    # (model, element, target rank, levels without h_special)
+    cases = [
+        (ConeModel(1, Fraction(1, 2)), random_cone_element(rng, 1, 2), 3, (1, 2)),
+        (ConeModel(2, Fraction(1, 2)), random_cone_element(rng, 2, 1, 3), 2, (1, 2)),
+        (get_model("poly:factorial"),
+         from_pairs([(0, random_gr(rng)), (2, random_gr(rng)), (3, Fraction(1, 3))]), 6, (1, 2)),
+        (get_model("matrix:hat"),
+         from_pairs([((1, 2), random_gr(rng)), ((2, 2), 1), ((3, 1), Fraction(2, 3))]), 3, (1,)),
+        # RootSum weights: the sum leaves the Fraction path at the first one
+        (get_model("group:Z", epsilon=Fraction(1, 2)),
+         from_pairs([(0, 1), (1, random_gr(rng)), (-2, Fraction(1, 2))]), 3, (1,)),
+    ]
+    for model, a, rank, levels in cases:
+        table = HTable(model, a)
+        kinds = set()
+        for gamma in model.indices_up_to(rank):
+            for m in levels:
+                for ell in range(1 << m):
+                    got = table.h(m, ell, gamma)
+                    kinds.add(got.kind)
+                    assert _hval_key(got) == _hval_key(_reference_cell(table, m, ell, gamma)), (
+                        model.name, m, ell, gamma)
+        if model.name.startswith("group"):
+            assert "root" in kinds

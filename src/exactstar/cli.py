@@ -50,7 +50,7 @@ from .scalars import (
     multi_indices_up_to_degree,
     parse_rational,
 )
-from .seminorms import DEFAULT_TOL, HTable
+from .seminorms import DEFAULT_TOL, Bracket, HTable
 
 DEFAULT_HBAR = Fraction(1, 2)
 
@@ -308,6 +308,26 @@ SEMINORM_COLUMNS = [
 ]
 
 
+def _seminorm_row(m: int, ell: int, gamma_json, h_exact: str, br: Bracket, tol: Fraction) -> dict:
+    root_lo, root_hi = br.root_interval(m, tol)
+    if root_hi.infinite:
+        sem = float("inf") if br.is_divergent() else float(root_lo)
+        hi_str = "inf"
+    else:
+        sem = float(root_lo + root_hi.value) / 2.0
+        hi_str = str(br.hi.value)
+    return {
+        "m": m,
+        "ell": ell,
+        "gamma": json.dumps(gamma_json),
+        "h_exact": h_exact,
+        "seminorm_float": repr(sem),
+        "bracket_lo": str(br.lo),
+        "bracket_hi": hi_str,
+        "depth": br.depth,
+    }
+
+
 @main.command()
 @click.argument("a_file", type=click.Path(exists=True))
 @click.option("--m-max", type=int, default=2, show_default=True)
@@ -333,24 +353,8 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
             ell_m = ell & ((1 << m) - 1)
             for idx in support:
                 hv = table.h(m, ell_m, idx)
-                br = hv.to_bracket(cfg.tolerance)
-                root_lo, root_hi = br.root_interval(m, cfg.tolerance)
-                if root_hi.infinite:
-                    sem = float("inf") if br.is_divergent() else float(root_lo)
-                    hi_str = "inf"
-                else:
-                    sem = float(root_lo + root_hi.value) / 2.0
-                    hi_str = str(br.hi.value)
-                rows.append({
-                    "m": m,
-                    "ell": ell_m,
-                    "gamma": json.dumps(model.index_to_json(idx)),
-                    "h_exact": hv.exact_string(),
-                    "seminorm_float": repr(sem),
-                    "bracket_lo": str(br.lo),
-                    "bracket_hi": hi_str,
-                    "depth": br.depth,
-                })
+                rows.append(_seminorm_row(m, ell_m, model.index_to_json(idx), hv.exact_string(),
+                                          hv.to_bracket(cfg.tolerance), cfg.tolerance))
         if radius is not None:
             if not isinstance(model, ConeModel):
                 raise DomainError("--radius tables need the cone model")
@@ -358,22 +362,7 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
             for m in range(m_max + 1):
                 ell_m = ell & ((1 << m) - 1)
                 br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
-                root_lo, root_hi = br.root_interval(m, cfg.tolerance)
-                if root_hi.infinite:
-                    sem, hi_str = float("inf"), "inf"
-                else:
-                    sem = float(root_lo + root_hi.value) / 2.0
-                    hi_str = str(br.hi.value)
-                rows.append({
-                    "m": m,
-                    "ell": ell_m,
-                    "gamma": json.dumps({"radius": str(R)}),
-                    "h_exact": "",
-                    "seminorm_float": repr(sem),
-                    "bracket_lo": str(br.lo),
-                    "bracket_hi": hi_str,
-                    "depth": br.depth,
-                })
+                rows.append(_seminorm_row(m, ell_m, {"radius": str(R)}, "", br, cfg.tolerance))
         emit(render_table(rows, SEMINORM_COLUMNS, cfg.output), out)
     except (DomainError, InfiniteFanError) as exc:
         _domain_exit(exc)

@@ -93,8 +93,13 @@ def gns_vector_to_json(psi: GnsVector) -> dict:
 
 
 def gns_vector_from_json(data: dict) -> GnsVector:
+    if not isinstance(data, dict):
+        raise ValueError("GNS vector JSON must be an object")
+    terms = data.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValueError("GNS vector JSON 'terms' must be a list")
     out = {}
-    for entry in data.get("terms", []):
+    for entry in terms:
         q = MultiIndex(entry["index"])
         out[q] = GaussianRational.from_json(
             {"re": entry.get("re", "0"), "im": entry.get("im", "0")}

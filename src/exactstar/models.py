@@ -87,6 +87,9 @@ class BaseModel:
         raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
 
     def h_special(self, table: HTable, m: int, ell: int, gamma: Index):
+        """h[m, ell, gamma] at m >= 2 of a nonzero element, for models whose
+        fans are infinite; it sums through table.step or truncated_sum.  None
+        leaves the cell to the finite row_parents/col_parents fans."""
         return None
 
     # -- index plumbing -----------------------------------------------------
@@ -257,7 +260,7 @@ class LaurentModel(BaseModel):
     def rowsum(self, n: int, k: int) -> Fraction:
         """The recursion weight; constant 1 on the plain basis (the divergence
         witness), |k|!/(|n|!|k-n|!) on the factorial basis."""
-        return self._row(n, k)
+        return self.row_sum(n, k)
 
     def index_rank(self, idx) -> int:
         return abs(idx)
@@ -284,11 +287,6 @@ class LaurentModel(BaseModel):
         return Element({-k: c.conjugate() for k, c in a.terms.items()})
 
     def h_special(self, table: HTable, m: int, ell: int, gamma):
-        if m <= 1:
-            return None
-        a = table.element
-        if a.is_zero():
-            return HVal.zero()
         if self.basis == "plain":
             # depth-1 values are a positive constant on all of Z; the next
             # level sums it with weight 1 over infinitely many indices
@@ -296,12 +294,11 @@ class LaurentModel(BaseModel):
         if m == 2:
             return self._h2_factorial(table, ell, gamma)
         w = self.TRUNC_WINDOW
-        parents = ((n, self._row(n, gamma)) for n in range(-w, w + 1))
+        parents = ((n, self.row_sum(n, gamma)) for n in range(-w, w + 1))
         return truncated_sum(table, m, ell, parents, w)
 
     def _h2_factorial(self, table: HTable, ell: int, gamma: int) -> HVal:
         a = table.element
-        pl = ell >> 1
         lk = abs(gamma)
         ranks = [abs(j) for j in a.terms]
         L = max(ranks)
@@ -317,31 +314,27 @@ class LaurentModel(BaseModel):
         def ratio_bound(s: int) -> Fraction:
             return Fraction(s + 2, s + 1) ** (2 * L) / Fraction((s + 1) * (s + 1 - lk))
 
+        def window(indices) -> Fraction:
+            # depth-1 values on a finite support are exact, so the step is a Fraction
+            weighted = ((n, self.row_sum(n, gamma)) for n in indices)
+            return table.step(2, ell, weighted).exact_rational()
+
         smin = max(L, lk) + 1
         cutoff = smin
         while ratio_bound(cutoff + 1) >= Fraction(1, 2):
             cutoff += 1
-        partial = self._window_sum(table, 1, pl, gamma, range(-cutoff, cutoff + 1))
+        partial = window(range(-cutoff, cutoff + 1))
         tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
         while tail > table.tol * (partial + tail) and cutoff < smin + 300:
             # Fraction sums are exact, so adding the 8 new indices gives the
             # same partial as summing the widened window again
             grown = [*range(-cutoff - 4, -cutoff), *range(cutoff + 1, cutoff + 5)]
             cutoff += 4
-            partial += self._window_sum(table, 1, pl, gamma, grown)
+            partial += window(grown)
             tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
         return HVal.bracket(
             Bracket.enclosure(partial, partial + tail, cutoff, TAG_MAJORANT)
         )
-
-    def _window_sum(self, table: HTable, pm: int, pl: int, gamma: int, indices: Iterable[int]) -> Fraction:
-        total = Fraction(0)
-        for n in indices:
-            hv = table.h(pm, pl, n)
-            q = hv.exact_rational()
-            assert q is not None  # depth-1 values on a finite support are exact
-            total += q * q * self._row(n, gamma)
-        return total
 
 
 def laurent_rowsum(model: LaurentModel, n: int, k: int) -> Fraction:
@@ -467,19 +460,13 @@ class MatrixModel(BaseModel):
         return out
 
     def h_special(self, table: HTable, m: int, ell: int, gamma):
-        if m <= 1:
-            return None
-        if table.element.is_zero():
-            return HVal.zero()
         if m == 2:
             return self._h2(table, ell, gamma)
         r, s = gamma
         w = self.TRUNC_WINDOW
-        parents = (
-            ((r, t) if ell & 1 == 0 else (t, s), self.pair_weight(t))
-            for t in range(1, w + 1)
-        )
-        return truncated_sum(table, m, ell, parents, w)
+        weight = self.row_sum if ell & 1 == 0 else self.col_sum
+        parents = ((r, t) if ell & 1 == 0 else (t, s) for t in range(1, w + 1))
+        return truncated_sum(table, m, ell, ((p, weight(p, gamma)) for p in parents), w)
 
     def _h2(self, table: HTable, ell: int, gamma) -> HVal:
         r, s = gamma
@@ -493,17 +480,14 @@ class MatrixModel(BaseModel):
         if bit0 == 1 and bit1 == 1:
             v = table.h(1, 1, (1, s))
             return hval_product(v.squared(), self.weight_series(table.tol))
-        acc = HVal.zero()
         if bit0 == 0:
             # parents (r, j); depth-1 column branch vanishes off support columns
-            for j in sorted({jj for _ii, jj in supp}):
-                hv = table.h(1, 1, (r, j))
-                acc = acc.plus(hv.squared().times(self.pair_weight(j)))
+            parents = [(r, j) for j in sorted({jj for _ii, jj in supp})]
+            weight = self.row_sum
         else:
-            for k in sorted({ii for ii, _jj in supp}):
-                hv = table.h(1, 0, (k, s))
-                acc = acc.plus(hv.squared().times(self.pair_weight(k)))
-        return acc
+            parents = [(k, s) for k in sorted({ii for ii, _jj in supp})]
+            weight = self.col_sum
+        return table.step(2, ell, ((p, weight(p, gamma)) for p in parents))
 
 
 def matrix_trace(model: MatrixModel, a: Element) -> GaussianRational:
@@ -670,7 +654,7 @@ class GroupModel(BaseModel):
         return self._ratio(self.length(k), self.length(other), self.length(h))
 
     def rowsum_bracket(self, g, k, tol: Fraction = DEFAULT_TOL) -> Bracket:
-        w = self._row(g, k)
+        w = self.row_sum(g, k)
         if isinstance(w, Fraction):
             return Bracket.exact(w)
         return rootsum_bracket(w, tol)
@@ -776,13 +760,9 @@ class GroupModel(BaseModel):
 
     # -- seminorm specials --------------------------------------------------
     def h_special(self, table: HTable, m: int, ell: int, gamma):
-        if m <= 1:
-            return None
-        if table.element.is_zero():
-            return HVal.zero()
         if m == 2:
             return self._h2(table, ell, gamma)
-        weight = self._row if ell & 1 == 0 else self._col
+        weight = self.row_sum if ell & 1 == 0 else self.col_sum
         parents, depth = [], 0
         for s in range(0, 12):
             sh = self.shell(s)
@@ -794,9 +774,7 @@ class GroupModel(BaseModel):
 
     def _h2(self, table: HTable, ell: int, gamma) -> HVal:
         a = table.element
-        bit0 = ell & 1
-        pl = ell >> 1
-        weight = self._row if bit0 == 0 else self._col
+        weight = self.row_sum if ell & 1 == 0 else self.col_sum
         lk = self.length(gamma)
         L = max(self.length(g) for g in a.terms)
         k1 = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
@@ -833,11 +811,7 @@ class GroupModel(BaseModel):
             if words > self.SHELL_BUDGET:
                 lo = acc.to_bracket(tol).lo
                 return HVal.bracket(Bracket.truncated(lo, s - 1))
-            for g in sh:
-                hv = table.h(1, pl, g)
-                if hv.is_zero():
-                    continue
-                acc = acc.plus(hv.squared().times(weight(g, gamma)))
+            acc = acc.plus(table.step(2, ell, ((g, weight(g, gamma)) for g in sh)))
             if s >= smin and ratio_bound_hi(s + 1) < Fraction(1, 2):
                 tail = term_bound_hi(s + 1) / (1 - ratio_bound_hi(s + 1))
                 partial = acc.to_bracket(tol)
@@ -935,24 +909,9 @@ class WickFlatModel(BaseModel):
         return total
 
     def _col(self, beta, gamma):
+        # (a*b)^* = b^* * a^* with (I, J)^* = (J, I) and real constants
         (K, L), (G1, G2) = beta, gamma
-        if G1.minus(K) is None:
-            return Fraction(0)
-        total = Fraction(0)
-        for N in multi_range(L):
-            if G2.minus(L.minus(N)) is None:
-                continue
-            I = G1.minus(K) + N
-            num = G1.factorial() * G2.factorial()
-            den = (
-                N.factorial()
-                * I.minus(N).factorial()
-                * G2.minus(L.minus(N)).factorial()
-                * K.factorial()
-                * L.minus(N).factorial()
-            )
-            total += Fraction(num, den) / self.two_h ** N.degree()
-        return total
+        return self._row((L, K), (G2, G1))
 
     def index_sort_key(self, idx):
         I, J = idx
@@ -1010,10 +969,6 @@ class WickFlatModel(BaseModel):
         return out
 
     def h_special(self, table: HTable, m: int, ell: int, gamma):
-        if m <= 1:
-            return None
-        if table.element.is_zero():
-            return HVal.zero()
         weight = self.row_sum if ell & 1 == 0 else self.col_sum
         supp_deg = max(self.index_rank(i) for i in table.element.terms)
         cap = self.index_rank(gamma) + supp_deg + self.TRUNC_DEGREE_PAD

@@ -67,8 +67,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction.
 
     Only integers and integer ratios are accepted, each side with at most
-    RATIONAL_DIGIT_CAP digits; anything else raises ValueError (a zero
-    denominator raises ZeroDivisionError)."""
+    RATIONAL_DIGIT_CAP digits; anything else, a non-string included, raises
+    ValueError (a zero denominator raises ZeroDivisionError)."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
     m = _RATIONAL_PATTERN.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"expected a rational 'p' or 'p/q', got {text!r}")
@@ -112,20 +114,15 @@ def sqrt_bracket(q: RationalLike, tol: Fraction = Fraction(1, 10**12)) -> tuple[
     return lo, hi
 
 
-def sqrt_float(q: RationalLike) -> float:
-    q = Fraction(q)
-    return math.sqrt(q.numerator / q.denominator)
-
-
-def root_float(q: RationalLike, power_of_two: int) -> float:
-    """Float presentation of q**(1/2^m) for q >= 0."""
-    q = Fraction(q)
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """The rational square root of q, or None when q is negative or not the
+    square of a rational."""
     if q < 0:
-        raise ValueError("negative radicand")
-    x = q.numerator / q.denominator
-    for _ in range(power_of_two):
-        x = math.sqrt(x)
-    return x
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 @dataclass(frozen=True)
@@ -198,9 +195,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!s}, {self.im!s})"
@@ -587,9 +581,6 @@ class RootSum:
                 lo += c * shi
                 hi += c * slo
         return lo, hi
-
-    def to_float(self) -> float:
-        return sum(float(c) * math.sqrt(r) for r, c in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Protocol
 
 from .algebra import DomainError, Element, Index, multiply
-from .scalars import ExtendedNonNeg, RootSum, sqrt_bracket
+from .scalars import ExtendedNonNeg, RootSum, rational_sqrt, sqrt_bracket
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -258,8 +258,7 @@ class HVal:
         if self.kind == "exact" and not self.enn.infinite:
             return self.enn.value
         if self.kind == "sqrt":
-            r = _exact_sqrt(self.sq)
-            return r
+            return rational_sqrt(self.sq)
         if self.kind == "root" and self.rs.is_rational():
             return self.rs.rational_value()
         if self.kind == "bracket" and self.br.is_exact():
@@ -329,7 +328,7 @@ class HVal:
                 return Bracket.divergent()
             return Bracket.exact(self.enn.value)
         if self.kind == "sqrt":
-            r = _exact_sqrt(self.sq)
+            r = rational_sqrt(self.sq)
             if r is not None:
                 return Bracket.exact(r)
             lo, hi = sqrt_bracket(self.sq, tol)
@@ -356,18 +355,6 @@ class HVal:
         return f"HVal({self.kind}, ~{self.to_float():.6g})"
 
 
-def _exact_sqrt(sq: Fraction) -> Fraction | None:
-    import math
-
-    if sq == 0:
-        return Fraction(0)
-    pn = math.isqrt(sq.numerator)
-    pd = math.isqrt(sq.denominator)
-    if pn * pn == sq.numerator and pd * pd == sq.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # model protocol as the engine sees it
 
@@ -385,8 +372,10 @@ class SeminormModel(Protocol):
     def row_parents(self, gamma: Index) -> Iterable[Index]:
         """Finite enumeration of alpha with row_sum(alpha, gamma) != 0.
 
-        Must raise InfiniteFanError when no finite enumeration exists; such
-        models provide h_special instead."""
+        HTable asks for it at levels m >= 2 (level 1 sums over the element's
+        support).  Must raise InfiniteFanError when no finite enumeration
+        exists; such models provide h_special(table, m, ell, gamma), which
+        HTable asks first at m >= 2 for a nonzero element."""
         ...
 
     def col_parents(self, gamma: Index) -> Iterable[Index]: ...
@@ -415,35 +404,45 @@ class HTable:
         return val
 
     def _compute(self, m: int, ell: int, gamma: Index) -> HVal:
+        if self.element.is_zero():
+            return HVal.zero()
         if m == 0:
             c = self.element.coeff(gamma)
             if c.is_zero():
                 return HVal.zero()
             sq = c.abs_squared()
-            r = _exact_sqrt(sq)
+            r = rational_sqrt(sq)
             return HVal.exact(r) if r is not None else HVal.modulus_sq(sq)
 
         special = getattr(self.model, "h_special", None)
-        if special is not None:
+        if m >= 2 and special is not None:
             out = special(self, m, ell, gamma)
             if out is not None:
                 return out
 
         bit = ell & 1
-        parent_ell = ell >> 1
         weight: Callable = self.model.row_sum if bit == 0 else self.model.col_sum
         if m == 1:
             # h at level 0 vanishes off the support, so the fan restricts to it
             parents: Iterable[Index] = list(self.element.support())
         else:
             parents = self.model.row_parents(gamma) if bit == 0 else self.model.col_parents(gamma)
+        return self.step(m, ell, ((p, weight(p, gamma)) for p in parents))
+
+    def step(self, m: int, ell: int, weighted_parents: Iterable) -> HVal:
+        """Sum of h[m-1, ell >> 1, p]^2 * w over the (p, w) pairs.
+
+        Weights are Fractions or RootSums; a zero weight is skipped before its
+        parent cell is read.  The generic fans and the models' exact and
+        certified h_special sums all run through this one step
+        (truncated_sum, a lower bound, is the only other sum)."""
+        parent_ell = ell >> 1
         # While every contribution is a finite exact or sqrt cell times a
         # Fraction weight, the HVal sum would be HVal.exact(total); keep the
         # Fraction and switch to HVal arithmetic at the first other kind.
         total = Fraction(0)
         acc: HVal | None = None
-        for p in parents:
-            w = weight(p, gamma)
+        for p, w in weighted_parents:
             if _weight_is_zero(w):
                 continue
             hv = self.h(m - 1, parent_ell, p)

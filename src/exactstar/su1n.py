@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from .algebra import DomainError, Element, from_pairs, multiply
 from .cone import ConeModel, eval_upstairs, make_triple, y_minus_one
@@ -25,6 +24,7 @@ from .scalars import (
     MultiIndex,
     factorial,
     multi_indices_up_to_degree,
+    rational_sqrt,
 )
 
 # Sign relating commutators against momentum elements to the infinitesimal
@@ -479,15 +479,6 @@ def check_derivation_identity(xi, a: Element, hbar) -> dict:
 # rescaling between deformation parameters
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _default_scale_points(n: int) -> list[tuple]:
     pts = [(1,) + (0,) * n]
     pts.append((1,) + (Fraction(1, 2),) + (0,) * (n - 1))
@@ -509,7 +500,7 @@ def phi_rescale(a: Element, hbar, hbar_prime, t_sqrt=None, points=None) -> dict:
         raise DomainError("parameters must be nonzero")
     ratio = hbar / hbar_prime
     if t_sqrt is None:
-        t_sqrt = _rational_sqrt(ratio)
+        t_sqrt = rational_sqrt(ratio)
         if t_sqrt is None:
             return {
                 "status": "skipped",

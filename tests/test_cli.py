@@ -350,6 +350,16 @@ def _non_rational_args(tmp_path, entry):
         return ["--model", "poly:monomial", "eval", good, "--point", "1" * 1001 + "i"]
     if entry == "--point non-ascii":
         return ["--model", "poly:monomial", "eval", good, "--point", "\u0663/2"]
+    if entry == "coefficient number":
+        bad = write_json(tmp_path / "bad.json", {"model": "poly:monomial", "terms": [
+            {"index": 1, "re": 5, "im": "0"}]})
+        return ["--model", "poly:monomial", "product", bad, good]
+    if entry == "gns coefficient number":
+        bad = write_json(tmp_path / "psi.json", {"terms": [{"index": [1], "re": 5}]})
+        return ["gns", "inner", bad, bad]
+    if entry == "gns vector list":
+        bad = write_json(tmp_path / "psi.json", [1, 2])
+        return ["gns", "inner", bad, bad]
     m = get_model("cone", hbar=Fraction(1, 2))
     t = make_triple(MultiIndex((0,)), MultiIndex((0,)), 1)
     a = write_json(tmp_path / "a.json", element_to_json(m, Element.basis(t)))
@@ -358,7 +368,8 @@ def _non_rational_args(tmp_path, entry):
 
 
 @pytest.mark.parametrize(
-    "entry", ["--hbar", "coefficient", "--radius", "--point digits", "--point non-ascii"])
+    "entry", ["--hbar", "coefficient", "--radius", "--point digits", "--point non-ascii",
+              "coefficient number", "gns coefficient number", "gns vector list"])
 def test_rational_outside_p_over_q_is_usage_error(tmp_path, entry):
     res = run(*_non_rational_args(tmp_path, entry))
     assert res.exit_code == 2, (res.output, res.exception)

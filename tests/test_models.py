@@ -385,6 +385,21 @@ def test_wick_h2_is_truncated_lower_bound():
     assert br.lo >= 0
 
 
+def test_wick_weights_match_brute_force():
+    # row_sum(x, g) = sum_y |C^g_{x,y}| and col_sum(x, g) = sum_y |C^g_{y,x}|;
+    # a partner y of a rank <= 3 index landing on a rank <= 3 target has
+    # rank <= 6, so partners up to rank 8 cover every one
+    for hbar in (Fraction(1, 2), Fraction(3)):
+        m = get_model("wick:1", hbar=hbar)
+        small = list(m.indices_up_to(3))
+        partners = list(m.indices_up_to(8))
+        for x in small:
+            for g in small:
+                row = sum(abs(m.pair_product(x, y).get(g, 0)) for y in partners)
+                col = sum(abs(m.pair_product(y, x).get(g, 0)) for y in partners)
+                assert (m.row_sum(x, g), m.col_sum(x, g)) == (row, col), (hbar, x, g)
+
+
 def test_wick_validation():
     with pytest.raises(DomainError):
         get_model("wick:0")
@@ -484,3 +499,32 @@ def test_laurent_incremental_window_matches_from_scratch():
                     widened += got.depth > max(max(abs(j) for j in a.terms), abs(gamma)) + 5
     # the cases above must reach the widening loop, not only the first window
     assert widened
+
+
+def test_depth2_specials_unchanged():
+    """Depth-2 Matrix (mixed branches) and Group cells, pinned bit for bit:
+    the sha256 of their bracket reprs, recorded before these cells were
+    summed through HTable.step."""
+    import hashlib
+
+    half = Fraction(1, 2)
+    mat = from_pairs([((1, 2), GaussianRational.of(1, 1)), ((2, 2), 1), ((3, 1), Fraction(2, 3))])
+    za = from_pairs([(0, 1), (1, GaussianRational.of(1, 1)), (-2, half)])
+    # ell 1 and 2 are the Matrix branches that sum over support rows/columns
+    mixed = [(ell, gamma) for gamma in ((1, 1), (1, 2), (2, 3), (3, 1)) for ell in (1, 2)]
+    cases = [
+        (get_model("matrix:hat"), mat, mixed),
+        (get_model("matrix:tilde"), mat, mixed),
+        (get_model("group:Z"), za, [(ell, gamma) for gamma in (0, 1, -2) for ell in range(4)]),
+        # RootSum weights; one free-group cell runs into the shell budget
+        (get_model("group:Z", epsilon=half), from_pairs([(0, 1), (-1, GaussianRational.of(1, 1))]),
+         [(1, -1), (2, 1)]),
+        (get_model("group:free:2"), from_pairs([(((1, -1),), GaussianRational.of(half, 1))]),
+         [(3, ())]),
+    ]
+    digest = hashlib.sha256()
+    for model, a, cells in cases:
+        table = HTable(model, a)
+        for ell, gamma in cells:
+            digest.update(repr(table.h(2, ell, gamma).to_bracket()).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "00791c2416c98f83"

@@ -133,7 +133,7 @@ def test_rational_strings():
 
 def test_parse_rational_only_p_over_q():
     assert parse_rational(" +12/8 ") == Fraction(3, 2)
-    for bad in ("1e999999", "0.5", ".5", "1_000", "1/-2", "inf", "nan", ""):
+    for bad in ("1e999999", "0.5", ".5", "1_000", "1/-2", "inf", "nan", "", 5, None):
         with pytest.raises(ValueError):
             parse_rational(bad)
     cap = RATIONAL_DIGIT_CAP

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, settle
 
 Index = Hashable
 
@@ -105,15 +105,13 @@ class Element:
 
 def multiply(model: StructureModel, a: Element, b: Element) -> Element:
     """Product through the model's structure constants (exact)."""
-    out: dict[Index, GaussianRational] = {}
+    out: dict = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             factor = ca * cb
             for idx, const in model.pair_product(ia, ib).items():
-                prev = out.get(idx)
-                contrib = factor * const
-                out[idx] = contrib if prev is None else prev + contrib
-    return Element(out)
+                accumulate(out, idx, factor, const)
+    return Element(settle(out))
 
 
 def element_to_json(model: StructureModel, a: Element) -> dict:

@@ -50,7 +50,7 @@ from .scalars import (
     multi_indices_up_to_degree,
     parse_rational,
 )
-from .seminorms import DEFAULT_TOL, Bracket, HTable
+from .seminorms import DEFAULT_TOL, Bracket, HTable, HVal
 
 DEFAULT_HBAR = Fraction(1, 2)
 
@@ -71,6 +71,8 @@ class RunConfig:
     output: str = "json"
 
     def validated(self) -> "RunConfig":
+        if self.n < 1:
+            raise click.UsageError("n must be >= 1")
         if self.gamma_max < 0:
             raise click.UsageError("gamma-max must be >= 0")
         if self.depth < self.gamma_max:
@@ -308,21 +310,30 @@ SEMINORM_COLUMNS = [
 ]
 
 
-def _seminorm_row(m: int, ell: int, gamma_json, h_exact: str, br: Bracket, tol: Fraction) -> dict:
+def _seminorm_row(m: int, ell: int, gamma_json, hv: HVal | None, br: Bracket,
+                  tol: Fraction) -> dict:
     root_lo, root_hi = br.root_interval(m, tol)
+    try:
+        # str() of an integer past sys.get_int_max_str_digits() raises ValueError
+        h_exact = "" if hv is None else hv.exact_string()
+        lo_str = str(br.lo)
+        hi_str = "inf" if root_hi.infinite else str(br.hi.value)
+    except ValueError as exc:
+        raise DomainError(
+            f"the exact value at m={m} is too long to print "
+            f"(more than {sys.get_int_max_str_digits()} digits)"
+        ) from exc
     if root_hi.infinite:
         sem = float("inf") if br.is_divergent() else float(root_lo)
-        hi_str = "inf"
     else:
         sem = float(root_lo + root_hi.value) / 2.0
-        hi_str = str(br.hi.value)
     return {
         "m": m,
         "ell": ell,
         "gamma": json.dumps(gamma_json),
         "h_exact": h_exact,
         "seminorm_float": repr(sem),
-        "bracket_lo": str(br.lo),
+        "bracket_lo": lo_str,
         "bracket_hi": hi_str,
         "depth": br.depth,
     }
@@ -330,8 +341,8 @@ def _seminorm_row(m: int, ell: int, gamma_json, h_exact: str, br: Bracket, tol: 
 
 @main.command()
 @click.argument("a_file", type=click.Path(exists=True))
-@click.option("--m-max", type=int, default=2, show_default=True)
-@click.option("--ell", type=int, default=0, show_default=True,
+@click.option("--m-max", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--ell", type=click.IntRange(min=0), default=0, show_default=True,
               help="Branch word; truncated to the m low bits per row.")
 @click.option("--radius", default=None,
               help="Also append summed rows at this radius (cone model).")
@@ -353,7 +364,7 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
             ell_m = ell & ((1 << m) - 1)
             for idx in support:
                 hv = table.h(m, ell_m, idx)
-                rows.append(_seminorm_row(m, ell_m, model.index_to_json(idx), hv.exact_string(),
+                rows.append(_seminorm_row(m, ell_m, model.index_to_json(idx), hv,
                                           hv.to_bracket(cfg.tolerance), cfg.tolerance))
         if radius is not None:
             if not isinstance(model, ConeModel):
@@ -362,7 +373,7 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
             for m in range(m_max + 1):
                 ell_m = ell & ((1 << m) - 1)
                 br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
-                rows.append(_seminorm_row(m, ell_m, {"radius": str(R)}, "", br, cfg.tolerance))
+                rows.append(_seminorm_row(m, ell_m, {"radius": str(R)}, None, br, cfg.tolerance))
         emit(render_table(rows, SEMINORM_COLUMNS, cfg.output), out)
     except (DomainError, InfiniteFanError) as exc:
         _domain_exit(exc)
@@ -483,7 +494,7 @@ def gns_rep_cmd(cfg: RunConfig, a_file, psi_file, route, out):
 @gns.command("coherent")
 @click.option("--point", required=True,
               help="Interior point, comma-separated coordinates.")
-@click.option("--cap", type=int, default=None,
+@click.option("--cap", type=click.IntRange(min=0), default=None,
               help="Support cap; defaults to gamma-max.")
 @click.option("--out", default=None, type=click.Path())
 @click.pass_obj
@@ -739,7 +750,7 @@ CHECK_SUITES = {
 
 @main.command()
 @click.argument("suite", type=str)
-@click.option("--level", type=int, default=2, show_default=True,
+@click.option("--level", type=click.IntRange(min=0), default=2, show_default=True,
               help="Basis level cutoff for the suite.")
 @click.pass_obj
 def check(cfg: RunConfig, suite, level):

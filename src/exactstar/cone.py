@@ -22,14 +22,17 @@ from .scalars import (
     GR_ONE,
     GaussianRational,
     MultiIndex,
+    accumulate,
     binomial,
     factorial,
     is_allowed_hbar,
     multi_binomial,
+    multi_indices_of_degree,
     multi_indices_of_degree_within,
     multi_indices_up_to_degree,
     multi_range,
     pochhammer,
+    settle,
 )
 from .seminorms import DEFAULT_TOL, TAG_MAJORANT, Bracket, HTable, HVal
 
@@ -120,12 +123,13 @@ def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
     kp = alpha + beta - gamma - Kp.degree()
     if not (0 <= kp <= min(alpha - P.degree(), beta - S.degree()) and Kp <= P.meet(S)):
         return Fraction(0)
-    sign = -1 if kp % 2 else 1
-    c = Fraction(sign, factorial(kp) * Kp.factorial())
-    c *= multi_binomial(I, R) * multi_binomial(J, Q)
-    c *= binomial(gamma - I.degree(), beta - R.degree())
-    c *= binomial(gamma - J.degree(), alpha - Q.degree())
-    return c
+    num = (
+        multi_binomial(I, R)
+        * multi_binomial(J, Q)
+        * binomial(gamma - I.degree(), beta - R.degree())
+        * binomial(gamma - J.degree(), alpha - Q.degree())
+    )
+    return Fraction(-num if kp % 2 else num, factorial(kp) * Kp.factorial())
 
 
 @lru_cache(maxsize=None)
@@ -578,19 +582,20 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     n = len(I)
     nu = 1 / (2 * hbar)
     mx = max(I.degree(), J.degree())
+    pref = _pref(I, J, gamma)
+    # 1/_pref(I+K, J+K, mx+k) = (I+K)! (J+K)! times this K-free factor
+    lift = factorial(mx - I.degree()) * factorial(mx - J.degree())
     out = []
-    for K in multi_indices_up_to_degree(n, gamma - mx):
-        k = K.degree()
-        cK = (
-            _pref(I, J, gamma)
-            / _pref(I + K, J + K, mx + k)
-            * pochhammer(nu, gamma)
-            / pochhammer(nu, k + mx)
-            * binomial(gamma - mx, k)
-            * Fraction(factorial(k), K.factorial())
-        )
-        if cK:
-            out.append(((I + K, J + K), cK))
+    for k in range(gamma - mx + 1):
+        # (nu)_gamma / (nu)_(mx+k) = (nu+mx+k)_(gamma-mx-k)
+        level = pref * pochhammer(nu + mx + k, gamma - mx - k)
+        level *= binomial(gamma - mx, k) * factorial(k) * lift
+        num, den = level.numerator, level.denominator
+        for K in multi_indices_of_degree(n, k):
+            IK, JK = I + K, J + K
+            cK = Fraction(num * IK.factorial() * JK.factorial(), den * K.factorial())
+            if cK:
+                out.append(((IK, JK), cK))
     return tuple(out)
 
 
@@ -611,9 +616,8 @@ def _reduce_sum(terms: dict, hbar: Fraction) -> dict:
     acc: dict = {}
     for t, c in terms.items():
         for idx, rc in _reduce_cached(t, hbar):
-            prev = acc.get(idx)
-            acc[idx] = c * rc if prev is None else prev + c * rc
-    return acc
+            accumulate(acc, idx, c, rc)
+    return settle(acc)
 
 
 def disk_reduce(a: Element, hbar) -> Element:
@@ -704,8 +708,9 @@ class DiskModel(BaseModel):
         (P, Q), (R, S) = left, right
         t1 = (P, Q, max(P.degree(), Q.degree()))
         t2 = (R, S, max(R.degree(), S.degree()))
-        acc = _reduce_sum(_tilde_pairs(t1, t2), self.hbar)
-        return {idx: c for idx, c in acc.items() if c}
+        consts = {t: GaussianRational.coerce(c) for t, c in _tilde_pairs(t1, t2).items()}
+        acc = _reduce_sum(consts, self.hbar)
+        return {idx: c.re for idx, c in acc.items() if c.re}
 
     def _row(self, alpha, gamma):
         raise InfiniteFanError(

@@ -199,16 +199,11 @@ def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
             target = q + diff
             gamma = alpha + s.degree() - p.degree()
             jdeg = target.degree()
-            weight = (
-                Fraction(
-                    multi_binomial(target, q)
-                    * binomial(gamma, s.degree()),
-                    p.factorial() * factorial(alpha - q.degree()),
-                )
-                * pochhammer(nu, gamma)
-                * factorial(jdeg)
-                / (Fraction(factorial(gamma)) * pochhammer(nu, jdeg))
-            )
+            # (nu)_gamma / (nu)_jdeg = (nu+jdeg)_(gamma-jdeg), gamma - jdeg = alpha - |q|
+            weight = Fraction(
+                multi_binomial(target, q) * binomial(gamma, s.degree()) * factorial(jdeg),
+                p.factorial() * factorial(alpha - q.degree()) * factorial(gamma),
+            ) * pochhammer(nu + jdeg, gamma - jdeg)
             val = c * cs * weight
             acc = out.get(target)
             out[target] = val if acc is None else acc + val

@@ -41,11 +41,12 @@ def pochhammer(x: Fraction | int, r: int) -> Fraction:
     """Raising factorial (x)_r = x (x+1) ... (x+r-1); empty product is 1."""
     if r < 0:
         raise ValueError("pochhammer needs r >= 0")
-    out = Fraction(1)
-    x = Fraction(x)
+    # x = a/b: (x)_r = prod(a + i b) / b^r, normalised once
+    a, b = x.numerator, x.denominator
+    num = 1
     for i in range(r):
-        out *= x + i
-    return out
+        num *= a + i * b
+    return Fraction(num, b**r)
 
 
 def is_allowed_hbar(hbar: Fraction) -> bool:
@@ -158,6 +159,8 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other: "GaussianRational | RationalLike") -> "GaussianRational":
+        if type(other) is Fraction or type(other) is int:
+            return GaussianRational(self.re * other, self.im * other)
         o = GaussianRational.coerce(other)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
@@ -210,6 +213,40 @@ class GaussianRational:
 GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
+
+
+def accumulate(acc: dict, key, z: GaussianRational, q: RationalLike) -> None:
+    """acc[key] += z*q for an int or Fraction q, held as integers
+    (re_num, im_num, den) so that no step normalises; settle() builds the
+    Gaussian rationals."""
+    re, im = z.re, z.im
+    d, e = re.denominator, im.denominator
+    qn = q.numerator
+    if d == e:
+        a, b = re.numerator * qn, im.numerator * qn
+    else:
+        m = math.lcm(d, e)
+        a, b = re.numerator * (m // d) * qn, im.numerator * (m // e) * qn
+        d = m
+    d *= q.denominator
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = (a, b, d)
+        return
+    pa, pb, pd = prev
+    if pd == d:
+        acc[key] = (pa + a, pb + b, d)
+    else:
+        m = math.lcm(pd, d)
+        s, t = m // pd, m // d
+        acc[key] = (pa * s + a * t, pb * s + b * t, m)
+
+
+def settle(acc: dict) -> dict:
+    """The Gaussian rational of every accumulate() entry, zeros kept."""
+    return {
+        key: GaussianRational(Fraction(a, d), Fraction(b, d)) for key, (a, b, d) in acc.items()
+    }
 
 
 class MultiIndex(tuple):

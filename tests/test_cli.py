@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -374,3 +375,37 @@ def test_rational_outside_p_over_q_is_usage_error(tmp_path, entry):
     res = run(*_non_rational_args(tmp_path, entry))
     assert res.exit_code == 2, (res.output, res.exception)
     assert "Traceback" not in res.output
+
+
+def _cone_file(tmp_path):
+    m = get_model("cone", hbar=Fraction(1, 2))
+    t = make_triple(MultiIndex((1,)), MultiIndex((0,)), 1)
+    return write_json(tmp_path / "a.json", element_to_json(m, Element.basis(t)))
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--level", ["check", "ideal", "--level", "-2"]),
+    ("--level", ["check", "filtration", "--level", "-1"]),
+    ("--m-max", ["seminorm", "--m-max", "-1"]),
+    ("--ell", ["seminorm", "--ell", "-1"]),
+    ("--cap", ["gns", "coherent", "--point", "1/2", "--cap", "-1"]),
+    ("n must be", ["--model", "cone", "--hbar", "1/2", "--n", "-1", "check", "oracle"]),
+], ids=["ideal --level", "filtration --level", "--m-max", "--ell", "--cap", "--n"])
+def test_negative_integer_flag_is_usage_error(tmp_path, flag, args):
+    if args[0] == "seminorm":
+        args = ["--model", "cone", "--hbar", "1/2", "seminorm", _cone_file(tmp_path), *args[1:]]
+    res = run(*args)
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert flag in res.output
+    assert "Traceback" not in res.output
+
+
+def test_seminorm_too_long_to_print_is_domain_error(tmp_path):
+    a = _cone_file(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    res = run("--model", "cone", "--hbar", "1/2", "seminorm", a, "--m-max", "14")
+    assert res.exit_code == 3, (res.output, res.exception)
+    assert "too long to print" in res.output
+    assert "Traceback" not in res.output
+    assert sys.get_int_max_str_digits() == limit
+    assert run("--model", "cone", "--hbar", "1/2", "seminorm", a, "--m-max", "13").exit_code == 0

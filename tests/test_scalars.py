@@ -15,6 +15,7 @@ from exactstar.scalars import (
     MultiIndex,
     RATIONAL_DIGIT_CAP,
     RootSum,
+    accumulate,
     binomial,
     factorial,
     format_rational,
@@ -26,6 +27,7 @@ from exactstar.scalars import (
     multi_range,
     parse_rational,
     pochhammer,
+    settle,
     sqrt_bracket,
     square_free_split,
 )
@@ -63,6 +65,35 @@ def test_gaussian_mul_matches_complex(a, b, c, d):
     z = x * y
     assert z.re == a * c - b * d
     assert z.im == a * d + b * c
+
+
+reals = st.one_of(st.integers(-1000, 1000), fractions)
+
+
+@given(fractions, fractions, st.one_of(reals, st.booleans()))
+def test_gaussian_mul_by_real_scalar(a, b, q):
+    x = gr(a, b)
+    want = x * GaussianRational.coerce(q)
+    for z in (x * q, q * x):
+        assert z == want
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.builds(gr, fractions, fractions), reals),
+                max_size=12),
+       st.booleans())
+def test_accumulate_matches_gaussian_sums(triples, cancel):
+    if cancel:
+        triples = triples + [(key, -z, q) for key, z, q in triples]
+    acc, want = {}, {}
+    for key, z, q in triples:
+        accumulate(acc, key, z, q)
+        want[key] = want.get(key, GR_ZERO) + z * GaussianRational.coerce(q)
+    got = settle(acc)
+    assert got == want and list(got) == list(want)
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction for c in got.values())
+    if cancel:
+        assert all(c.is_zero() for c in got.values())
 
 
 def test_multiindex_basics():
@@ -103,6 +134,13 @@ def test_combinatorial_helpers():
     assert factorial(6) == 720
     assert pochhammer(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert pochhammer(Fraction(7), 0) == 1
+    assert pochhammer(Fraction(-5, 3), 0) == 1 and pochhammer(0, 0) == 1
+    assert pochhammer(3, 4) == 360 and type(pochhammer(3, 4)) is Fraction
+    assert pochhammer(Fraction(-3, 2), 3) == Fraction(-3, 2) * Fraction(-1, 2) * Fraction(1, 2)
+    assert pochhammer(Fraction(-2), 4) == 0 and pochhammer(-2, 2) == 2
+    assert pochhammer(0, 3) == 0
+    with pytest.raises(ValueError):
+        pochhammer(Fraction(1, 2), -1)
     assert multi_binomial(MultiIndex((3, 2)), MultiIndex((1, 2))) == 3
     assert multi_binomial(MultiIndex((1, 0)), MultiIndex((2, 0))) == 0
 

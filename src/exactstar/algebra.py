@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, settle
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts, settle
 
 Index = Hashable
 
@@ -106,9 +106,12 @@ class Element:
 def multiply(model: StructureModel, a: Element, b: Element) -> Element:
     """Product through the model's structure constants (exact)."""
     out: dict = {}
+    b_parts = [(ib, gaussian_parts(cb)) for ib, cb in b.terms.items()]
     for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            factor = ca * cb
+        x, y, d = gaussian_parts(ca)
+        for ib, (u, v, e) in b_parts:
+            # ca*cb over the denominator d*e, normalised only by settle()
+            factor = (x * u - y * v, x * v + y * u, d * e)
             for idx, const in model.pair_product(ia, ib).items():
                 accumulate(out, idx, factor, const)
     return Element(settle(out))

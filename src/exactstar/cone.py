@@ -25,6 +25,7 @@ from .scalars import (
     accumulate,
     binomial,
     factorial,
+    gaussian_parts,
     is_allowed_hbar,
     multi_binomial,
     multi_indices_of_degree,
@@ -33,6 +34,7 @@ from .scalars import (
     multi_range,
     pochhammer,
     settle,
+    _multi_index,
 )
 from .seminorms import DEFAULT_TOL, TAG_MAJORANT, Bracket, HTable, HVal
 
@@ -113,6 +115,8 @@ def occupancy_count(t1: Triple, t2: Triple, target: Triple) -> int:
 
 
 def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
+    """One closed-form constant, derived from the target alone: the
+    per-target reference that _tilde_pairs and cone_rowsum unroll."""
     (P, Q, alpha), (R, S, beta) = t1, t2
     I, J, gamma = target
     Kp = (P + R).minus(I)
@@ -134,15 +138,29 @@ def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _tilde_pairs(t1: Triple, t2: Triple) -> dict:
+    """The nonzero closed-form constants, keyed in (Kp, gamma) order.
+
+    Each Kp <= P.meet(S) fixes the target multiindices, so the Kp and
+    C(I, R) C(J, Q) that _tilde_coefficient would re-derive per target are
+    computed once here.  Its range test 0 <= kp <= min(alpha-|P|, beta-|S|)
+    needs no code: the level loop stops at kp = 0, and the two level
+    binomials vanish exactly when kp exceeds alpha-|P| or beta-|S|."""
     (P, Q, alpha), (R, S, beta) = t1, t2
+    sum_pr, sum_qs = P + R, Q + S
+    rd, qd = R.degree(), Q.degree()
     out = {}
     for Kp in multi_range(P.meet(S)):
-        I = (P + R).minus(Kp)
-        J = (Q + S).minus(Kp)
-        for gamma in range(max(alpha, beta), alpha + beta - Kp.degree() + 1):
-            c = _tilde_coefficient(t1, t2, (I, J, gamma))
-            if c:
-                out[(I, J, gamma)] = c
+        I = _multi_index(a - k for a, k in zip(sum_pr, Kp))
+        J = _multi_index(a - k for a, k in zip(sum_qs, Kp))
+        kd = Kp.degree()
+        pair = multi_binomial(I, R) * multi_binomial(J, Q)
+        kf = Kp.factorial()
+        gi, gj = I.degree(), J.degree()
+        for gamma in range(max(alpha, beta), alpha + beta - kd + 1):
+            num = pair * binomial(gamma - gi, beta - rd) * binomial(gamma - gj, alpha - qd)
+            if num:
+                kp = alpha + beta - gamma - kd
+                out[(I, J, gamma)] = Fraction(-num if kp % 2 else num, factorial(kp) * kf)
     return out
 
 
@@ -187,22 +205,36 @@ def oracle_structure_constants(t1: Triple, t2: Triple, hbar) -> dict:
 
 
 def cone_rowsum(t: Triple, out_t: Triple) -> Fraction:
-    """Sum of |C| over the right partners mapping t into out_t."""
+    """Sum of |C| over the right partners mapping t into out_t.
+
+    Each Kp <= P fixes the partner multiindices (R, S) = (I, J) + Kp - (P, Q);
+    the closed form of _tilde_coefficient then reads
+    C(I,R) C(J,Q) C(gamma-|I|, beta-|R|) C(gamma-|J|, alpha-|Q|) / (kp! Kp!)
+    with kp = alpha + beta - gamma - |Kp|.  The Kp-free factor vanishes
+    unless Q <= J and alpha - |Q| <= gamma - |J|, which give alpha <= gamma,
+    S >= Kp and kp <= beta - |S| (so beta >= |S| once kp >= 0).  The sum
+    runs over integers on the common denominator (alpha-|P|)! P!."""
     P, Q, alpha = t
     I, J, gamma = out_t
-    if alpha > gamma:
+    outer = multi_binomial(J, Q) * binomial(gamma - J.degree(), alpha - Q.degree())
+    if not outer:
         return Fraction(0)
-    total = Fraction(0)
+    pd = P.degree()
+    top = factorial(alpha - pd)
+    pf = P.factorial()
+    gi = gamma - I.degree()
+    total = 0
     for Kp in multi_range(P):
         R = (I + Kp).minus(P)
-        S = (J + Kp).minus(Q)
-        if R is None or S is None or not Kp <= S:
+        if R is None:
             continue
-        for beta in range(max(R.degree(), S.degree()), gamma + 1):
-            c = _tilde_coefficient(t, (R, S, beta), out_t)
-            if c:
-                total += abs(c)
-    return total
+        kd, rd = Kp.degree(), R.degree()
+        inner = 0
+        # kp >= 0 and kp <= alpha - |P|; below |R| the first binomial vanishes
+        for beta in range(max(rd, gamma + kd - alpha), gamma + kd - pd + 1):
+            inner += binomial(gi, beta - rd) * (top // factorial(alpha + beta - gamma - kd))
+        total += multi_binomial(I, R) * inner * (pf // Kp.factorial())
+    return Fraction(outer * total, top * pf)
 
 
 def cone_rowsum_gamma_total(t: Triple, gamma: int) -> Fraction:
@@ -252,15 +284,15 @@ class ConeModel(BaseModel):
         Q <= J and alpha - |Q| <= gamma - |J| (a binomial of the closed form
         vanishes otherwise), in indices_up_to order."""
         _, J, gamma = gamma_idx
-        return self._fan(J, gamma, bounded_first=False)
+        return self._parents(J, gamma, bounded_first=False)
 
     def col_parents(self, gamma_idx):
         """Transpose of the row fan of (J, I, gamma): P <= I and
         alpha - |P| <= gamma - |I|, in indices_up_to order."""
         I, _, gamma = gamma_idx
-        return self._fan(I, gamma, bounded_first=True)
+        return self._parents(I, gamma, bounded_first=True)
 
-    def _fan(self, bound: MultiIndex, gamma: int, bounded_first: bool) -> Iterator[Triple]:
+    def _parents(self, bound: MultiIndex, gamma: int, bounded_first: bool) -> Iterator[Triple]:
         slack = gamma - bound.degree()
         for alpha in range(gamma + 1):
             bounded = [
@@ -615,8 +647,9 @@ def _reduce_sum(terms: dict, hbar: Fraction) -> dict:
     """Disk-basis coefficients of sum_t c_t [f_t]; entries may be zero."""
     acc: dict = {}
     for t, c in terms.items():
+        parts = gaussian_parts(c)
         for idx, rc in _reduce_cached(t, hbar):
-            accumulate(acc, idx, c, rc)
+            accumulate(acc, idx, parts, rc)
     return settle(acc)
 
 

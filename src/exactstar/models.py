@@ -44,6 +44,7 @@ class BaseModel:
         self._pair_memo: dict = {}
         self._row_memo: dict = {}
         self._col_memo: dict = {}
+        self._fan_memo: dict = {}
 
     # -- product ------------------------------------------------------------
     def pair_product(self, left: Index, right: Index) -> dict:
@@ -85,6 +86,21 @@ class BaseModel:
 
     def col_parents(self, gamma: Index) -> Iterable[Index]:
         raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
+
+    def fan(self, bit: int, gamma: Index) -> list:
+        """(parent, weight) pairs of the row (bit 0) or column (bit 1) fan of
+        gamma with a nonzero weight, memoized per (bit, gamma).  Weights are
+        read through row_sum/col_sum; an InfiniteFanError stores nothing."""
+        key = (bit, gamma)
+        out = self._fan_memo.get(key)
+        if out is None:
+            if bit == 0:
+                weight, parents = self.row_sum, self.row_parents(gamma)
+            else:
+                weight, parents = self.col_sum, self.col_parents(gamma)
+            out = [(p, w) for p in parents if (w := weight(p, gamma)) != 0]
+            self._fan_memo[key] = out
+        return out
 
     def h_special(self, table: HTable, m: int, ell: int, gamma: Index):
         """h[m, ell, gamma] at m >= 2 of a nonzero element, for models whose

@@ -215,20 +215,23 @@ GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
 
-def accumulate(acc: dict, key, z: GaussianRational, q: RationalLike) -> None:
-    """acc[key] += z*q for an int or Fraction q, held as integers
-    (re_num, im_num, den) so that no step normalises; settle() builds the
-    Gaussian rationals."""
+def gaussian_parts(z: GaussianRational) -> tuple[int, int, int]:
+    """z as integers (re_num, im_num, den) over one common denominator."""
     re, im = z.re, z.im
     d, e = re.denominator, im.denominator
-    qn = q.numerator
     if d == e:
-        a, b = re.numerator * qn, im.numerator * qn
-    else:
-        m = math.lcm(d, e)
-        a, b = re.numerator * (m // d) * qn, im.numerator * (m // e) * qn
-        d = m
-    d *= q.denominator
+        return re.numerator, im.numerator, d
+    m = math.lcm(d, e)
+    return re.numerator * (m // d), im.numerator * (m // e), m
+
+
+def accumulate(acc: dict, key, parts: tuple[int, int, int], q: RationalLike) -> None:
+    """acc[key] += z*q for z given as gaussian_parts(z) and an int or Fraction
+    q, held as integers (re_num, im_num, den) so that no step normalises;
+    settle() builds the Gaussian rationals."""
+    a, b, d = parts
+    qn = q.numerator
+    a, b, d = a * qn, b * qn, d * q.denominator
     prev = acc.get(key)
     if prev is None:
         acc[key] = (a, b, d)
@@ -342,7 +345,11 @@ def multi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
 
 
 def multi_indices_of_degree(n: int, d: int) -> Iterator[MultiIndex]:
-    """All multiindices in N_0^n with |I| = d."""
+    """All multiindices in N_0^n with |I| = d; none when d < 0."""
+    if n < 0:
+        raise ValueError("multiindex dimension must be nonnegative")
+    if d < 0:
+        return
     if n == 0:
         if d == 0:
             yield _multi_index(())
@@ -371,6 +378,8 @@ def multi_indices_of_degree_within(bound: MultiIndex, d: int) -> Iterator[MultiI
 
 
 def multi_indices_up_to_degree(n: int, d: int) -> Iterator[MultiIndex]:
+    if n < 0:
+        raise ValueError("multiindex dimension must be nonnegative")
     for total in range(d + 1):
         yield from multi_indices_of_degree(n, total)
 

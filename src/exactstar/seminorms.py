@@ -18,6 +18,7 @@ the tail bound came from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Protocol
@@ -372,13 +373,18 @@ class SeminormModel(Protocol):
     def row_parents(self, gamma: Index) -> Iterable[Index]:
         """Finite enumeration of alpha with row_sum(alpha, gamma) != 0.
 
-        HTable asks for it at levels m >= 2 (level 1 sums over the element's
-        support).  Must raise InfiniteFanError when no finite enumeration
-        exists; such models provide h_special(table, m, ell, gamma), which
-        HTable asks first at m >= 2 for a nonzero element."""
+        Must raise InfiniteFanError when no finite enumeration exists; such
+        models provide h_special(table, m, ell, gamma), which HTable asks
+        first at m >= 2 for a nonzero element."""
         ...
 
     def col_parents(self, gamma: Index) -> Iterable[Index]: ...
+
+    def fan(self, bit: int, gamma: Index) -> list[tuple[Index, Any]]:
+        """The (parent, weight) pairs of the row (bit 0) or column (bit 1)
+        parents of gamma whose weight is nonzero.  HTable sums over it at
+        levels m >= 2 (level 1 sums over the element's support)."""
+        ...
 
 
 class HTable:
@@ -420,14 +426,11 @@ class HTable:
             if out is not None:
                 return out
 
-        bit = ell & 1
-        weight: Callable = self.model.row_sum if bit == 0 else self.model.col_sum
         if m == 1:
             # h at level 0 vanishes off the support, so the fan restricts to it
-            parents: Iterable[Index] = list(self.element.support())
-        else:
-            parents = self.model.row_parents(gamma) if bit == 0 else self.model.col_parents(gamma)
-        return self.step(m, ell, ((p, weight(p, gamma)) for p in parents))
+            weight: Callable = self.model.row_sum if ell & 1 == 0 else self.model.col_sum
+            return self.step(m, ell, ((p, weight(p, gamma)) for p in self.element.support()))
+        return self.step(m, ell, self.model.fan(ell & 1, gamma))
 
     def step(self, m: int, ell: int, weighted_parents: Iterable) -> HVal:
         """Sum of h[m-1, ell >> 1, p]^2 * w over the (p, w) pairs.
@@ -438,9 +441,9 @@ class HTable:
         (truncated_sum, a lower bound, is the only other sum)."""
         parent_ell = ell >> 1
         # While every contribution is a finite exact or sqrt cell times a
-        # Fraction weight, the HVal sum would be HVal.exact(total); keep the
-        # Fraction and switch to HVal arithmetic at the first other kind.
-        total = Fraction(0)
+        # Fraction weight, the HVal sum would be HVal.exact(num/den); keep the
+        # integers and switch to HVal arithmetic at the first other kind.
+        num, den = 0, 1
         acc: HVal | None = None
         for p, w in weighted_parents:
             if _weight_is_zero(w):
@@ -450,15 +453,28 @@ class HTable:
                 continue
             if acc is None and isinstance(w, Fraction):
                 if hv.kind == "sqrt":
-                    total += hv.sq * w
+                    sq = hv.sq
+                    num, den = _add_ratio(num, den, sq.numerator * w.numerator,
+                                          sq.denominator * w.denominator)
                     continue
                 if hv.kind == "exact" and not hv.enn.infinite:
-                    total += hv.enn.value * hv.enn.value * w
+                    v = hv.enn.value
+                    num, den = _add_ratio(num, den, v.numerator * v.numerator * w.numerator,
+                                          v.denominator * v.denominator * w.denominator)
                     continue
             if acc is None:
-                acc = HVal.exact(total)
+                acc = HVal.exact(Fraction(num, den))
             acc = acc.plus(hv.squared().times(w))
-        return HVal.exact(total) if acc is None else acc
+        return HVal.exact(Fraction(num, den)) if acc is None else acc
+
+
+def _add_ratio(num: int, den: int, a: int, b: int) -> tuple[int, int]:
+    """num/den + a/b as an unnormalised integer pair; the denominators are
+    aligned with math.lcm only when they differ."""
+    if b == den:
+        return num + a, den
+    m = math.lcm(den, b)
+    return num * (m // den) + a * (m // b), m
 
 
 def _weight_is_zero(w) -> bool:
@@ -476,14 +492,15 @@ def truncated_sum(table: HTable, m: int, ell: int, weighted_parents: Iterable, d
     weights; each contributes lo^2 * weight_lo, where lo is the lower end of
     h[m-1, ell >> 1, parent].  The parents left out are not bounded, so the
     result is a truncated bracket at the given depth."""
-    total = Fraction(0)
+    num, den = 0, 1
     for parent, w in weighted_parents:
         lo = table.h(m - 1, ell >> 1, parent).to_bracket(table.tol).lo
         if lo == 0:
             continue
         w_lo = w if isinstance(w, Fraction) else rootsum_bracket(w, table.tol).lo
-        total += lo * lo * w_lo
-    return HVal.bracket(Bracket.truncated(total, depth))
+        num, den = _add_ratio(num, den, lo.numerator * lo.numerator * w_lo.numerator,
+                              lo.denominator * lo.denominator * w_lo.denominator)
+    return HVal.bracket(Bracket.truncated(Fraction(num, den), depth))
 
 
 def h(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = DEFAULT_TOL):

@@ -165,6 +165,43 @@ def test_rowsum_matches_brute_force():
             assert model.col_sum(t, out) == brute_col
 
 
+def _tilde_pairs_reference(t1, t2):
+    """The per-target loop: derive each target from Kp, then ask
+    _tilde_coefficient for its constant (which derives Kp again)."""
+    (P, Q, alpha), (R, S, beta) = t1, t2
+    out = {}
+    for Kp in multi_range(P.meet(S)):
+        I, J = (P + R).minus(Kp), (Q + S).minus(Kp)
+        for gamma in range(max(alpha, beta), alpha + beta - Kp.degree() + 1):
+            c = _tilde_coefficient(t1, t2, (I, J, gamma))
+            if c:
+                out[(I, J, gamma)] = c
+    return out
+
+
+def test_weights_and_constants_match_wick_route():
+    # row and column weights on every (t, target) against sums of |C| from
+    # the Wick route (each product computed once), and the pair table
+    # against the per-target closed form, key order included
+    for n, level in ((1, 3), (2, 2)):
+        model = ConeModel(n, H)
+        triples = _triples(n, level)
+        row, col = {}, {}
+        for t1 in triples:
+            for t2 in triples:
+                oracle = oracle_structure_constants(t1, t2, H)
+                pairs = tilde_structure_constants(t1, t2)
+                assert list(pairs.items()) == list(_tilde_pairs_reference(t1, t2).items())
+                assert oracle == pairs
+                for target, c in oracle.items():
+                    row[t1, target] = row.get((t1, target), 0) + abs(c)
+                    col[t2, target] = col.get((t2, target), 0) + abs(c)
+        for t in triples:
+            for target in triples:
+                assert cone_rowsum(t, target) == row.get((t, target), 0), (t, target)
+                assert model.col_sum(t, target) == col.get((t, target), 0), (t, target)
+
+
 def test_rowsum_gamma_total_bound():
     for t in _triples(1, 2):
         for gamma in range(5):

@@ -528,3 +528,46 @@ def test_depth2_specials_unchanged():
         for ell, gamma in cells:
             digest.update(repr(table.h(2, ell, gamma).to_bracket()).encode() + b"\n")
     assert digest.hexdigest()[:16] == "00791c2416c98f83"
+
+
+def test_kernel_outputs_unchanged():
+    """A fixed seeded slice of cone products, seminorm cells, disk reductions
+    and vacuum actions, pinned bit for bit: the sha256 of their exact reprs,
+    recorded before the cone weights and the seminorm sums ran on integers."""
+    import hashlib
+
+    from exactstar.cone import ConeModel, disk_lift, disk_reduce
+    from exactstar.gns import gns_rep
+
+    from oracles import random_cone_element, random_disk_element, random_vector
+
+    half = Fraction(1, 2)
+    rng = seeded(707)
+    digest = hashlib.sha256()
+
+    def put(*parts):
+        digest.update(repr(parts).encode() + b"\n")
+
+    def put_terms(terms, key=None):
+        for idx in sorted(terms, key=key):
+            put(idx, terms[idx])
+
+    cone2 = ConeModel(2, half)
+    for _ in range(6):
+        ab = multiply(cone2, random_cone_element(rng, 2, 3), random_cone_element(rng, 2, 3))
+        put_terms(ab.terms, cone2.index_sort_key)
+    laurent_element = from_pairs([(0, random_gr(rng)), (1, random_gr(rng)), (-2, half)])
+    for model, a, rank in ((ConeModel(1, half), random_cone_element(rng, 1, 3), 3),
+                           (get_model("laurent:factorial"), laurent_element, 3)):
+        table = HTable(model, a)
+        for m in range(4):
+            for ell in range(1 << m):
+                for gamma in model.indices_up_to(rank):
+                    v = table.h(m, ell, gamma)
+                    put(m, ell, gamma, v.kind, v.sq, v.to_bracket())
+    psi = random_vector(rng, 2, 2)
+    for _ in range(2):
+        x = random_disk_element(rng, 2, 2)
+        put_terms(disk_reduce(multiply(cone2, disk_lift(x), disk_lift(x)), half).terms)
+        put_terms(gns_rep(x, psi, half).terms)
+    assert digest.hexdigest()[:16] == "e17474ab8c6910a8"

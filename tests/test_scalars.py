@@ -19,6 +19,7 @@ from exactstar.scalars import (
     binomial,
     factorial,
     format_rational,
+    gaussian_parts,
     is_allowed_hbar,
     multi_binomial,
     multi_indices_of_degree,
@@ -87,7 +88,7 @@ def test_accumulate_matches_gaussian_sums(triples, cancel):
         triples = triples + [(key, -z, q) for key, z, q in triples]
     acc, want = {}, {}
     for key, z, q in triples:
-        accumulate(acc, key, z, q)
+        accumulate(acc, key, gaussian_parts(z), q)
         want[key] = want.get(key, GR_ZERO) + z * GaussianRational.coerce(q)
     got = settle(acc)
     assert got == want and list(got) == list(want)
@@ -126,6 +127,17 @@ def test_multi_indices_of_degree_within():
         for d in range(6):
             want = [K for K in multi_indices_of_degree(len(bound), d) if K <= bound]
             assert list(multi_indices_of_degree_within(bound, d)) == want
+
+
+def test_index_generators_reject_negative_dimension_and_degree():
+    # a negative dimension is an error, not an endless recursion
+    for gen in (multi_indices_of_degree, multi_indices_up_to_degree):
+        with pytest.raises(ValueError):
+            list(gen(-1, 2))
+    # a negative degree has no multiindex in any dimension
+    for n in range(4):
+        assert list(multi_indices_of_degree(n, -2)) == []
+        assert list(multi_indices_up_to_degree(n, -2)) == []
 
 
 def test_combinatorial_helpers():

@@ -494,3 +494,71 @@ def test_h_accumulation_matches_hval_reference():
                         model.name, m, ell, gamma)
         if model.name.startswith("group"):
             assert "root" in kinds
+
+
+def test_fan_lists_nonzero_weights_once_per_target():
+    from exactstar.algebra import InfiniteFanError
+    from exactstar.cone import ConeModel
+
+    half = Fraction(1, 2)
+    for model, rank in ((ConeModel(1, half), 4), (ConeModel(2, half), 3),
+                        (get_model("poly:factorial"), 6)):
+        for gamma in model.indices_up_to(rank):
+            for bit, parents, weight in ((0, model.row_parents, model.row_sum),
+                                         (1, model.col_parents, model.col_sum)):
+                got = model.fan(bit, gamma)
+                assert got == [(p, w) for p in parents(gamma) if (w := weight(p, gamma)) != 0]
+                assert model.fan(bit, gamma) is got
+    # parents with a zero weight are left out
+    padded = get_model("poly:factorial")
+    padded.row_parents = padded.col_parents = lambda k: range(k + 3)
+    assert padded.fan(0, 2) == padded.fan(1, 2) == [(0, 1), (1, 2), (2, 1)]
+    # an infinite fan raises on every call and is never stored
+    laurent = get_model("laurent:factorial")
+    for _ in range(2):
+        for bit in (0, 1):
+            with pytest.raises(InfiniteFanError):
+                laurent.fan(bit, 3)
+    assert laurent._fan_memo == {}
+
+
+def _truncated_reference(table, m, ell, weighted_parents, depth):
+    """truncated_sum as a plain loop adding one Fraction lo^2 * w_lo per parent."""
+    total = Fraction(0)
+    for parent, w in weighted_parents:
+        lo = table.h(m - 1, ell >> 1, parent).to_bracket(table.tol).lo
+        w_lo = w if isinstance(w, Fraction) else rootsum_bracket(w, table.tol).lo
+        total += lo * lo * w_lo
+    return Bracket.truncated(total, depth)
+
+
+def test_truncated_sum_matches_fraction_loop():
+    from exactstar.seminorms import truncated_sum
+
+    half = Fraction(1, 2)
+    gi = GaussianRational.of(1, 1)
+    every = tuple(range(8))
+    cases = [
+        (get_model("laurent:factorial"), from_pairs([(0, 1), (1, gi), (-2, half)]),
+         (0, 1, -2), 6, every),
+        (get_model("matrix:hat"), from_pairs([((1, 2), gi), ((2, 2), 1), ((3, 1), Fraction(2, 3))]),
+         ((1, 1), (1, 2), (2, 3)), 3, every),
+        # RootSum weights, each contributing the lower end of its enclosure;
+        # ell 6, 7 read the depth-2 cells of branch 3, the fastest to certify
+        (get_model("group:Z", epsilon=half), from_pairs([(0, 1), (-1, gi)]), (0, 1, -1), 1, (6, 7)),
+    ]
+    for model, a, targets, rank, ells in cases:
+        table = HTable(model, a)
+        parents = list(model.indices_up_to(rank))
+        positive = 0
+        for gamma in targets:
+            for ell in ells:
+                weight = model.row_sum if ell & 1 == 0 else model.col_sum
+                weighted = [(p, weight(p, gamma)) for p in parents]
+                got = truncated_sum(table, 3, ell, weighted, rank)
+                want = _truncated_reference(table, 3, ell, weighted, rank)
+                assert got.kind == "bracket" and got.br == want, (model.name, ell, gamma)
+                positive += want.lo > 0
+        assert positive
+        if model.name.startswith("group"):
+            assert any(isinstance(w, RootSum) and not w.is_rational() for _, w in weighted)

@@ -16,7 +16,7 @@ from .scalars import (
     RootSum,
     parse_rational,
 )
-from .seminorms import Bracket, HTable, HVal, OmegaWeights, omega_h
+from .seminorms import Bracket, HTable, HVal, OmegaWeights, UnresolvedError, omega_h
 from .models import get_model, model_registry
 
 __version__ = "0.1.0"
@@ -32,6 +32,7 @@ __all__ = [
     "MultiIndex",
     "OmegaWeights",
     "RootSum",
+    "UnresolvedError",
     "element_from_json",
     "element_to_json",
     "from_pairs",

@@ -6,8 +6,9 @@ Output is deterministic: indices are emitted in each model's documented
 sort order and JSON keys are sorted, so identical inputs give
 byte-identical files.
 
-Exit codes: 0 success, 1 a check failed, 2 usage or parse error,
-3 domain error (disallowed parameter, unsupported operation).
+Exit codes: 0 success, 1 a check failed, 2 usage or parse error (a size
+flag above its cap included), 3 domain error (disallowed parameter,
+unsupported operation) or a certified comparison that did not resolve.
 """
 
 from __future__ import annotations
@@ -50,9 +51,17 @@ from .scalars import (
     multi_indices_up_to_degree,
     parse_rational,
 )
-from .seminorms import DEFAULT_TOL, Bracket, HTable, HVal
+from .seminorms import DEFAULT_TOL, Bracket, HTable, HVal, UnresolvedError
 
 DEFAULT_HBAR = Fraction(1, 2)
+
+# Size caps.  Work grows steeply with each: a cone seminorm --radius table at
+# --depth 16 builds h cells of every level up to 16, and the oracle suite
+# compares all pairs of basis triples up to its level (~level^6 pairs at n=1).
+# depth >= gamma-max, so the gamma-max cap sits at or below the depth cap.
+GAMMA_MAX_CAP = 16
+DEPTH_CAP = 16
+CHECK_LEVEL_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +84,12 @@ class RunConfig:
             raise click.UsageError("n must be >= 1")
         if self.gamma_max < 0:
             raise click.UsageError("gamma-max must be >= 0")
+        if self.gamma_max > GAMMA_MAX_CAP:
+            raise click.UsageError(f"gamma-max must be <= {GAMMA_MAX_CAP}")
         if self.depth < self.gamma_max:
             raise click.UsageError("depth must be >= gamma-max")
+        if self.depth > DEPTH_CAP:
+            raise click.UsageError(f"depth must be <= {DEPTH_CAP}")
         if self.tolerance <= 0:
             raise click.UsageError("tolerance must be positive")
         if self.output not in ("json", "csv", "pretty"):
@@ -232,13 +245,25 @@ def _domain_exit(exc: Exception) -> None:
 # command group
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps an UnresolvedError from any subcommand to exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except UnresolvedError as exc:
+            _domain_exit(exc)
+
+
+@click.group(cls=_Main)
 @click.option("--model", default=None, help="Model name, see `algebra list`.")
 @click.option("--hbar", default=None, help="Deformation parameter p/q.")
 @click.option("--n", type=int, default=None, help="Number of disk variables.")
 @click.option("--epsilon", default=None, help="Group weight exponent (1 or 1/2).")
-@click.option("--gamma-max", type=int, default=None, help="Level cutoff for tables.")
-@click.option("--depth", type=int, default=None, help="Partial-sum depth for brackets.")
+@click.option("--gamma-max", type=int, default=None,
+              help=f"Level cutoff for tables, at most {GAMMA_MAX_CAP}.")
+@click.option("--depth", type=int, default=None,
+              help=f"Partial-sum depth for brackets, at most {DEPTH_CAP}.")
 @click.option("--tolerance", default=None, help="Enclosure width target p/q.")
 @click.option("--output", default=None, type=click.Choice(["json", "csv", "pretty"]))
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
@@ -750,8 +775,8 @@ CHECK_SUITES = {
 
 @main.command()
 @click.argument("suite", type=str)
-@click.option("--level", type=click.IntRange(min=0), default=2, show_default=True,
-              help="Basis level cutoff for the suite.")
+@click.option("--level", type=click.IntRange(min=0, max=CHECK_LEVEL_CAP), default=2,
+              show_default=True, help="Basis level cutoff for the suite.")
 @click.pass_obj
 def check(cfg: RunConfig, suite, level):
     """Run an invariant suite; nonzero exit on any failure."""

@@ -465,20 +465,24 @@ ENN_INF = ExtendedNonNeg.infinity()
 
 # --- exact finite sums of square roots ------------------------------------
 
-_SMALL_PRIMES: list[int] = []
+# (limit sieved, the primes up to it); the largest prime below a limit is
+# usually smaller than the limit, so the cache is keyed on the limit itself
+_SIEVED: tuple[int, list[int]] = (-1, [])
 
 
 def _primes_up_to(limit: int) -> list[int]:
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES and _SMALL_PRIMES[-1] >= limit:
-        return _SMALL_PRIMES
+    """Every prime up to at least limit, as one shared list: the table of the
+    largest limit sieved so far."""
+    global _SIEVED
+    if _SIEVED[0] >= limit:
+        return _SIEVED[1]
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    _SMALL_PRIMES = [i for i, flag in enumerate(sieve) if flag]
-    return _SMALL_PRIMES
+    _SIEVED = (limit, [i for i, flag in enumerate(sieve) if flag])
+    return _SIEVED[1]
 
 
 _TRIAL_BOUND = 100_000

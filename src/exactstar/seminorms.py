@@ -168,8 +168,18 @@ def rootsum_bracket(rs: RootSum, tol: Fraction = DEFAULT_TOL) -> Bracket:
     return Bracket.enclosure(lo, hi, 0, TAG_GEOMETRIC)
 
 
+class UnresolvedError(RuntimeError):
+    """A certified comparison that did not resolve: its two sides stayed
+    inside one enclosure down to the finest tolerance tried, so neither
+    answer is claimed.  Raised by rootsum_sign and check_triangle_inequality;
+    the CLI reports it with exit code 3."""
+
+
 def rootsum_sign(rs: RootSum) -> int:
-    """Exact sign of a sum of square roots of rationals."""
+    """Exact sign of a sum of square roots of rationals.
+
+    Raises UnresolvedError when the enclosure still contains zero after 40
+    refinements, each squaring the tolerance."""
     if rs.is_zero():
         return 0
     tol = Fraction(1, 10**12)
@@ -180,7 +190,7 @@ def rootsum_sign(rs: RootSum) -> int:
         if hi < 0:
             return -1
         tol = tol * tol
-    raise RuntimeError("sign of root sum did not resolve; value suspiciously close to zero")
+    raise UnresolvedError("sign of root sum did not resolve; value suspiciously close to zero")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +373,12 @@ class HVal:
 class SeminormModel(Protocol):
     name: str
     commutative: bool
+    """True only when c^gamma_{alpha beta} = c^gamma_{beta alpha} for every
+    index triple.  Then row_sum(x, gamma) == col_sum(x, gamma), row_parents
+    and col_parents enumerate the same indices, and an h_special must choose
+    between row and column weights only through ell & 1.  By induction on m
+    every branch word then runs the same arithmetic on the same values, so
+    HTable computes and caches each cell once, under ell = 0."""
 
     def pair_product(self, left: Index, right: Index) -> dict[Index, Any]: ...
 
@@ -395,12 +411,16 @@ class HTable:
         self.element = element
         self.tol = tol
         self._cells: dict[tuple[int, int, Index], HVal] = {}
+        # one cell per (m, gamma) on a commutative model, see SeminormModel
+        self._commutative = model.commutative
 
     def h(self, m: int, ell: int, gamma: Index) -> HVal:
         if m < 0:
             raise ValueError("m must be nonnegative")
         if not 0 <= ell < (1 << m):
             raise ValueError(f"branch word ell={ell} outside [0, 2^{m})")
+        if self._commutative:
+            ell = 0
         key = (m, ell, gamma)
         cached = self._cells.get(key)
         if cached is not None:
@@ -662,7 +682,8 @@ def check_triangle_inequality(
     """(h(a+b))^(1/2^m) <= h(a)^(1/2^m) + h(b)^(1/2^m) by certified enclosures.
 
     Refines the interval evaluation until the comparison resolves; exact
-    equality cases (zero summands, equal supports) resolve structurally."""
+    equality cases (zero summands, equal supports) resolve structurally.
+    Raises UnresolvedError when six refinements leave the sides overlapping."""
     table_ab = HTable(model, a + b, tol)
     ha = HTable(model, a, tol).h(m, ell, gamma)
     hb = HTable(model, b, tol).h(m, ell, gamma)
@@ -712,7 +733,7 @@ def check_triangle_inequality(
         if lab > ra.value + rb_.value:
             return False
         cur = cur * cur
-    raise RuntimeError("triangle comparison did not resolve; sides too close")
+    raise UnresolvedError("triangle comparison did not resolve; sides too close")
 
 
 # ---------------------------------------------------------------------------

@@ -409,3 +409,37 @@ def test_seminorm_too_long_to_print_is_domain_error(tmp_path):
     assert "Traceback" not in res.output
     assert sys.get_int_max_str_digits() == limit
     assert run("--model", "cone", "--hbar", "1/2", "seminorm", a, "--m-max", "13").exit_code == 0
+
+
+def test_size_flags_capped(tmp_path):
+    from exactstar.cli import CHECK_LEVEL_CAP, DEPTH_CAP, GAMMA_MAX_CAP
+
+    at_cap = run("--gamma-max", str(GAMMA_MAX_CAP), "--depth", str(DEPTH_CAP), "algebra", "list")
+    assert at_cap.exit_code == 0, at_cap.output
+    res = run("--gamma-max", str(GAMMA_MAX_CAP + 1), "--depth", str(DEPTH_CAP), "algebra", "list")
+    assert res.exit_code == 2 and f"gamma-max must be <= {GAMMA_MAX_CAP}" in res.output
+    res = run("--depth", str(DEPTH_CAP + 1), "algebra", "list")
+    assert res.exit_code == 2 and f"depth must be <= {DEPTH_CAP}" in res.output
+    # a config file cannot lift a cap either
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"depth = {DEPTH_CAP + 1}\n")
+    assert run("--config", str(cfg), "algebra", "list").exit_code == 2
+    # the filtration suite clips its own level at 2, so the cap itself is cheap
+    res = run("check", "filtration", "--level", str(CHECK_LEVEL_CAP))
+    assert res.exit_code == 0 and "PASS" in res.output, res.output
+    res = run("check", "filtration", "--level", str(CHECK_LEVEL_CAP + 1))
+    assert res.exit_code == 2 and "--level" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_unresolved_comparison_exits_3(tmp_path, monkeypatch):
+    from exactstar.seminorms import HTable, UnresolvedError
+
+    def unresolved(self, m, ell, gamma):
+        raise UnresolvedError("sign of root sum did not resolve; value suspiciously close to zero")
+
+    monkeypatch.setattr(HTable, "h", unresolved)
+    res = run("--model", "cone", "--hbar", "1/2", "seminorm", _cone_file(tmp_path))
+    assert res.exit_code == 3, (res.output, res.exception)
+    assert res.output == ("error: sign of root sum did not resolve; "
+                          "value suspiciously close to zero\n")

@@ -442,6 +442,49 @@ def test_registry_names_resolve():
         assert m.name == name
 
 
+def _registry_instances():
+    """One instance per registry entry, placeholders filled with small sizes;
+    group entries at both weight exponents."""
+    from exactstar.models import model_registry
+
+    for entry in model_registry():
+        name = entry["name"].replace("<d>", "2").replace("<N>", "2").replace("<n>", "1")
+        if name.startswith("group"):
+            for eps in (Fraction(1), Fraction(1, 2)):
+                yield get_model(name, epsilon=eps)
+        elif name.startswith(("wick", "cone", "disk")):
+            yield get_model(name, hbar=Fraction(1, 2))
+        else:
+            yield get_model(name)
+
+
+def test_commutative_flag_contract():
+    # HTable keeps one cell per (m, gamma) for a commutative model, which is
+    # sound only when row and column weights and fans coincide
+    from exactstar.algebra import InfiniteFanError
+
+    models = [*_registry_instances(), get_model("group:free:1")]
+    commutative = {m.name for m in models if m.commutative}
+    assert commutative == {"poly:monomial", "poly:factorial", "laurent:plain",
+                           "laurent:factorial", "group:Z", "group:Zd:2"}
+    for m in models:
+        if not m.commutative:
+            assert m.name in ("cone", "disk", "matrix:plain", "matrix:hat", "matrix:tilde",
+                              "wick:1", "group:free:1", "group:free:2")
+            continue
+        grid = list(m.indices_up_to(3))
+        for gamma in grid:
+            for x in grid:
+                assert m.row_sum(x, gamma) == m.col_sum(x, gamma), (m.name, x, gamma)
+            try:
+                row = m.fan(0, gamma)
+            except InfiniteFanError:
+                with pytest.raises(InfiniteFanError):
+                    m.fan(1, gamma)
+                continue
+            assert m.fan(1, gamma) == row, (m.name, gamma)
+
+
 def _reference_h2_factorial(model, table, ell, gamma):
     """The depth-2 factorial-Laurent bracket with the window summed from
     scratch at every widening; reference for the incremental window sum."""

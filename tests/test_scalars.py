@@ -237,3 +237,23 @@ def test_square_free_split():
     for k in range(1, 60):
         s, r = square_free_split(k)
         assert s * s * r == k
+
+
+def test_prime_table_sieved_once():
+    import sympy
+
+    from exactstar import scalars
+
+    table = scalars._primes_up_to(scalars._TRIAL_BOUND)
+    assert table == list(sympy.primerange(2, scalars._TRIAL_BOUND + 1))
+    # the largest prime below the bound is 99,991, so the cache must be keyed
+    # on the limit sieved, not on its last entry
+    assert table[-1] == 99_991
+    assert scalars._primes_up_to(scalars._TRIAL_BOUND) is table
+    assert scalars._primes_up_to(1000) is table
+    # square_free_split reads the cached table (test_square_free_split pins
+    # its small values); here a squared prime past the bound, and a cofactor
+    # of two such primes
+    assert square_free_split(100_003**2 * 12) == (2 * 100_003, 3)
+    assert square_free_split(100_003 * 100_019 * 9) == (3, 100_003 * 100_019)
+    assert scalars._primes_up_to(scalars._TRIAL_BOUND) is table

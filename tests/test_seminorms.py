@@ -11,6 +11,7 @@ from exactstar.seminorms import (
     HTable,
     HVal,
     OmegaWeights,
+    UnresolvedError,
     check_omega_product_inequality,
     check_product_inequality,
     check_triangle_inequality,
@@ -143,6 +144,17 @@ def test_rootsum_sign_and_bracket():
         rootsum_bracket(RootSum.rational(Fraction(-1)))
 
 
+def test_unresolved_comparison_is_typed(monkeypatch):
+    # enclosures that never narrow: the refinement loop gives up with the
+    # documented error instead of a bare RuntimeError
+    assert issubclass(UnresolvedError, RuntimeError)
+    monkeypatch.setattr(Bracket, "root_interval",
+                        lambda self, m, tol: (Fraction(0), ExtendedNonNeg.of(Fraction(1))))
+    model = get_model("laurent:factorial")
+    with pytest.raises(UnresolvedError, match="did not resolve"):
+        check_triangle_inequality(model, from_pairs([(0, 1)]), from_pairs([(1, 1)]), 2, 0, 0)
+
+
 def test_h_poly_pinned_values():
     m = get_model("poly:monomial")
     a = from_pairs([(0, 1), (1, 2)])  # 1 + 2z
@@ -194,23 +206,56 @@ def test_homogeneity_unit_modulus():
             assert h(model, ca, m, 0, g) == h(model, a, m, 0, g)
 
 
+class _BranchWordView:
+    """A model with commutative = False and everything else delegated, so an
+    HTable over it computes every branch word on its own."""
+
+    commutative = False
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+def _cell_record(v, tol):
+    br = v.to_bracket(tol)
+    return (v.kind, v.exact_rational(), br.lo, br.hi, br.depth, br.tail_source)
+
+
 def test_branch_word_independence_commutative():
+    # the table of a commutative model keeps one cell per (m, gamma); every
+    # branch word must equal the cell an HTable over the non-commutative view
+    # computes for that word through its own row or column weights.  A coarse
+    # tolerance keeps the m = 3 group windows quick (~80 depth-2 parents per
+    # branch); both tables use it.
+    tol = Fraction(1, 10**4)
+    gi = GaussianRational.of(1, 1)
+    half = Fraction(1, 2)
     cases = [
-        ("poly:monomial", from_pairs([(0, 1), (1, GaussianRational.of(0, 2)), (3, -1)])),
-        ("poly:factorial", from_pairs([(0, 1), (2, Fraction(1, 2))])),
-        ("laurent:factorial", from_pairs([(-2, 1), (1, GaussianRational.of(1, 1))])),
+        ("poly:monomial", {}, from_pairs([(0, 1), (1, GaussianRational.of(0, 2)), (3, -1)]),
+         (0, 2, 4)),
+        ("poly:factorial", {}, from_pairs([(0, 1), (2, half)]), (0, 2, 3)),
+        ("laurent:factorial", {}, from_pairs([(-2, 1), (1, gi)]), (-1, 0, 2)),
+        ("group:Z", {}, from_pairs([(0, 1), (1, gi), (-2, half)]), (-1, 0, 2)),
+        ("group:Z", {"epsilon": half}, from_pairs([(0, 1), (-1, gi)]), (-1, 0, 1)),
+        ("group:Zd:2", {}, from_pairs([((0, 0), 1), ((1, 0), gi), ((0, -1), half)]),
+         ((0, 0), (1, 0), (1, -1))),
     ]
-    for name, a in cases:
-        model = get_model(name)
+    for name, kw, a, targets in cases:
+        model = get_model(name, **kw)
         assert model.commutative
-        table = HTable(model, a)
-        for m in (1, 2):
-            for g in (-1, 0, 2) if name.startswith("laurent") else (0, 2):
-                vals = [table.h(m, ell, g) for ell in range(1 << m)]
-                base = vals[0].to_bracket()
-                for v in vals[1:]:
-                    vb = v.to_bracket()
-                    assert vb.lo == base.lo and vb.is_divergent() == base.is_divergent()
+        table = HTable(model, a, tol)
+        ref = HTable(_BranchWordView(get_model(name, **kw)), a, tol)
+        for m in range(4):
+            for g in targets:
+                for ell in range(1 << m):
+                    got = _cell_record(table.h(m, ell, g), tol)
+                    want = _cell_record(ref.h(m, ell, g), tol)
+                    assert got == want, (name, kw, m, ell, g)
+        assert {ell for _, ell, _ in table._cells} == {0}
+        assert {ell for m, ell, _ in ref._cells if m == 3} == set(range(8))
 
 
 @given(data=st.data())
@@ -544,7 +589,8 @@ def test_truncated_sum_matches_fraction_loop():
         (get_model("matrix:hat"), from_pairs([((1, 2), gi), ((2, 2), 1), ((3, 1), Fraction(2, 3))]),
          ((1, 1), (1, 2), (2, 3)), 3, every),
         # RootSum weights, each contributing the lower end of its enclosure;
-        # ell 6, 7 read the depth-2 cells of branch 3, the fastest to certify
+        # ell 6, 7 cover both weight bits (group:Z is commutative, so every
+        # branch word reads the same depth-2 cells)
         (get_model("group:Z", epsilon=half), from_pairs([(0, 1), (-1, gi)]), (0, 1, -1), 1, (6, 7)),
     ]
     for model, a, targets, rank, ells in cases:

@@ -78,7 +78,10 @@ class Element:
         return Element(out)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(GaussianRational.of(-1))
+        out = dict(self.terms)
+        for idx, c in other.terms.items():
+            out[idx] = out[idx] - c if idx in out else -c
+        return Element(out)
 
     def scale(self, z: GaussianRational | Fraction | int) -> "Element":
         z = GaussianRational.coerce(z)

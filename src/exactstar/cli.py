@@ -59,9 +59,12 @@ DEFAULT_HBAR = Fraction(1, 2)
 # --depth 16 builds h cells of every level up to 16, and the oracle suite
 # compares all pairs of basis triples up to its level (~level^6 pairs at n=1).
 # depth >= gamma-max, so the gamma-max cap sits at or below the depth cap.
+# The pair count of the oracle suite also grows with n: at --level 4 it is
+# 6,050 checks at n = 1, 275,282 at n = 2 and 6,069,128 at n = 3.
 GAMMA_MAX_CAP = 16
 DEPTH_CAP = 16
 CHECK_LEVEL_CAP = 4
+N_CAP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +85,8 @@ class RunConfig:
     def validated(self) -> "RunConfig":
         if self.n < 1:
             raise click.UsageError("n must be >= 1")
+        if self.n > N_CAP:
+            raise click.UsageError(f"n must be <= {N_CAP}")
         if self.gamma_max < 0:
             raise click.UsageError("gamma-max must be >= 0")
         if self.gamma_max > GAMMA_MAX_CAP:
@@ -258,7 +263,8 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.option("--model", default=None, help="Model name, see `algebra list`.")
 @click.option("--hbar", default=None, help="Deformation parameter p/q.")
-@click.option("--n", type=int, default=None, help="Number of disk variables.")
+@click.option("--n", type=int, default=None,
+              help=f"Number of disk variables, at most {N_CAP}.")
 @click.option("--epsilon", default=None, help="Group weight exponent (1 or 1/2).")
 @click.option("--gamma-max", type=int, default=None,
               help=f"Level cutoff for tables, at most {GAMMA_MAX_CAP}.")

@@ -70,28 +70,43 @@ def _multi_falling(P: MultiIndex, K: MultiIndex) -> int:
 # structure constants, two routes
 
 
+def _wick_terms(t1: Triple, t2: Triple, a: int, b: int) -> dict:
+    """The explicit (k, K) double sum of the e-basis product with 2 hbar = a/b,
+    as {target: (num, den)} integer pairs; each cell adds
+    (-1)^k (a/b)^(k+|K|) (alpha-|P|)_k (beta-|S|)_k (P)_K (S)_K / (k! K!),
+    the falling factorials (m)_k = m (m-1) ... (m-k+1)."""
+    (P, Q, alpha), (R, S, beta) = t1, t2
+    sum_pr, sum_qs = P + R, Q + S
+    pd, sd = P.degree(), S.degree()
+    acc: dict = {}
+    for k in range(min(alpha - pd, beta - sd) + 1):
+        lead = _falling(alpha - pd, k) * _falling(beta - sd, k)
+        if k % 2:
+            lead = -lead
+        kf = factorial(k)
+        for K in multi_range(P.meet(S)):
+            e = k + K.degree()
+            num = lead * _multi_falling(P, K) * _multi_falling(S, K) * a**e
+            den = kf * K.factorial() * b**e
+            tgt = (
+                _multi_index(x - y for x, y in zip(sum_pr, K)),
+                _multi_index(x - y for x, y in zip(sum_qs, K)),
+                alpha + beta - e,
+            )
+            prev = acc.get(tgt)
+            acc[tgt] = (num, den) if prev is None else (
+                prev[0] * den + num * prev[1], prev[1] * den)
+    return acc
+
+
 def wick_monomial_product(t1: Triple, t2: Triple, hbar) -> Element:
     """e-basis product: the explicit (k, K) double sum with hbar powers."""
-    (P, Q, alpha), (R, S, beta) = t1, t2
     two_h = 2 * Fraction(hbar)
     if two_h == 0:
         raise DomainError("hbar must be nonzero")
-    acc: dict = {}
-    kmax = min(alpha - P.degree(), beta - S.degree())
-    for k in range(kmax + 1):
-        for K in multi_range(P.meet(S)):
-            coeff = (
-                Fraction((-1) ** k)
-                * two_h ** (k + K.degree())
-                / (factorial(k) * K.factorial())
-                * _falling(alpha - P.degree(), k)
-                * _falling(beta - S.degree(), k)
-                * _multi_falling(P, K)
-                * _multi_falling(S, K)
-            )
-            tgt = ((P + R).minus(K), (Q + S).minus(K), alpha + beta - k - K.degree())
-            acc[tgt] = acc.get(tgt, Fraction(0)) + coeff
-    return Element({t: GaussianRational.coerce(c) for t, c in acc.items() if c})
+    terms = _wick_terms(t1, t2, two_h.numerator, two_h.denominator)
+    return Element({t: GaussianRational(Fraction(num, den), Fraction(0))
+                    for t, (num, den) in terms.items() if num})
 
 
 def occupancy_count(t1: Triple, t2: Triple, target: Triple) -> int:
@@ -169,34 +184,33 @@ def tilde_structure_constants(t1: Triple, t2: Triple) -> dict:
     return dict(_tilde_pairs(t1, t2))
 
 
-def _f_scale(t: Triple, two_h: Fraction) -> Fraction:
+def _f_scale(t: Triple, a: int, b: int) -> tuple[int, int]:
+    """The e-to-f scale (a/b)^alpha P! (alpha-|P|)! Q! (alpha-|Q|)! of a
+    triple, as an integer (num, den) pair."""
     P, Q, alpha = t
-    return (
-        two_h**alpha
-        * P.factorial()
-        * factorial(alpha - P.degree())
-        * Q.factorial()
-        * factorial(alpha - Q.degree())
-    )
+    weight = (P.factorial() * factorial(alpha - P.degree())
+              * Q.factorial() * factorial(alpha - Q.degree()))
+    return a**alpha * weight, b**alpha
 
 
 def oracle_structure_constants(t1: Triple, t2: Triple, hbar) -> dict:
     """Independent route: unscale f to e, multiply there, rescale back.
 
-    The hbar powers must cancel; the output is asserted real and rational."""
+    Each constant is one integer ratio carrying the powers of 2 hbar = a/b of
+    the e-basis product and of the three scales; they cancel only when that
+    ratio is normalised, so a wrong power leaves hbar in the result."""
     hbar = Fraction(hbar)
     if not is_allowed_hbar(hbar):
         raise DomainError(f"hbar {hbar} is not an allowed value")
     two_h = 2 * hbar
-    prod = wick_monomial_product(t1, t2, hbar)
-    scale = _f_scale(t1, two_h) * _f_scale(t2, two_h)
+    a, b = two_h.numerator, two_h.denominator
+    n1, d1 = _f_scale(t1, a, b)
+    n2, d2 = _f_scale(t2, a, b)
     out = {}
-    for t, c in prod.terms.items():
-        if c.im != 0:
-            raise DomainError("oracle constants must be real")
-        val = c.re * _f_scale(t, two_h) / scale
-        if val:
-            out[t] = val
+    for t, (num, den) in _wick_terms(t1, t2, a, b).items():
+        if num:
+            fn, fd = _f_scale(t, a, b)
+            out[t] = Fraction(num * fn * d1 * d2, den * fd * n1 * n2)
     return out
 
 

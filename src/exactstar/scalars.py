@@ -104,9 +104,12 @@ def sqrt_bracket(q: RationalLike, tol: Fraction = Fraction(1, 10**12)) -> tuple[
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     p, d = q.numerator, q.denominator
-    # sqrt(p/d) = sqrt(p*d)/d; scale by 2^s until the grid is finer than tol.
-    s = 0
-    while Fraction(1, d << s) > tol:
+    # sqrt(p/d) = sqrt(p*d)/d on the grid 1/(d 2^s), for the least s >= 0 with
+    # 1/(d 2^s) <= tol = tn/td, i.e. d tn 2^s >= td.  Bit lengths put that s
+    # at s0 or s0 + 1.
+    dt, td = d * tol.numerator, tol.denominator
+    s = max(0, td.bit_length() - dt.bit_length())
+    if dt << s < td:
         s += 1
     scale = 1 << s
     r = math.isqrt(p * d * scale * scale)

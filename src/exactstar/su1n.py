@@ -11,8 +11,10 @@ All arithmetic is exact over Gaussian rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .algebra import DomainError, Element, from_pairs, multiply
 from .cone import ConeModel, eval_upstairs, make_triple, y_minus_one
@@ -22,9 +24,13 @@ from .scalars import (
     GR_ZERO,
     GaussianRational,
     MultiIndex,
+    _multi_index,
+    accumulate,
     factorial,
+    gaussian_parts,
     multi_indices_up_to_degree,
     rational_sqrt,
+    settle,
 )
 
 # Sign relating commutators against momentum elements to the infinitesimal
@@ -193,75 +199,101 @@ def is_lie_element(xi) -> bool:
 # beyond the multinomial expansion itself.
 
 
-def _expand_linear_power(rows, counts, one):
-    """Product over a of (row_a . x)^counts[a], as a monomial dict.
+def _expand_linear_power(rows, counts, mul):
+    """Product over a of (row_a . x)^counts[a], as {exponent tuple: coefficient}.
 
-    Generic in the scalar ring: entries need *, +, is_zero.  Used both for
-    Gaussian rationals and for dual numbers.
+    Generic in the scalar ring: entries are integer tuples (re, im, ...) that
+    mul multiplies and that add componentwise.  Used both for Gaussian
+    integers and for dual Gaussian integers.
     """
     size = len(rows)
-    poly = {MultiIndex.zero(size): one}
-    for a, c in enumerate(counts):
-        row = rows[a]
+    poly = {(0,) * size: (1,) + (0,) * (len(rows[0][0]) - 1)}
+    for row, c in zip(rows, counts):
+        entries = [(b, entry) for b, entry in enumerate(row) if any(entry)]
         for _ in range(c):
             nxt: dict = {}
             for mono, coeff in poly.items():
-                for b in range(size):
-                    entry = row[b]
-                    if entry.is_zero():
-                        continue
-                    key = mono + MultiIndex.unit(size, b)
-                    val = coeff * entry
+                for b, entry in entries:
+                    key = mono[:b] + (mono[b] + 1,) + mono[b + 1 :]
+                    val = mul(coeff, entry)
                     acc = nxt.get(key)
-                    nxt[key] = val if acc is None else acc + val
+                    nxt[key] = val if acc is None else tuple(map(add, acc, val))
             poly = nxt
     return poly
 
 
-def _slice_norms(gamma: int, pairs) -> dict:
-    """Basis normalisation weight I!(gamma-|I|)!J!(gamma-|J|)! per pair."""
-    out = {}
-    for I, J in pairs:
-        out[(I, J)] = Fraction(
-            I.factorial()
-            * factorial(gamma - I.degree())
-            * J.factorial()
-            * factorial(gamma - J.degree())
-        )
-    return out
+def _conjugate(parts: tuple) -> tuple:
+    """Conjugate of an integer tuple (re, im, re, im, ...): t stays real."""
+    return tuple(-x if k % 2 else x for k, x in enumerate(parts))
 
 
-def _slice_action(rows: tuple, gamma: int, one) -> dict:
-    """Pullback along w -> rows . w on the level-gamma slice, by source.
+def _gaussians(parts: tuple, den: int) -> tuple:
+    """The Gaussian rationals (parts[0] + i parts[1]) / den, ...; each
+    component normalised once."""
+    return tuple(
+        GaussianRational(Fraction(parts[k], den), Fraction(parts[k + 1], den))
+        for k in range(0, len(parts), 2)
+    )
 
-    Generic in the scalar ring like _expand_linear_power (entries also scale
-    by a Fraction).  Maps each source pair (I, J) to the tuple of its nonzero
-    ((K, L), entry) images."""
+
+def _slice_action(rows: tuple, den: int, gamma: int, mul) -> dict:
+    """Pullback along w -> (rows / den) . w on the level-gamma slice, by source.
+
+    Generic in the ring like _expand_linear_power.  With the rows scaled by
+    den, every monomial coefficient cK is a ring integer over den^gamma, so
+    the entry cK conj(cL) K!(g-|K|)! L!(g-|L|)! / I!(g-|I|)! J!(g-|J|)! is an
+    integer over den^(2 gamma) I!(g-|I|)! J!(g-|J|)!.  Maps each source pair
+    (I, J) to the tuple of its nonzero ((K, L), _gaussians(entry)) images."""
     n = len(rows) - 1
     indices = list(multi_indices_up_to_degree(n, gamma))
-    hols = {}
+    weight = {I: I.factorial() * factorial(gamma - I.degree()) for I in indices}
+    hols, antis = {}, {}
     for I in indices:
         counts = (gamma - I.degree(),) + tuple(I)
-        hols[I] = [
-            (MultiIndex(mono[1:]), c)
-            for mono, c in _expand_linear_power(rows, counts, one).items()
-        ]
-    norms = _slice_norms(gamma, [(I, J) for I in indices for J in indices])
+        hol = []
+        for mono, c in _expand_linear_power(rows, counts, mul).items():
+            K = _multi_index(mono[1:])
+            hol.append((K, tuple(x * weight[K] for x in c)))
+        hols[I] = hol
+        antis[I] = [(L, _conjugate(c)) for L, c in hol]
+    scale = den ** (2 * gamma)
     out = {}
-    for (I, J), src_norm in norms.items():
-        images = []
-        for K, cK in hols[I]:
-            for L, cL in hols[J]:
-                val = cK * cL.conjugate() * (norms[(K, L)] / src_norm)
-                if not val.is_zero():
-                    images.append(((K, L), val))
-        out[(I, J)] = tuple(images)
+    for I in indices:
+        for J in indices:
+            src_den = scale * weight[I] * weight[J]
+            images = []
+            for K, cK in hols[I]:
+                for L, cL in antis[J]:
+                    val = mul(cK, cL)
+                    if any(val):
+                        images.append(((K, L), _gaussians(val, src_den)))
+            out[(I, J)] = tuple(images)
     return out
+
+
+def _gauss_mul(x: tuple, y: tuple) -> tuple:
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _common_denominator(M: tuple) -> int:
+    return math.lcm(*(x.denominator for row in M for v in row for x in (v.re, v.im)))
+
+
+def _scaled(v: GaussianRational, den: int) -> tuple:
+    """den * v as an integer pair (re, im); den is a multiple of v's denominators."""
+    return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
 
 
 @lru_cache(maxsize=None)
 def _pullback_cached(U: tuple, gamma: int) -> dict:
-    return _slice_action(U, gamma, GR_ONE)
+    den = _common_denominator(U)
+    rows = tuple(tuple(_scaled(v, den) for v in row) for row in U)
+    return {
+        src: tuple((tgt, val) for tgt, (val,) in images)
+        for src, images in _slice_action(rows, den, gamma, _gauss_mul).items()
+    }
 
 
 def _flat(slices: dict) -> dict:
@@ -313,16 +345,22 @@ def pullback_entry_bound_holds(U, gamma: int) -> bool:
 def _apply_slices(slices, M: tuple, a: Element) -> Element:
     """Apply the per-level action slices(M, level) to a cone element."""
     n = len(M) - 1
-    pairs = []
+    by_level: dict = {}  # one slices() lookup, which hashes M, per level
+    acc: dict = {}
     for (P, Q, alpha), coeff in a.terms.items():
         if len(P) != n:
             raise DomainError(
                 f"element lives on a cone with {len(P)} disk directions, "
                 f"the matrix acts on {n}"
             )
-        for (K, L), val in slices(M, alpha).get((P, Q), ()):
-            pairs.append((make_triple(K, L, alpha), coeff * val))
-    return from_pairs(pairs)
+        level = by_level.get(alpha)
+        if level is None:
+            level = by_level[alpha] = slices(M, alpha)
+        x, y, d = gaussian_parts(coeff)
+        for (K, L), val in level.get((P, Q), ()):
+            u, v, e = gaussian_parts(val)
+            accumulate(acc, (K, L, alpha), (x * u - y * v, x * v + y * u, d * e), 1)
+    return Element(settle(acc))
 
 
 def apply_pullback(U, a: Element) -> Element:
@@ -360,43 +398,32 @@ def check_y_invariance(U, hbar) -> bool:
 # infinitesimal action via dual numbers
 
 
-class _Dual:
-    """a + b t with t^2 = 0 over Gaussian rationals; just enough ring ops
-    (and scaling by a rational) for the slice action."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: GaussianRational, b: GaussianRational):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        return _Dual(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Dual):
-            return _Dual(self.a * other, self.b * other)
-        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    def conjugate(self):
-        return _Dual(self.a.conjugate(), self.b.conjugate())
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+def _dual_mul(x: tuple, y: tuple) -> tuple:
+    """(p + t q)(r + t s) = p r + t (p s + q r) with t^2 = 0, for Gaussian
+    integers p, q, r, s laid out as (re p, im p, re q, im q)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        a * e - b * f,
+        a * f + b * e,
+        a * g - b * h + c * e - d * f,
+        a * h + b * g + c * f + d * e,
+    )
 
 
 @lru_cache(maxsize=None)
 def _infinitesimal_cached(xi: tuple, gamma: int) -> dict:
     size = len(xi)
+    den = _common_denominator(xi)
     rows = tuple(
-        tuple(_Dual(GR_ONE if a == b else GR_ZERO, xi[a][b]) for b in range(size))
+        tuple((den if a == b else 0, 0) + _scaled(xi[a][b], den) for b in range(size))
         for a in range(size)
     )
     out = {}
-    for src, images in _slice_action(rows, gamma, _Dual(GR_ONE, GR_ZERO)).items():
-        if {tgt: v.a for tgt, v in images if not v.a.is_zero()} != {src: GR_ONE}:
+    for src, images in _slice_action(rows, den, gamma, _dual_mul).items():
+        if {tgt: v0 for tgt, (v0, _) in images if not v0.is_zero()} != {src: GR_ONE}:
             raise DomainError("zeroth-order pullback is not the identity")
-        out[src] = tuple((tgt, v.b) for tgt, v in images if not v.b.is_zero())
+        out[src] = tuple((tgt, v1) for tgt, (_, v1) in images if not v1.is_zero())
     return out
 
 

@@ -432,6 +432,21 @@ def test_size_flags_capped(tmp_path):
     assert "Traceback" not in res.output
 
 
+def test_n_capped(tmp_path):
+    from exactstar.cli import N_CAP
+
+    res = run("--n", str(N_CAP), "check", "oracle", "--level", "1")
+    assert res.exit_code == 0 and "PASS" in res.output, res.output
+    res = run("--n", str(N_CAP + 1), "check", "oracle", "--level", "1")
+    assert res.exit_code == 2 and f"n must be <= {N_CAP}" in res.output
+    assert "Traceback" not in res.output
+    # a config file cannot lift the cap either
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"n = {N_CAP + 1}\n")
+    res = run("--config", str(cfg), "algebra", "list")
+    assert res.exit_code == 2 and f"n must be <= {N_CAP}" in res.output
+
+
 def test_unresolved_comparison_exits_3(tmp_path, monkeypatch):
     from exactstar.seminorms import HTable, UnresolvedError
 

@@ -89,6 +89,18 @@ def test_two_routes_agree_n2():
             )
 
 
+def test_oracle_cancels_non_dyadic_hbar():
+    # 2 hbar = 10/7 and 6/11: both the numerator and the denominator of 2 hbar
+    # differ from 1, so one wrong power of either leaves hbar in a constant
+    for n, level in ((1, 3), (2, 2)):
+        triples = _triples(n, level)
+        for t1 in triples:
+            for t2 in triples:
+                ref = tilde_structure_constants(t1, t2)
+                for hb in (Fraction(5, 7), Fraction(3, 11)):
+                    assert oracle_structure_constants(t1, t2, hb) == ref, (t1, t2, hb)
+
+
 def test_constant_support_window_and_occupancy():
     for t1 in _triples(1, 2):
         for t2 in _triples(1, 2):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,38 @@ def test_sqrt_bracket_encloses(q):
     lo, hi = sqrt_bracket(q, Fraction(1, 10**9))
     assert lo * lo <= q <= hi * hi
     assert hi - lo <= Fraction(1, 10**8)
+
+
+def _sqrt_bracket_by_loop(q, tol):
+    """sqrt_bracket with its scale found one bit at a time: the reference for
+    the bit-length scale."""
+    q = Fraction(q)
+    if q == 0:
+        return Fraction(0), Fraction(0)
+    p, d = q.numerator, q.denominator
+    s = 0
+    while Fraction(1, d << s) > tol:
+        s += 1
+    scale = 1 << s
+    r = math.isqrt(p * d * scale * scale)
+    lo = Fraction(r, d * scale)
+    hi = Fraction(r + 1, d * scale) if r * r != p * d * scale * scale else lo
+    return lo, hi
+
+
+def test_sqrt_bracket_scale_matches_bit_loop():
+    rng = random.Random(4243)
+    qs = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(10**30 + 1, 7),
+          Fraction(5, 10**80 + 3), Fraction(rng.randrange(1, 10**50), 3**120)]
+    qs += [Fraction(rng.randrange(0, 10**6), rng.randrange(1, 10**4)) for _ in range(40)]
+    tols = [Fraction(1, 10**12), Fraction(1, 10**4), Fraction(3, 7), Fraction(2, 3),
+            Fraction(1, 2**20), Fraction(1, 3 * 2**40), Fraction(1), Fraction(5),
+            Fraction(10**30, 3), Fraction(1, 10**90)]
+    tols += [Fraction(rng.randrange(1, 10**3), rng.randrange(1, 10**15)) for _ in range(10)]
+    for q in qs:
+        # 1/tol = d 2^7 exactly: the least scale meets tol with equality
+        for tol in tols + [Fraction(1, q.denominator << 7)]:
+            assert sqrt_bracket(q, tol) == _sqrt_bracket_by_loop(q, tol), (q, tol)
 
 
 def test_extended_nonneg():

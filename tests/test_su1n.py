@@ -132,9 +132,11 @@ def test_apply_pullback_linear_and_unital():
     a = random_cone_element(rng, 1, 2)
     b = random_cone_element(rng, 1, 2)
     c = GR(Fraction(2, 3), 1)
-    lhs = apply_pullback(U_BOOST, a.scale(c) + b)
-    rhs = apply_pullback(U_BOOST, a).scale(c) + apply_pullback(U_BOOST, b)
-    assert lhs == rhs
+    # U_DIAG has complex slice entries, U_BOOST real ones
+    for U in (U_DIAG, U_BOOST):
+        lhs = apply_pullback(U, a.scale(c) + b)
+        rhs = apply_pullback(U, a).scale(c) + apply_pullback(U, b)
+        assert lhs == rhs
     unit = Element.basis((Z1, Z1, 0))
     assert apply_pullback(U_BOOST, unit) == unit
 
@@ -252,3 +254,40 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(DomainError):
         check_automorphism(U_BOOST, Element.basis((MultiIndex((1, 0)), MultiIndex((0, 0)), 1)),
                            Element.basis((MultiIndex((0, 0)), MultiIndex((0, 0)), 0)), H)
+
+
+def test_su1n_and_oracle_outputs_unchanged():
+    """Pullback slices, infinitesimal slices and oracle constants pinned bit
+    for bit: the sha256 of their exact reprs, recorded before the slices and
+    the oracle ran on integers."""
+    import hashlib
+
+    from exactstar.cone import ConeModel, oracle_structure_constants
+
+    digest = hashlib.sha256()
+
+    def put_sorted(M):
+        for key in sorted(M):
+            digest.update(repr((key, M[key])).encode() + b"\n")
+
+    boost3 = as_matrix(
+        [
+            [GR(Fraction(5, 4)), GR(Fraction(3, 4)), GR(0)],
+            [GR(Fraction(3, 4)), GR(Fraction(5, 4)), GR(0)],
+            [GR(0), GR(0), GR(1)],
+        ]
+    )
+    for U in (U_ID, U_DIAG, U_BOOST):
+        for gamma in range(5):
+            put_sorted(pullback_matrix(U, gamma))
+    for gamma in range(3):
+        put_sorted(pullback_matrix(boost3, gamma))
+    for xi in (XI_ROT, XI_SH1, XI_SH2):
+        for gamma in range(4):
+            put_sorted(infinitesimal_pullback(xi, gamma))
+    triples = list(ConeModel(1, H).indices_up_to(2))
+    for hbar in (H, Fraction(2), Fraction(5, 7)):
+        for t1 in triples:
+            for t2 in triples:
+                put_sorted(oracle_structure_constants(t1, t2, hbar))
+    assert digest.hexdigest()[:16] == "590f7a59cc5250b3"

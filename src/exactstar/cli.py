@@ -27,7 +27,6 @@ import click
 from .algebra import (
     DomainError,
     Element,
-    InfiniteFanError,
     element_from_json,
     element_to_json,
     from_pairs,
@@ -60,11 +59,14 @@ DEFAULT_HBAR = Fraction(1, 2)
 # compares all pairs of basis triples up to its level (~level^6 pairs at n=1).
 # depth >= gamma-max, so the gamma-max cap sits at or below the depth cap.
 # The pair count of the oracle suite also grows with n: at --level 4 it is
-# 6,050 checks at n = 1, 275,282 at n = 2 and 6,069,128 at n = 3.
+# 6,050 checks at n = 1, 275,282 at n = 2 and 6,069,128 at n = 3.  Each
+# seminorm level squares the one below, so --m-max doubles the digits per
+# step: a three-term poly:factorial element has ~139k digits at m = 16.
 GAMMA_MAX_CAP = 16
 DEPTH_CAP = 16
 CHECK_LEVEL_CAP = 4
 N_CAP = 2
+M_MAX_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +231,21 @@ def build_model(cfg: RunConfig):
     return get_model(cfg.model, hbar=cfg.hbar, epsilon=cfg.epsilon, n=cfg.n)
 
 
-def read_element(model, path: str) -> Element:
+def _load_json(path: str, parse):
+    """parse(data) of a JSON file; malformed JSON or content is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        return element_from_json(model, data)
+        return parse(data)
     except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
         raise click.UsageError(f"{path}: {exc}") from exc
 
 
-def _domain_exit(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(3)
+def read_element(model, path: str) -> Element:
+    return _load_json(path, lambda data: element_from_json(model, data))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +253,15 @@ def _domain_exit(exc: Exception) -> None:
 
 
 class _Main(click.Group):
-    """Maps an UnresolvedError from any subcommand to exit code 3."""
+    """Maps a DomainError (InfiniteFanError included) or an UnresolvedError
+    from any subcommand to one `error:` line and exit code 3."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except UnresolvedError as exc:
-            _domain_exit(exc)
+        except (DomainError, UnresolvedError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
 
 
 @click.group(cls=_Main)
@@ -325,14 +329,11 @@ def algebra_list(cfg: RunConfig):
 @click.pass_obj
 def product(cfg: RunConfig, a_file, b_file, out):
     """Exact product of two serialized elements."""
-    try:
-        model = build_model(cfg)
-        a = read_element(model, a_file)
-        b = read_element(model, b_file)
-        prod = multiply(model, a, b)
-        emit(render_json(element_to_json(model, prod)), out)
-    except (DomainError, InfiniteFanError) as exc:
-        _domain_exit(exc)
+    model = build_model(cfg)
+    a = read_element(model, a_file)
+    b = read_element(model, b_file)
+    prod = multiply(model, a, b)
+    emit(render_json(element_to_json(model, prod)), out)
 
 
 SEMINORM_COLUMNS = [
@@ -372,7 +373,8 @@ def _seminorm_row(m: int, ell: int, gamma_json, hv: HVal | None, br: Bracket,
 
 @main.command()
 @click.argument("a_file", type=click.Path(exists=True))
-@click.option("--m-max", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--m-max", type=click.IntRange(min=0, max=M_MAX_CAP), default=2,
+              show_default=True, help=f"Deepest recursion level, at most {M_MAX_CAP}.")
 @click.option("--ell", type=click.IntRange(min=0), default=0, show_default=True,
               help="Branch word; truncated to the m low bits per row.")
 @click.option("--radius", default=None,
@@ -385,29 +387,26 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
     One row per (m, branch, index in the element's support); values are the
     recursion values with certified enclosures, roots presented as floats.
     """
-    try:
-        model = build_model(cfg)
-        a = read_element(model, a_file)
-        table = HTable(model, a, cfg.tolerance)
-        rows = []
-        support = sorted(a.terms, key=model.index_sort_key)
+    model = build_model(cfg)
+    a = read_element(model, a_file)
+    table = HTable(model, a, cfg.tolerance)
+    rows = []
+    support = sorted(a.terms, key=model.index_sort_key)
+    for m in range(m_max + 1):
+        ell_m = ell & ((1 << m) - 1)
+        for idx in support:
+            hv = table.h(m, ell_m, idx)
+            rows.append(_seminorm_row(m, ell_m, model.index_to_json(idx), hv,
+                                      hv.to_bracket(cfg.tolerance), cfg.tolerance))
+    if radius is not None:
+        if not isinstance(model, ConeModel):
+            raise DomainError("--radius tables need the cone model")
+        R = _flag_rational(radius, "radius")
         for m in range(m_max + 1):
             ell_m = ell & ((1 << m) - 1)
-            for idx in support:
-                hv = table.h(m, ell_m, idx)
-                rows.append(_seminorm_row(m, ell_m, model.index_to_json(idx), hv,
-                                          hv.to_bracket(cfg.tolerance), cfg.tolerance))
-        if radius is not None:
-            if not isinstance(model, ConeModel):
-                raise DomainError("--radius tables need the cone model")
-            R = _flag_rational(radius, "radius")
-            for m in range(m_max + 1):
-                ell_m = ell & ((1 << m) - 1)
-                br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
-                rows.append(_seminorm_row(m, ell_m, {"radius": str(R)}, None, br, cfg.tolerance))
-        emit(render_table(rows, SEMINORM_COLUMNS, cfg.output), out)
-    except (DomainError, InfiniteFanError) as exc:
-        _domain_exit(exc)
+            br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
+            rows.append(_seminorm_row(m, ell_m, {"radius": str(R)}, None, br, cfg.tolerance))
+    emit(render_table(rows, SEMINORM_COLUMNS, cfg.output), out)
 
 
 @main.command("eval")
@@ -418,32 +417,29 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
 @click.pass_obj
 def eval_cmd(cfg: RunConfig, a_file, points, out):
     """Evaluate an element at rational points."""
-    try:
-        model = build_model(cfg)
-        a = read_element(model, a_file)
-        if not hasattr(model, "evaluate"):
-            raise DomainError(f"{model.name}: no evaluation functional")
-        scalar_arg = model.name.startswith(("poly:", "laurent:"))
-        rows = []
-        for text in points:
-            pt = parse_point(text)
-            if scalar_arg:
-                if len(pt) != 1:
-                    raise click.UsageError(
-                        f"{model.name} evaluates at one coordinate, got {text!r}"
-                    )
-                val = model.evaluate(a, pt[0])
-            else:
-                val = model.evaluate(a, pt)
-            rows.append({
-                "point": text,
-                "value": format_gr(val),
-                "re": str(val.re),
-                "im": str(val.im),
-            })
-        emit(render_table(rows, ["point", "value", "re", "im"], cfg.output), out)
-    except (DomainError, InfiniteFanError) as exc:
-        _domain_exit(exc)
+    model = build_model(cfg)
+    a = read_element(model, a_file)
+    if not hasattr(model, "evaluate"):
+        raise DomainError(f"{model.name}: no evaluation functional")
+    scalar_arg = model.name.startswith(("poly:", "laurent:"))
+    rows = []
+    for text in points:
+        pt = parse_point(text)
+        if scalar_arg:
+            if len(pt) != 1:
+                raise click.UsageError(
+                    f"{model.name} evaluates at one coordinate, got {text!r}"
+                )
+            val = model.evaluate(a, pt[0])
+        else:
+            val = model.evaluate(a, pt)
+        rows.append({
+            "point": text,
+            "value": format_gr(val),
+            "re": str(val.re),
+            "im": str(val.im),
+        })
+    emit(render_table(rows, ["point", "value", "re", "im"], cfg.output), out)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +454,7 @@ def _disk_model(cfg: RunConfig) -> DiskModel:
 def _read_vector(path: str):
     from .gns import gns_vector_from_json
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        return gns_vector_from_json(data)
-    except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"{path}: {exc}") from exc
+    return _load_json(path, gns_vector_from_json)
 
 
 @main.group()
@@ -481,13 +469,10 @@ def gns():
 def gns_inner_cmd(cfg: RunConfig, psi_file, phi_file):
     from .gns import gns_inner
 
-    try:
-        hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-        val = gns_inner(_read_vector(psi_file), _read_vector(phi_file), hbar)
-        emit(render_json({"value": format_gr(val), "re": str(val.re),
-                          "im": str(val.im)}), None)
-    except DomainError as exc:
-        _domain_exit(exc)
+    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
+    val = gns_inner(_read_vector(psi_file), _read_vector(phi_file), hbar)
+    emit(render_json({"value": format_gr(val), "re": str(val.re),
+                      "im": str(val.im)}), None)
 
 
 @gns.command("rep")
@@ -501,43 +486,37 @@ def gns_rep_cmd(cfg: RunConfig, a_file, psi_file, route, out):
     """Apply a disk element to a vector; --route both cross-checks."""
     from .gns import gns_rep, gns_rep_via_product, gns_vector_to_json
 
-    try:
-        model = _disk_model(cfg)
-        a = read_element(model, a_file)
-        psi = _read_vector(psi_file)
-        hbar = model.hbar
-        if route == "closed":
-            res = gns_rep(a, psi, hbar)
-        elif route == "product":
-            res = gns_rep_via_product(a, psi, hbar)
-        else:
-            res = gns_rep(a, psi, hbar)
-            other = gns_rep_via_product(a, psi, hbar)
-            if res != other:
-                click.echo("check failed: closed form differs from product route",
-                           err=True)
-                sys.exit(1)
-        emit(render_json(gns_vector_to_json(res)), out)
-    except (DomainError, InfiniteFanError) as exc:
-        _domain_exit(exc)
+    model = _disk_model(cfg)
+    a = read_element(model, a_file)
+    psi = _read_vector(psi_file)
+    hbar = model.hbar
+    if route == "closed":
+        res = gns_rep(a, psi, hbar)
+    elif route == "product":
+        res = gns_rep_via_product(a, psi, hbar)
+    else:
+        res = gns_rep(a, psi, hbar)
+        other = gns_rep_via_product(a, psi, hbar)
+        if res != other:
+            click.echo("check failed: closed form differs from product route",
+                       err=True)
+            sys.exit(1)
+    emit(render_json(gns_vector_to_json(res)), out)
 
 
 @gns.command("coherent")
 @click.option("--point", required=True,
               help="Interior point, comma-separated coordinates.")
-@click.option("--cap", type=click.IntRange(min=0), default=None,
-              help="Support cap; defaults to gamma-max.")
+@click.option("--cap", type=click.IntRange(min=0, max=GAMMA_MAX_CAP), default=None,
+              help=f"Support cap, at most {GAMMA_MAX_CAP}; defaults to gamma-max.")
 @click.option("--out", default=None, type=click.Path())
 @click.pass_obj
 def gns_coherent_cmd(cfg: RunConfig, point, cap, out):
     from .gns import coherent_vector, gns_vector_to_json
 
-    try:
-        w = parse_point(point)
-        vec = coherent_vector(w, cfg.gamma_max if cap is None else cap)
-        emit(render_json(gns_vector_to_json(vec)), out)
-    except DomainError as exc:
-        _domain_exit(exc)
+    w = parse_point(point)
+    vec = coherent_vector(w, cfg.gamma_max if cap is None else cap)
+    emit(render_json(gns_vector_to_json(vec)), out)
 
 
 @gns.command("positivity")
@@ -546,15 +525,12 @@ def gns_coherent_cmd(cfg: RunConfig, point, cap, out):
 def gns_positivity_cmd(cfg: RunConfig, a_file):
     from .gns import positivity_check
 
-    try:
-        model = _disk_model(cfg)
-        a = read_element(model, a_file)
-        val = positivity_check(a, model.hbar)
-        emit(render_json({"value": str(val), "nonnegative": val >= 0}), None)
-        if val < 0:
-            sys.exit(1)
-    except (DomainError, InfiniteFanError) as exc:
-        _domain_exit(exc)
+    model = _disk_model(cfg)
+    a = read_element(model, a_file)
+    val = positivity_check(a, model.hbar)
+    emit(render_json({"value": str(val), "nonnegative": val >= 0}), None)
+    if val < 0:
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +765,7 @@ def check(cfg: RunConfig, suite, level):
     if suite not in CHECK_SUITES:
         known = ", ".join(sorted(CHECK_SUITES))
         raise click.UsageError(f"unknown suite {suite!r}; known: {known}")
-    try:
-        checks, failures = CHECK_SUITES[suite](cfg, level)
-    except (DomainError, InfiniteFanError) as exc:
-        _domain_exit(exc)
-        return
+    checks, failures = CHECK_SUITES[suite](cfg, level)
     if failures:
         for line in failures:
             click.echo(f"FAIL {line}")

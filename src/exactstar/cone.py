@@ -19,6 +19,7 @@ from typing import Iterator
 from .algebra import DomainError, Element, InfiniteFanError, multiply
 from .models import BaseModel, _as_int
 from .scalars import (
+    CACHE_ENTRIES,
     GR_ONE,
     GaussianRational,
     MultiIndex,
@@ -99,16 +100,6 @@ def _wick_terms(t1: Triple, t2: Triple, a: int, b: int) -> dict:
     return acc
 
 
-def wick_monomial_product(t1: Triple, t2: Triple, hbar) -> Element:
-    """e-basis product: the explicit (k, K) double sum with hbar powers."""
-    two_h = 2 * Fraction(hbar)
-    if two_h == 0:
-        raise DomainError("hbar must be nonzero")
-    terms = _wick_terms(t1, t2, two_h.numerator, two_h.denominator)
-    return Element({t: GaussianRational(Fraction(num, den), Fraction(0))
-                    for t, (num, den) in terms.items() if num})
-
-
 def occupancy_count(t1: Triple, t2: Triple, target: Triple) -> int:
     """How many (k, K) cells of the e-basis double sum hit the target index.
 
@@ -151,7 +142,7 @@ def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
     return Fraction(-num if kp % 2 else num, factorial(kp) * Kp.factorial())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _tilde_pairs(t1: Triple, t2: Triple) -> dict:
     """The nonzero closed-form constants, keyed in (Kp, gamma) order.
 
@@ -622,7 +613,7 @@ def ideal_level_dimension(n: int, hbar, level_cap: int) -> int:
     return _rank(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     I, J, gamma = t
     n = len(I)

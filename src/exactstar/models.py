@@ -41,19 +41,15 @@ class BaseModel:
     commutative: bool = False
 
     def __init__(self):
-        self._pair_memo: dict = {}
         self._row_memo: dict = {}
         self._col_memo: dict = {}
         self._fan_memo: dict = {}
 
     # -- product ------------------------------------------------------------
     def pair_product(self, left: Index, right: Index) -> dict:
-        key = (left, right)
-        out = self._pair_memo.get(key)
-        if out is None:
-            out = self._pair(left, right)
-            self._pair_memo[key] = out
-        return out
+        """Nonzero structure constants of left * right; callers must not
+        mutate the result, which a model may share from a cache."""
+        return self._pair(left, right)
 
     def _pair(self, left: Index, right: Index) -> dict:
         raise NotImplementedError
@@ -384,7 +380,7 @@ class MatrixModel(BaseModel):
             raise DomainError(f"unknown matrix variant {variant!r}")
         self.variant = variant
         self.name = f"matrix:{variant}"
-        self._weight_sum: HVal | None = None
+        self._weight_sums: dict[Fraction, HVal] = {}
 
     def pair_weight(self, j: int) -> Fraction:
         if self.variant == "plain":
@@ -451,9 +447,11 @@ class MatrixModel(BaseModel):
         return out
 
     def weight_series(self, tol: Fraction = DEFAULT_TOL) -> HVal:
-        """sum_{j>=1} pair_weight(j), the depth-2 constant-branch factor."""
-        if self._weight_sum is not None:
-            return self._weight_sum
+        """sum_{j>=1} pair_weight(j), the depth-2 constant-branch factor,
+        memoized per tolerance."""
+        out = self._weight_sums.get(tol)
+        if out is not None:
+            return out
         if self.variant == "plain":
             out = HVal.infinite()
         elif self.variant == "hat":
@@ -472,7 +470,7 @@ class MatrixModel(BaseModel):
             out = HVal.bracket(
                 Bracket.enclosure(partial, partial + Fraction(1, j), j, TAG_MAJORANT)
             )
-        self._weight_sum = out
+        self._weight_sums[tol] = out
         return out
 
     def h_special(self, table: HTable, m: int, ell: int, gamma):
@@ -990,14 +988,6 @@ class WickFlatModel(BaseModel):
         cap = self.index_rank(gamma) + supp_deg + self.TRUNC_DEGREE_PAD
         weighted = ((p, weight(p, gamma)) for p in self.indices_up_to(cap))
         return truncated_sum(table, m, ell, ((p, w) for p, w in weighted if w != 0), cap)
-
-
-def wick_flat_product(model: WickFlatModel, a: Element, b: Element) -> Element:
-    from .algebra import multiply
-
-    if not isinstance(model, WickFlatModel):
-        raise DomainError("wick_flat_product needs a flat Wick model")
-    return multiply(model, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ RationalLike = Union[int, Fraction]
 _FACTORIAL_MEMO_CAP = 256
 _factorial_memo: list[int] = [1]
 
+# Entries kept by each process-wide lru_cache (cone pair tables and reduction
+# rows, su1n pullback slices).  Above the working set of a cone level <= 3
+# product sweep at n = 2 (~1,600 pair tables), so only a long-lived process
+# that keeps meeting new levels or deformation parameters evicts.
+CACHE_ENTRIES = 4096
+
 
 def factorial(n: int) -> int:
     """Factorial with a memoized table up to a fixed cap."""

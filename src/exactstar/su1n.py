@@ -19,6 +19,7 @@ from operator import add
 from .algebra import DomainError, Element, from_pairs, multiply
 from .cone import ConeModel, eval_upstairs, make_triple, y_minus_one
 from .scalars import (
+    CACHE_ENTRIES,
     GR_I,
     GR_ONE,
     GR_ZERO,
@@ -286,7 +287,7 @@ def _scaled(v: GaussianRational, den: int) -> tuple:
     return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _pullback_cached(U: tuple, gamma: int) -> dict:
     den = _common_denominator(U)
     rows = tuple(tuple(_scaled(v, den) for v in row) for row in U)
@@ -368,11 +369,6 @@ def apply_pullback(U, a: Element) -> Element:
     return _apply_slices(_pullback_cached, as_matrix(U), a)
 
 
-@lru_cache(maxsize=None)
-def _cone_model(n: int, hbar: Fraction) -> ConeModel:
-    return ConeModel(n, hbar)
-
-
 def check_automorphism(U, a: Element, b: Element, hbar) -> dict:
     """Does the pullback intertwine the cone product on this pair?
 
@@ -380,7 +376,7 @@ def check_automorphism(U, a: Element, b: Element, hbar) -> dict:
     """
     hbar = Fraction(hbar)
     n = len(as_matrix(U)) - 1
-    model = _cone_model(n, hbar)
+    model = ConeModel(n, hbar)
     lhs = apply_pullback(U, multiply(model, a, b))
     rhs = multiply(model, apply_pullback(U, a), apply_pullback(U, b))
     diff = lhs - rhs
@@ -411,7 +407,7 @@ def _dual_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _infinitesimal_cached(xi: tuple, gamma: int) -> dict:
     size = len(xi)
     den = _common_denominator(xi)
@@ -475,7 +471,7 @@ def check_momentum_relations(xi, zeta, hbar) -> dict:
     hbar = Fraction(hbar)
     xi, zeta = as_matrix(xi), as_matrix(zeta)
     n = len(xi) - 1
-    model = _cone_model(n, hbar)
+    model = ConeModel(n, hbar)
     j_xi = momentum_element(xi, hbar)
     j_zeta = momentum_element(zeta, hbar)
     lhs = multiply(model, j_xi, j_zeta) - multiply(model, j_zeta, j_xi)
@@ -492,7 +488,7 @@ def check_derivation_identity(xi, a: Element, hbar) -> dict:
     hbar = Fraction(hbar)
     xi = as_matrix(xi)
     n = len(xi) - 1
-    model = _cone_model(n, hbar)
+    model = ConeModel(n, hbar)
     j_xi = momentum_element(xi, hbar)
     lhs = multiply(model, j_xi, a) - multiply(model, a, j_xi)
     rhs = apply_infinitesimal(xi, a).scale(

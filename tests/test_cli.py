@@ -412,7 +412,7 @@ def test_seminorm_too_long_to_print_is_domain_error(tmp_path):
 
 
 def test_size_flags_capped(tmp_path):
-    from exactstar.cli import CHECK_LEVEL_CAP, DEPTH_CAP, GAMMA_MAX_CAP
+    from exactstar.cli import CHECK_LEVEL_CAP, DEPTH_CAP, GAMMA_MAX_CAP, M_MAX_CAP
 
     at_cap = run("--gamma-max", str(GAMMA_MAX_CAP), "--depth", str(DEPTH_CAP), "algebra", "list")
     assert at_cap.exit_code == 0, at_cap.output
@@ -429,6 +429,18 @@ def test_size_flags_capped(tmp_path):
     assert res.exit_code == 0 and "PASS" in res.output, res.output
     res = run("check", "filtration", "--level", str(CHECK_LEVEL_CAP + 1))
     assert res.exit_code == 2 and "--level" in res.output
+    assert "Traceback" not in res.output
+    # one monomial keeps every seminorm level short, so the m-max cap is cheap
+    a = poly_file(tmp_path, "x.json", [(1, 1)])
+    res = run("--model", "poly:monomial", "seminorm", a, "--m-max", str(M_MAX_CAP))
+    assert res.exit_code == 0, res.output
+    res = run("--model", "poly:monomial", "seminorm", a, "--m-max", str(M_MAX_CAP + 1))
+    assert res.exit_code == 2 and "--m-max" in res.output
+    # the coherent-vector cap is the gamma-max cap it defaults from
+    res = run("gns", "coherent", "--point", "1/2", "--cap", str(GAMMA_MAX_CAP))
+    assert res.exit_code == 0, res.output
+    res = run("gns", "coherent", "--point", "1/2", "--cap", str(GAMMA_MAX_CAP + 1))
+    assert res.exit_code == 2 and "--cap" in res.output
     assert "Traceback" not in res.output
 
 

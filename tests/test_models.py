@@ -171,6 +171,18 @@ def test_matrix_weight_series():
     assert get_model("matrix:plain").weight_series().is_infinite()
 
 
+def test_matrix_weight_series_honours_later_tol():
+    # a coarse call first must not pin the bracket a finer tol asks for
+    fine_tol = Fraction(1, 10**12)
+    m = get_model("matrix:hat")
+    coarse = m.weight_series(Fraction(1, 10)).to_bracket()
+    fine = m.weight_series(fine_tol).to_bracket()
+    fresh = get_model("matrix:hat").weight_series(fine_tol).to_bracket()
+    assert (fine.lo, fine.hi.value, fine.depth) == (fresh.lo, fresh.hi.value, fresh.depth)
+    assert fine.hi.value - fine.lo < fine_tol * fine.lo < coarse.hi.value - coarse.lo
+    assert m.weight_series(Fraction(1, 10)).to_bracket().depth == coarse.depth
+
+
 def test_matrix_tilde_worked_value():
     m = get_model("matrix:tilde")
     t = HTable(m, from_pairs([((1, 1), 1)]))

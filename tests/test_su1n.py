@@ -291,3 +291,37 @@ def test_su1n_and_oracle_outputs_unchanged():
             for t2 in triples:
                 put_sorted(oracle_structure_constants(t1, t2, hbar))
     assert digest.hexdigest()[:16] == "590f7a59cc5250b3"
+
+
+def test_process_caches_bounded_and_recompute_identically():
+    from exactstar import cone, su1n
+    from exactstar.cone import disk_multiply
+    from oracles import random_disk_element
+
+    caches = {name: obj for mod in (cone, su1n) for name, obj in vars(mod).items()
+              if hasattr(obj, "cache_clear")}
+    assert {"_tilde_pairs", "_reduce_cached", "_pullback_cached",
+            "_infinitesimal_cached"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+
+    rng = seeded(53)
+    a, b = random_disk_element(rng, 1, 3), random_disk_element(rng, 1, 3)
+    c = random_cone_element(rng, 1, 3)
+
+    def results():
+        return (
+            disk_multiply(a, b, H),
+            disk_multiply(b, a, Fraction(5, 7)),
+            apply_pullback(U_BOOST, c),
+            apply_pullback(U_DIAG, c),
+            apply_infinitesimal(XI_SH2, c),
+        )
+
+    # a caller that mutated a cached table would make the warm or the cold
+    # recomputation differ from the first one
+    first = results()
+    assert results() == first
+    for cache in caches.values():
+        cache.cache_clear()
+    assert results() == first

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -24,33 +23,11 @@ from fractions import Fraction
 
 import click
 
-from .algebra import (
-    DomainError,
-    Element,
-    element_from_json,
-    element_to_json,
-    from_pairs,
-    multiply,
-)
-from .cone import (
-    ConeModel,
-    DiskModel,
-    disk_multiply,
-    disk_reduce,
-    make_triple,
-    oracle_structure_constants,
-    seminorm_R,
-    tilde_structure_constants,
-    y_minus_one,
-)
+from .algebra import DomainError, Element, element_from_json, element_to_json, multiply
+from .cone import ConeModel, DiskModel, seminorm_R
 from .models import get_model, model_registry
-from .scalars import (
-    GaussianRational,
-    MultiIndex,
-    multi_indices_up_to_degree,
-    parse_rational,
-)
-from .seminorms import DEFAULT_TOL, Bracket, HTable, HVal, UnresolvedError
+from .scalars import GaussianRational, parse_rational
+from .seminorms import DEFAULT_TOL, HTable, SeminormResult, UnresolvedError, present
 
 DEFAULT_HBAR = Fraction(1, 2)
 
@@ -83,6 +60,11 @@ class RunConfig:
     depth: int = 8
     tolerance: Fraction = DEFAULT_TOL
     output: str = "json"
+
+    @property
+    def resolved_hbar(self) -> Fraction:
+        """hbar, or DEFAULT_HBAR when neither a flag nor the config file set it."""
+        return DEFAULT_HBAR if self.hbar is None else self.hbar
 
     def validated(self) -> "RunConfig":
         if self.n < 1:
@@ -139,11 +121,11 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _flag_rational(text: str, name: str) -> Fraction:
+def _parse_flag(name: str, text, parse=parse_rational):
     try:
-        return parse_rational(text)
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"--{name}: {exc}") from exc
+        raise click.UsageError(f"--{name.replace('_', '-')}: {exc}") from exc
 
 
 _GR_PATTERN = re.compile(
@@ -279,30 +261,15 @@ class _Main(click.Group):
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
               help="key=value file mirroring the flags; flags win.")
 @click.pass_context
-def main(ctx, model, hbar, n, epsilon, gamma_max, depth, tolerance, output,
-         config_path):
+def main(ctx, config_path, **flags):
     """Exact star products, seminorm tables and representation checks."""
     cfg = RunConfig()
     if config_path:
         cfg = replace(cfg, **load_config_file(config_path))
-
-    overrides = {}
-    if model is not None:
-        overrides["model"] = model
-    if hbar is not None:
-        overrides["hbar"] = _flag_rational(hbar, "hbar")
-    if n is not None:
-        overrides["n"] = n
-    if epsilon is not None:
-        overrides["epsilon"] = _flag_rational(epsilon, "epsilon")
-    if gamma_max is not None:
-        overrides["gamma_max"] = gamma_max
-    if depth is not None:
-        overrides["depth"] = depth
-    if tolerance is not None:
-        overrides["tolerance"] = _flag_rational(tolerance, "tolerance")
-    if output is not None:
-        overrides["output"] = output
+    overrides = {
+        key: _parse_flag(key, text, _CONFIG_KEYS[key])
+        for key, text in flags.items() if text is not None
+    }
     ctx.obj = replace(cfg, **overrides).validated()
 
 
@@ -342,29 +309,24 @@ SEMINORM_COLUMNS = [
 ]
 
 
-def _seminorm_row(m: int, ell: int, gamma_json, hv: HVal | None, br: Bracket,
-                  tol: Fraction) -> dict:
-    root_lo, root_hi = br.root_interval(m, tol)
+def _seminorm_row(res: SeminormResult, gamma_json) -> dict:
+    br = res.h_bracket
     try:
         # str() of an integer past sys.get_int_max_str_digits() raises ValueError
-        h_exact = "" if hv is None else hv.exact_string()
+        h_exact = "" if res.h_val is None else res.h_val.exact_string()
         lo_str = str(br.lo)
-        hi_str = "inf" if root_hi.infinite else str(br.hi.value)
+        hi_str = "inf" if br.hi.infinite else str(br.hi.value)
     except ValueError as exc:
         raise DomainError(
-            f"the exact value at m={m} is too long to print "
+            f"the exact value at m={res.m} is too long to print "
             f"(more than {sys.get_int_max_str_digits()} digits)"
         ) from exc
-    if root_hi.infinite:
-        sem = float("inf") if br.is_divergent() else float(root_lo)
-    else:
-        sem = float(root_lo + root_hi.value) / 2.0
     return {
-        "m": m,
-        "ell": ell,
+        "m": res.m,
+        "ell": res.ell,
         "gamma": json.dumps(gamma_json),
         "h_exact": h_exact,
-        "seminorm_float": repr(sem),
+        "seminorm_float": repr(res.value_float),
         "bracket_lo": lo_str,
         "bracket_hi": hi_str,
         "depth": br.depth,
@@ -395,17 +357,17 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
     for m in range(m_max + 1):
         ell_m = ell & ((1 << m) - 1)
         for idx in support:
-            hv = table.h(m, ell_m, idx)
-            rows.append(_seminorm_row(m, ell_m, model.index_to_json(idx), hv,
-                                      hv.to_bracket(cfg.tolerance), cfg.tolerance))
+            res = present(m, ell_m, idx, table.h(m, ell_m, idx), cfg.tolerance)
+            rows.append(_seminorm_row(res, model.index_to_json(idx)))
     if radius is not None:
         if not isinstance(model, ConeModel):
             raise DomainError("--radius tables need the cone model")
-        R = _flag_rational(radius, "radius")
+        R = _parse_flag("radius", radius)
         for m in range(m_max + 1):
             ell_m = ell & ((1 << m) - 1)
             br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
-            rows.append(_seminorm_row(m, ell_m, {"radius": str(R)}, None, br, cfg.tolerance))
+            rows.append(_seminorm_row(present(m, ell_m, None, br, cfg.tolerance),
+                                      {"radius": str(R)}))
     emit(render_table(rows, SEMINORM_COLUMNS, cfg.output), out)
 
 
@@ -446,15 +408,14 @@ def eval_cmd(cfg: RunConfig, a_file, points, out):
 # vacuum representation commands
 
 
-def _disk_model(cfg: RunConfig) -> DiskModel:
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    return DiskModel(cfg.n, hbar)
-
-
-def _read_vector(path: str):
+def _read_vector(path: str, n: int):
+    """A vector file whose indices have the disk's dimension n."""
     from .gns import gns_vector_from_json
 
-    return _load_json(path, gns_vector_from_json)
+    psi = _load_json(path, gns_vector_from_json)
+    if any(len(q) != n for q in psi.terms):
+        raise DomainError(f"{path}: vector indices must have length {n}")
+    return psi
 
 
 @main.group()
@@ -469,8 +430,8 @@ def gns():
 def gns_inner_cmd(cfg: RunConfig, psi_file, phi_file):
     from .gns import gns_inner
 
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    val = gns_inner(_read_vector(psi_file), _read_vector(phi_file), hbar)
+    val = gns_inner(_read_vector(psi_file, cfg.n), _read_vector(phi_file, cfg.n),
+                    cfg.resolved_hbar)
     emit(render_json({"value": format_gr(val), "re": str(val.re),
                       "im": str(val.im)}), None)
 
@@ -486,9 +447,9 @@ def gns_rep_cmd(cfg: RunConfig, a_file, psi_file, route, out):
     """Apply a disk element to a vector; --route both cross-checks."""
     from .gns import gns_rep, gns_rep_via_product, gns_vector_to_json
 
-    model = _disk_model(cfg)
+    model = DiskModel(cfg.n, cfg.resolved_hbar)
     a = read_element(model, a_file)
-    psi = _read_vector(psi_file)
+    psi = _read_vector(psi_file, model.n)
     hbar = model.hbar
     if route == "closed":
         res = gns_rep(a, psi, hbar)
@@ -525,234 +486,12 @@ def gns_coherent_cmd(cfg: RunConfig, point, cap, out):
 def gns_positivity_cmd(cfg: RunConfig, a_file):
     from .gns import positivity_check
 
-    model = _disk_model(cfg)
+    model = DiskModel(cfg.n, cfg.resolved_hbar)
     a = read_element(model, a_file)
     val = positivity_check(a, model.hbar)
     emit(render_json({"value": str(val), "nonnegative": val >= 0}), None)
     if val < 0:
         sys.exit(1)
-
-
-# ---------------------------------------------------------------------------
-# check suites
-
-
-def _cone_basis(n: int, level: int) -> list:
-    out = []
-    for alpha in range(level + 1):
-        for P in multi_indices_up_to_degree(n, alpha):
-            for Q in multi_indices_up_to_degree(n, alpha):
-                out.append(make_triple(P, Q, alpha))
-    return out
-
-
-def _seeded_disk_elements(n: int, level: int, count: int, seed: int = 11):
-    rng = random.Random(seed)
-    idx = list(multi_indices_up_to_degree(n, level))
-    out = []
-    for _ in range(count):
-        terms = {}
-        for _ in range(4):
-            c = GaussianRational.of(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            )
-            terms[(rng.choice(idx), rng.choice(idx))] = c
-        out.append(Element(terms))
-    return out
-
-
-def suite_oracle(cfg: RunConfig, level: int):
-    """Closed-form structure constants against the normalized product route,
-    at two parameter values."""
-    n = cfg.n
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    failures, checks = [], 0
-    triples = _cone_basis(n, level)
-    for t1 in triples:
-        for t2 in triples:
-            ref = tilde_structure_constants(t1, t2)
-            for h in (hbar, hbar + 1):
-                got = oracle_structure_constants(t1, t2, h)
-                checks += 1
-                if got != ref:
-                    failures.append(f"constants differ at {t1} x {t2}, hbar={h}")
-    return checks, failures
-
-
-def suite_positivity(cfg: RunConfig, level: int):
-    from .gns import positivity_check
-
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    failures, checks = [], 0
-    for a in _seeded_disk_elements(cfg.n, min(level, 3), 20):
-        val = positivity_check(a, hbar)
-        checks += 1
-        if val < 0:
-            failures.append(f"negative vacuum expectation {val}")
-    return checks, failures
-
-
-def suite_laurent_divergence(cfg: RunConfig, level: int):
-    failures, checks = [], 0
-    plain = get_model("laurent:plain")
-    factorial_model = get_model("laurent:factorial")
-    mat = get_model("matrix:plain")
-    a = from_pairs([(1, 1), (2, Fraction(1, 2))])
-    for ell in range(4):
-        hv = HTable(plain, a, DEFAULT_TOL).h(2, ell, 0)
-        checks += 1
-        if not hv.is_infinite():
-            failures.append(f"plain weights should diverge at branch {ell}")
-    hv = HTable(factorial_model, a, DEFAULT_TOL).h(2, 0, 0)
-    checks += 1
-    if hv.is_infinite():
-        failures.append("factorial weights should stay finite")
-    b = from_pairs([((1, 1), 1), ((2, 3), Fraction(1, 3))])
-    hv = HTable(mat, b, DEFAULT_TOL).h(2, 0, (1, 1))
-    checks += 1
-    if not hv.is_infinite():
-        failures.append("plain matrix weights should diverge")
-    return checks, failures
-
-
-def suite_ideal(cfg: RunConfig, level: int):
-    from .gns import check_kernel_absorbed, state_kernel_part
-
-    n = cfg.n
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    failures, checks = [], 0
-    rng = random.Random(23)
-    triples = _cone_basis(n, min(level, 2))
-    y1 = y_minus_one(n, hbar)
-    model = ConeModel(n, hbar)
-    for _ in range(5):
-        t = rng.choice(triples)
-        a = Element.basis(t).scale(
-            GaussianRational.of(Fraction(rng.randint(1, 3)), 1)
-        )
-        g = rng.choice(triples)
-        pert = a + multiply(model, y1, Element.basis(g))
-        checks += 1
-        if disk_reduce(a, hbar) != disk_reduce(pert, hbar):
-            failures.append(f"radial perturbation changed the class of {t}")
-    for a in _seeded_disk_elements(n, 2, 5, seed=29):
-        j = state_kernel_part(a)
-        checks += 1
-        if not check_kernel_absorbed(a, j, hbar):
-            failures.append("vacuum null space not absorbed")
-    return checks, failures
-
-
-def _pinned_symmetries():
-    u0 = GaussianRational.of(Fraction(3, 5), Fraction(4, 5))
-    zero = GaussianRational.of(0)
-    return [
-        ((GaussianRational.of(1), zero), (zero, GaussianRational.of(1))),
-        ((u0, zero), (zero, u0.conjugate())),
-        (
-            (GaussianRational.of(Fraction(5, 4)), GaussianRational.of(Fraction(3, 4))),
-            (GaussianRational.of(Fraction(3, 4)), GaussianRational.of(Fraction(5, 4))),
-        ),
-    ]
-
-
-def suite_symmetry(cfg: RunConfig, level: int):
-    from . import su1n
-
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    failures, checks = [], 0
-    i = GaussianRational.of(0, 1)
-    zero = GaussianRational.of(0)
-    one = GaussianRational.of(1)
-    gens = [((i, zero), (zero, -i)), ((zero, one), (one, zero)),
-            ((zero, i), (-i, zero))]
-    basis = [Element.basis(t) for t in _cone_basis(1, 1)]
-    for U in _pinned_symmetries():
-        checks += 1
-        if not su1n.is_pseudo_unitary(U):
-            failures.append("pinned symmetry fails the defining identities")
-        checks += 1
-        if not su1n.check_y_invariance(U, hbar):
-            failures.append("radial element moved by pullback")
-        for a in basis:
-            for b in basis:
-                checks += 1
-                if not su1n.check_automorphism(U, a, b, hbar)["holds"]:
-                    failures.append("pullback is not multiplicative")
-    for x in gens:
-        for z in gens:
-            checks += 1
-            if not su1n.check_momentum_relations(x, z, hbar)["holds"]:
-                failures.append("momentum commutator mismatch")
-    probe = Element.basis(make_triple(MultiIndex((1,)), MultiIndex((0,)), 1))
-    for x in gens:
-        checks += 1
-        if not su1n.check_derivation_identity(x, probe, hbar)["holds"]:
-            failures.append("derivation identity fails")
-    return checks, failures
-
-
-def suite_filtration(cfg: RunConfig, level: int):
-    from .cone import occupancy_count
-
-    n = cfg.n
-    failures, checks = [], 0
-    triples = _cone_basis(n, min(level, 2))
-    for t1 in triples:
-        for t2 in triples:
-            alpha, beta = t1[2], t2[2]
-            for (I, J, g), c in tilde_structure_constants(t1, t2).items():
-                checks += 1
-                if not (max(alpha, beta) <= g <= alpha + beta):
-                    failures.append(f"level window violated at {t1} x {t2}")
-                if occupancy_count(t1, t2, (I, J, g)) not in (0, 1):
-                    failures.append("occupancy must be 0 or 1")
-            back = tilde_structure_constants(
-                (t2[1], t2[0], beta), (t1[1], t1[0], alpha)
-            )
-            checks += 1
-            mirrored = {
-                ((J, I, g)): c
-                for (I, J, g), c in tilde_structure_constants(t1, t2).items()
-            }
-            if back != mirrored:
-                failures.append(f"transpose symmetry fails at {t1} x {t2}")
-    return checks, failures
-
-
-def suite_associativity(cfg: RunConfig, level: int):
-    failures, checks = [], 0
-    hbar = cfg.hbar if cfg.hbar is not None else DEFAULT_HBAR
-    jobs = [
-        (ConeModel(1, hbar), [Element.basis(t) for t in _cone_basis(1, 1)]),
-        (get_model("laurent:factorial"),
-         [Element.basis(k) for k in range(-2, 3)]),
-        (get_model("matrix:hat"),
-         [Element.basis((r, s)) for r in (1, 2) for s in (1, 2)]),
-        (get_model("group:Z"), [Element.basis(k) for k in range(-2, 3)]),
-    ]
-    for model, basis in jobs:
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    checks += 1
-                    lhs = multiply(model, multiply(model, a, b), c)
-                    rhs = multiply(model, a, multiply(model, b, c))
-                    if not (lhs - rhs).is_zero():
-                        failures.append(f"{model.name}: associativity fails")
-    return checks, failures
-
-
-CHECK_SUITES = {
-    "oracle": suite_oracle,
-    "positivity": suite_positivity,
-    "laurent-divergence": suite_laurent_divergence,
-    "ideal": suite_ideal,
-    "symmetry": suite_symmetry,
-    "filtration": suite_filtration,
-    "associativity": suite_associativity,
-}
 
 
 @main.command()
@@ -762,10 +501,12 @@ CHECK_SUITES = {
 @click.pass_obj
 def check(cfg: RunConfig, suite, level):
     """Run an invariant suite; nonzero exit on any failure."""
-    if suite not in CHECK_SUITES:
-        known = ", ".join(sorted(CHECK_SUITES))
+    from .checks import SUITES, run_suite
+
+    if suite not in SUITES:
+        known = ", ".join(sorted(SUITES))
         raise click.UsageError(f"unknown suite {suite!r}; known: {known}")
-    checks, failures = CHECK_SUITES[suite](cfg, level)
+    checks, failures = run_suite(suite, cfg.n, cfg.resolved_hbar, level)
     if failures:
         for line in failures:
             click.echo(f"FAIL {line}")

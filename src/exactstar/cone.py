@@ -53,6 +53,14 @@ def make_triple(P, Q, alpha) -> Triple:
     return (P, Q, alpha)
 
 
+def cone_triples(n: int, level: int) -> Iterator[Triple]:
+    """Every triple (P, Q, alpha) with alpha <= level, by alpha, then P, then Q."""
+    for alpha in range(level + 1):
+        for P in multi_indices_up_to_degree(n, alpha):
+            for Q in multi_indices_up_to_degree(n, alpha):
+                yield (P, Q, alpha)
+
+
 def _falling(m: int, k: int) -> int:
     out = 1
     for j in range(k):
@@ -333,10 +341,7 @@ class ConeModel(BaseModel):
         return idx[2]
 
     def indices_up_to(self, rank: int) -> Iterator[Triple]:
-        for alpha in range(rank + 1):
-            for P in multi_indices_up_to_degree(self.n, alpha):
-                for Q in multi_indices_up_to_degree(self.n, alpha):
-                    yield (P, Q, alpha)
+        return cone_triples(self.n, rank)
 
     def unit_index(self):
         z = MultiIndex.zero(self.n)

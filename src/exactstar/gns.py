@@ -104,6 +104,8 @@ def gns_vector_from_json(data: dict) -> GnsVector:
         out[q] = GaussianRational.from_json(
             {"re": entry.get("re", "0"), "im": entry.get("im", "0")}
         )
+    if len({len(q) for q in out}) > 1:
+        raise ValueError("GNS vector indices must all have one length")
     return GnsVector(out)
 
 

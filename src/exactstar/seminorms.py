@@ -543,7 +543,7 @@ class SeminormResult:
     m: int
     ell: int
     gamma: Index
-    h_val: HVal
+    h_val: HVal | None
     h_bracket: Bracket
     root_lo: Fraction
     root_hi: ExtendedNonNeg
@@ -554,22 +554,24 @@ class SeminormResult:
         return self.h_bracket.is_divergent()
 
 
-def _present(m: int, ell: int, gamma: Index, v: HVal, tol: Fraction) -> SeminormResult:
-    br = v.to_bracket(tol)
+def present(m: int, ell: int, gamma: Index, v: HVal | Bracket, tol: Fraction) -> SeminormResult:
+    """The 2^m-th root enclosure of an h value and its float midpoint.
+
+    v is an h cell, or the bracket of a value that has no cell (a sum over
+    indices, as seminorm_R returns); h_val is None then."""
+    h_val, br = (v, v.to_bracket(tol)) if isinstance(v, HVal) else (None, v)
     rlo, rhi = br.root_interval(m, tol)
-    if br.is_divergent():
-        val = float("inf")
-    elif rhi.infinite:
-        val = float(rlo)
+    if rhi.infinite:
+        val = float("inf") if br.is_divergent() else float(rlo)
     else:
-        val = (float(rlo) + float(rhi.value)) / 2.0
-    return SeminormResult(m, ell, gamma, v, br, rlo, rhi, val)
+        val = float(rlo + rhi.value) / 2.0
+    return SeminormResult(m, ell, gamma, h_val, br, rlo, rhi, val)
 
 
 def seminorm(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = DEFAULT_TOL) -> SeminormResult:
     """2^m-th root of h, float at presentation, exact backing retained."""
     v = HTable(model, a, tol).h(m, ell, gamma)
-    return _present(m, ell, gamma, v, tol)
+    return present(m, ell, gamma, v, tol)
 
 
 def seminorm_max_ell(model, a: Element, m: int, gamma: Index, tol: Fraction = DEFAULT_TOL) -> SeminormResult:
@@ -577,7 +579,7 @@ def seminorm_max_ell(model, a: Element, m: int, gamma: Index, tol: Fraction = DE
     table = HTable(model, a, tol)
     best: SeminormResult | None = None
     for ell in range(1 << m):
-        cur = _present(m, ell, gamma, table.h(m, ell, gamma), tol)
+        cur = present(m, ell, gamma, table.h(m, ell, gamma), tol)
         if best is None or _bracket_greater(cur.h_bracket, best.h_bracket):
             best = cur
     assert best is not None

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -7,7 +9,13 @@ from click.testing import CliRunner
 
 from exactstar.algebra import Element, element_from_json, element_to_json, from_pairs, multiply
 from exactstar.cli import main, parse_point_coordinate
-from exactstar.cone import DiskModel, make_triple
+from exactstar.cone import (
+    DiskModel,
+    cone_triples,
+    disk_multiply,
+    make_triple,
+    tilde_structure_constants,
+)
 from exactstar.gns import GnsVector, gns_vector_from_json, gns_vector_to_json
 from exactstar.models import get_model
 from exactstar.scalars import GaussianRational, MultiIndex
@@ -57,6 +65,23 @@ def test_product_byte_deterministic(tmp_path):
     second = run("--model", "poly:monomial", "product", a, b)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+def test_product_disk_round_trip(tmp_path):
+    hbar = Fraction(3, 7)
+    dm = DiskModel(1, hbar)
+    Z1, E1, E2 = MultiIndex((0,)), MultiIndex((1,)), MultiIndex((2,))
+    a = Element({(E1, Z1): GR(2, 1), (Z1, E2): GR(Fraction(1, 3))})
+    b = Element({(E2, E1): GR(0, -1), (Z1, Z1): GR(5)})
+    out = tmp_path / "ab.json"
+    res = run("--model", "disk", "--hbar", "3/7", "product",
+              write_json(tmp_path / "a.json", element_to_json(dm, a)),
+              write_json(tmp_path / "b.json", element_to_json(dm, b)), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    got = element_from_json(dm, json.loads(out.read_text()))
+    assert got == disk_multiply(a, b, hbar) and not got.is_zero()
+    # the written file is the serialized product, byte for byte
+    assert json.loads(out.read_text()) == element_to_json(dm, got)
 
 
 def test_product_out_file_round_trip(tmp_path):
@@ -189,6 +214,32 @@ def test_gns_rep_routes(tmp_path):
     assert not vec.is_zero()
 
 
+@pytest.mark.parametrize("command, code", [
+    ("mixed", 2),
+    ("rep", 3),
+    ("inner", 3),
+], ids=["one file mixes lengths", "rep vector against --n", "inner pair differs"])
+def test_gns_vector_dimension(tmp_path, command, code):
+    def vector(name, *indices):
+        return write_json(tmp_path / name, {"terms": [
+            {"index": list(q), "re": "1", "im": "0"} for q in indices]})
+
+    one, two = vector("one.json", (1,)), vector("two.json", (1, 0))
+    if command == "mixed":
+        args = ["gns", "inner", one, vector("mixed.json", (1,), (1, 0))]
+    elif command == "rep":
+        dm = DiskModel(1, Fraction(1, 2))
+        a = write_json(tmp_path / "a.json", element_to_json(
+            dm, Element.basis((MultiIndex((1,)), MultiIndex((0,))))))
+        args = ["--model", "disk", "--n", "1", "--hbar", "1/2", "gns", "rep", a, two]
+    else:
+        args = ["gns", "inner", one, two]
+    res = run(*args)
+    assert res.exit_code == code, (res.output, res.exception)
+    assert "length" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_gns_coherent_pin():
     res = run("gns", "coherent", "--point", "1/2", "--cap", "2")
     assert res.exit_code == 0, res.output
@@ -225,6 +276,60 @@ def test_check_suites_pass():
         res = run("check", suite, "--level", level)
         assert res.exit_code == 0, (suite, res.output)
         assert f"check {suite}: PASS" in res.output
+
+
+# `check SUITE` at the default level 2 and n = 1; benchmark digests hash these lines
+PASS_LINES = {
+    "oracle": 392,
+    "positivity": 20,
+    "laurent-divergence": 6,
+    "ideal": 10,
+    "symmetry": 93,
+    "filtration": 547,
+    "associativity": 439,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PASS_LINES))
+def test_check_pass_lines_pinned(suite):
+    res = run("check", suite)
+    assert res.exit_code == 0, res.output
+    assert res.output == f"check {suite}: PASS ({PASS_LINES[suite]} checks)\n"
+
+
+def test_check_failure_path(monkeypatch):
+    import exactstar.gns
+
+    monkeypatch.setattr(exactstar.gns, "positivity_check", lambda a, hbar: Fraction(-1))
+    res = run("check", "positivity")
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    assert lines == ["FAIL negative vacuum expectation -1"] * 20 + [
+        "check positivity: FAIL (20/20 checks failed)"]
+
+
+@pytest.mark.parametrize("shift, message", [
+    (10, "FAIL level window violated at "),
+    (0, "FAIL occupancy must be 0 or 1"),
+], ids=["window", "occupancy"])
+def test_check_filtration_one_message_per_check(monkeypatch, shift, message):
+    import exactstar.checks
+
+    def shifted(t1, t2):
+        return {(I, J, g + shift): c for (I, J, g), c in tilde_structure_constants(t1, t2).items()}
+
+    # a shifted level breaks the window but not the transpose symmetry; occupancy
+    # fails too, and only the first failing test of a target may report
+    monkeypatch.setattr(exactstar.checks, "tilde_structure_constants", shifted)
+    monkeypatch.setattr(exactstar.checks, "occupancy_count", lambda t1, t2, target: 2)
+    triples = list(cone_triples(1, 1))
+    targets = sum(len(tilde_structure_constants(t1, t2)) for t1 in triples for t2 in triples)
+    res = run("check", "filtration", "--level", "1")
+    assert res.exit_code == 1, res.output
+    *fails, summary = res.output.splitlines()
+    assert len(fails) == targets and all(line.startswith(message) for line in fails)
+    checks = targets + len(triples) ** 2
+    assert summary == f"check filtration: FAIL ({targets}/{checks} checks failed)"
 
 
 def test_check_associativity():
@@ -470,3 +575,18 @@ def test_unresolved_comparison_exits_3(tmp_path, monkeypatch):
     assert res.exit_code == 3, (res.output, res.exception)
     assert res.output == ("error: sign of root sum did not resolve; "
                           "value suspiciously close to zero\n")
+
+
+def test_cli_import_leaves_suites_and_gns_unloaded():
+    # every CLI process imports exactstar.cli; without a bytecode cache each module
+    # it loads is compiled again, so the suites, gns and su1n load only on demand
+    import exactstar
+
+    src = os.path.dirname(os.path.dirname(exactstar.__file__))
+    code = ("import sys, exactstar.cli; "
+            "print(sorted(m for m in ('exactstar.checks', 'exactstar.gns', 'exactstar.su1n') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"

@@ -421,6 +421,23 @@ def test_disk_associativity_and_unit():
     assert disk_multiply(a, dm.unit(), H) == a
 
 
+@pytest.mark.parametrize("hbar", [H, Fraction(3, 7)], ids=["1/2", "3/7"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_disk_model_multiply_matches_disk_multiply(n, hbar):
+    # multiply() reads DiskModel's own pair table; disk_multiply lifts to the cone
+    rng = seeded(59 + n)
+    dm = DiskModel(n, hbar)
+    for _ in range(2):
+        a = random_disk_element(rng, n, 2, nterms=3)
+        b = random_disk_element(rng, n, 2, nterms=3)
+        assert multiply(dm, a, b) == disk_multiply(a, b, hbar)
+    # a disk class is a cone triple at its minimal level, and that level is its rank
+    minimal = [(P, Q, alpha) for P, Q, alpha in ConeModel(n, hbar).indices_up_to(2)
+               if alpha == max(P.degree(), Q.degree())]
+    assert sorted(dm.indices_up_to(2)) == sorted((P, Q) for P, Q, _ in minimal)
+    assert all(dm.index_rank((P, Q)) == alpha for P, Q, alpha in minimal)
+
+
 def test_disk_involution_is_antihomomorphism():
     rng = seeded(47)
     dm = DiskModel(1, H)

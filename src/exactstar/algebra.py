@@ -20,6 +20,10 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
+class DimensionError(DomainError):
+    """A multiindex whose length is not the model's dimension n."""
+
+
 class InfiniteFanError(DomainError):
     """Raised when a finite enumeration of product contributors does not exist."""
 

@@ -23,7 +23,14 @@ from fractions import Fraction
 
 import click
 
-from .algebra import DomainError, Element, element_from_json, element_to_json, multiply
+from .algebra import (
+    DimensionError,
+    DomainError,
+    Element,
+    element_from_json,
+    element_to_json,
+    multiply,
+)
 from .cone import ConeModel, DiskModel, seminorm_R
 from .models import get_model, model_registry
 from .scalars import GaussianRational, parse_rational
@@ -214,7 +221,8 @@ def build_model(cfg: RunConfig):
 
 
 def _load_json(path: str, parse):
-    """parse(data) of a JSON file; malformed JSON or content is a usage error."""
+    """parse(data) of a JSON file; malformed JSON or content is a usage error,
+    while an index of the wrong dimension is a domain error."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -222,6 +230,8 @@ def _load_json(path: str, parse):
         raise click.UsageError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return parse(data)
+    except DimensionError as exc:
+        raise DimensionError(f"{path}: {exc}") from exc
     except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
         raise click.UsageError(f"{path}: {exc}") from exc
 
@@ -414,7 +424,7 @@ def _read_vector(path: str, n: int):
 
     psi = _load_json(path, gns_vector_from_json)
     if any(len(q) != n for q in psi.terms):
-        raise DomainError(f"{path}: vector indices must have length {n}")
+        raise DimensionError(f"{path}: vector indices must have length {n}")
     return psi
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .algebra import DomainError, Element, InfiniteFanError, multiply
+from .algebra import DimensionError, DomainError, Element, InfiniteFanError, multiply
 from .models import BaseModel, _as_int
 from .scalars import (
     CACHE_ENTRIES,
@@ -330,7 +330,7 @@ class ConeModel(BaseModel):
             raise DomainError("cone index must be a (P, Q, alpha) triple")
         t = make_triple(*idx)
         if len(t[0]) != self.n:
-            raise DomainError(f"multiindex length must be {self.n}")
+            raise DimensionError(f"multiindex length must be {self.n}")
         return t
 
     def index_sort_key(self, idx):
@@ -622,17 +622,25 @@ def ideal_level_dimension(n: int, hbar, level_cap: int) -> int:
 def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     I, J, gamma = t
     n = len(I)
+    # nu = u/v with v > 0, so a negative hbar leaves its sign on u
     nu = 1 / (2 * hbar)
+    u, v = nu.numerator, nu.denominator
     mx = max(I.degree(), J.degree())
-    pref = _pref(I, J, gamma)
+    top = gamma - mx
+    # the denominator of _pref(I, J, gamma)
+    lower = (I.factorial() * factorial(gamma - I.degree())
+             * J.factorial() * factorial(gamma - J.degree()))
     # 1/_pref(I+K, J+K, mx+k) = (I+K)! (J+K)! times this K-free factor
     lift = factorial(mx - I.degree()) * factorial(mx - J.degree())
+    # (nu)_gamma / (nu)_(mx+k) = (nu+mx+k)_(top-k) = rising[k] / v^(top-k),
+    # grown downward in k by one factor u + (mx+k) v per level
+    rising = [1] * (top + 1)
+    for k in range(top - 1, -1, -1):
+        rising[k] = rising[k + 1] * (u + (mx + k) * v)
     out = []
-    for k in range(gamma - mx + 1):
-        # (nu)_gamma / (nu)_(mx+k) = (nu+mx+k)_(gamma-mx-k)
-        level = pref * pochhammer(nu + mx + k, gamma - mx - k)
-        level *= binomial(gamma - mx, k) * factorial(k) * lift
-        num, den = level.numerator, level.denominator
+    for k in range(top + 1):
+        num = rising[k] * binomial(top, k) * factorial(k) * lift
+        den = lower * v ** (top - k)
         for K in multi_indices_of_degree(n, k):
             IK, JK = I + K, J + K
             cK = Fraction(num * IK.factorial() * JK.factorial(), den * K.factorial())
@@ -770,8 +778,10 @@ class DiskModel(BaseModel):
         if not (isinstance(idx, tuple) and len(idx) == 2):
             raise DomainError("disk index must be a (P, Q) pair")
         P, Q = MultiIndex(idx[0]), MultiIndex(idx[1])
-        if len(P) != self.n or len(Q) != self.n:
-            raise DomainError(f"multiindex length must be {self.n}")
+        if len(P) != len(Q):
+            raise DomainError("disk multiindices must share one dimension")
+        if len(P) != self.n:
+            raise DimensionError(f"multiindex length must be {self.n}")
         return (P, Q)
 
     def index_sort_key(self, idx):

@@ -21,10 +21,13 @@ from .scalars import (
     GR_ZERO,
     GaussianRational,
     MultiIndex,
+    accumulate,
     binomial,
     factorial,
+    gaussian_parts,
     multi_binomial,
-    pochhammer,
+    rising_numerator,
+    settle,
 )
 
 
@@ -66,7 +69,10 @@ class GnsVector:
         return GnsVector(out)
 
     def __sub__(self, other: "GnsVector") -> "GnsVector":
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        for q, c in other.terms.items():
+            out[q] = out.get(q, GR_ZERO) - c
+        return GnsVector(out)
 
     def scale(self, z) -> "GnsVector":
         z = GaussianRational.coerce(z)
@@ -136,6 +142,14 @@ def _require_positive(hbar) -> Fraction:
     return hbar
 
 
+def _weight_parts(q: MultiIndex, nu: Fraction) -> tuple[int, int]:
+    """inner_weight(q) = (nu)_d / (d!^2 q!) as an integer (num, den) pair,
+    d = |q|; with nu = u/v, (nu)_d = prod_{i<d} (u + i v) / v^d."""
+    d = q.degree()
+    u, v = nu.numerator, nu.denominator
+    return rising_numerator(u, v, d), v**d * factorial(d) ** 2 * q.factorial()
+
+
 def inner_weight(q, hbar) -> Fraction:
     """Rational weight of the coefficient at index q in the inner product.
 
@@ -144,12 +158,7 @@ def inner_weight(q, hbar) -> Fraction:
     origin; a test pins that consistency.
     """
     hbar = _require_positive(hbar)
-    q = MultiIndex(q)
-    nu = 1 / (2 * hbar)
-    d = q.degree()
-    return pochhammer(nu, d) / Fraction(
-        factorial(d) ** 2 * q.factorial()
-    )
+    return Fraction(*_weight_parts(MultiIndex(q), 1 / (2 * hbar)))
 
 
 def gns_inner(psi: GnsVector, phi: GnsVector, hbar) -> GaussianRational:
@@ -159,13 +168,18 @@ def gns_inner(psi: GnsVector, phi: GnsVector, hbar) -> GaussianRational:
     support only.
     """
     hbar = _require_positive(hbar)
-    total = GR_ZERO
+    nu = 1 / (2 * hbar)
+    acc: dict = {}
     for q, c in psi.terms.items():
         d = phi.terms.get(q)
         if d is None:
             continue
-        total = total + c.conjugate() * d * inner_weight(q, hbar)
-    return total
+        x, y, e = gaussian_parts(c)
+        u, v, f = gaussian_parts(d)
+        num, den = _weight_parts(q, nu)
+        # conj(c) d over the denominator e f den, normalised only by settle()
+        accumulate(acc, None, (x * u + y * v, x * v - y * u, e * f * den), num)
+    return settle(acc).get(None, GR_ZERO)
 
 
 def gns_norm_squared(psi: GnsVector, hbar) -> Fraction:
@@ -191,25 +205,30 @@ def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
     """
     hbar = _require_positive(hbar)
     nu = 1 / (2 * hbar)
-    out: dict = {}
+    u, v = nu.numerator, nu.denominator
+    vec = [(s, s.degree(), gaussian_parts(cs)) for s, cs in psi.terms.items()]
+    acc: dict = {}
     for (p, q), c in a.terms.items():
-        alpha = max(p.degree(), q.degree())
-        for s, cs in psi.terms.items():
+        x, y, e = gaussian_parts(c)
+        pd = p.degree()
+        alpha = max(pd, q.degree())
+        # (nu)_gamma / (nu)_jdeg = (nu+jdeg)_r = prod_{i<r} (u + (jdeg+i) v) / v^r,
+        # r = gamma - jdeg = alpha - |q| for every s
+        r = alpha - q.degree()
+        lower = p.factorial() * factorial(r) * v**r
+        for s, sd, (z, w, f) in vec:
             diff = s.minus(p)
             if diff is None:
                 continue
             target = q + diff
-            gamma = alpha + s.degree() - p.degree()
-            jdeg = target.degree()
-            # (nu)_gamma / (nu)_jdeg = (nu+jdeg)_(gamma-jdeg), gamma - jdeg = alpha - |q|
-            weight = Fraction(
-                multi_binomial(target, q) * binomial(gamma, s.degree()) * factorial(jdeg),
-                p.factorial() * factorial(alpha - q.degree()) * factorial(gamma),
-            ) * pochhammer(nu + jdeg, gamma - jdeg)
-            val = c * cs * weight
-            acc = out.get(target)
-            out[target] = val if acc is None else acc + val
-    return GnsVector(out)
+            gamma = alpha + sd - pd
+            jdeg = gamma - r
+            num = (multi_binomial(target, q) * binomial(gamma, sd) * factorial(jdeg)
+                   * rising_numerator(u + jdeg * v, v, r))
+            # c cs over the denominator e f lower gamma!, normalised only by settle()
+            den = e * f * lower * factorial(gamma)
+            accumulate(acc, target, (x * z - y * w, x * w + y * z, den), num)
+    return GnsVector(settle(acc))
 
 
 def coherent_vector(w, cap: int) -> GnsVector:

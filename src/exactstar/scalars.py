@@ -43,16 +43,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def rising_numerator(a: int, b: int, r: int) -> int:
+    """prod_{i<r} (a + i b): the numerator of (a/b)_r over the denominator b^r."""
+    num = 1
+    for i in range(r):
+        num *= a + i * b
+    return num
+
+
 def pochhammer(x: Fraction | int, r: int) -> Fraction:
     """Raising factorial (x)_r = x (x+1) ... (x+r-1); empty product is 1."""
     if r < 0:
         raise ValueError("pochhammer needs r >= 0")
-    # x = a/b: (x)_r = prod(a + i b) / b^r, normalised once
-    a, b = x.numerator, x.denominator
-    num = 1
-    for i in range(r):
-        num *= a + i * b
-    return Fraction(num, b**r)
+    # normalised once
+    return Fraction(rising_numerator(x.numerator, x.denominator, r), x.denominator**r)
 
 
 def is_allowed_hbar(hbar: Fraction) -> bool:

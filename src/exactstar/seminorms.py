@@ -143,8 +143,8 @@ class Bracket:
 
     def midpoint_float(self) -> float:
         if self.hi.infinite:
-            return float("inf") if self.is_divergent() else float(self.lo)
-        return float(self.lo + self.hi.value) / 2.0
+            return math.inf if self.is_divergent() else _float_or_inf(self.lo)
+        return _float_or_inf((self.lo + self.hi.value) / 2)
 
 
 def _root_bracket(q: Fraction, m: int, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -350,7 +350,10 @@ class HVal:
 
     def to_float(self) -> float:
         if self.kind == "sqrt":
-            return float(self.sq) ** 0.5
+            try:
+                return float(self.sq) ** 0.5
+            except OverflowError:  # sq is past the float range, its root may not be
+                pass
         return self.to_bracket().midpoint_float()
 
     def exact_string(self) -> str:
@@ -562,10 +565,18 @@ def present(m: int, ell: int, gamma: Index, v: HVal | Bracket, tol: Fraction) ->
     h_val, br = (v, v.to_bracket(tol)) if isinstance(v, HVal) else (None, v)
     rlo, rhi = br.root_interval(m, tol)
     if rhi.infinite:
-        val = float("inf") if br.is_divergent() else float(rlo)
+        val = math.inf if br.is_divergent() else _float_or_inf(rlo)
     else:
-        val = float(rlo + rhi.value) / 2.0
+        val = _float_or_inf((rlo + rhi.value) / 2)
     return SeminormResult(m, ell, gamma, h_val, br, rlo, rhi, val)
+
+
+def _float_or_inf(q: Fraction) -> float:
+    """float(q) for q >= 0, or inf when q is past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
 def seminorm(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = DEFAULT_TOL) -> SeminormResult:

@@ -376,6 +376,35 @@ def test_bad_flag_values(tmp_path):
     assert run("--depth", "1", "--gamma-max", "5", "algebra", "list").exit_code == 2
 
 
+@pytest.mark.parametrize("model, P, Q, code", [
+    ("cone", [1, 0], [0, 0], 3),
+    ("disk", [1, 0], [0, 0], 3),
+    ("cone", [1, 0], [0], 2),
+    ("disk", [1, 0], [0], 2),
+], ids=["cone index against --n", "disk index against --n",
+        "cone P and Q differ", "disk P and Q differ"])
+def test_element_index_dimension(tmp_path, model, P, Q, code):
+    # an index whose length is not --n exits 3, as a GNS vector's does
+    index = {"P": P, "Q": Q, "alpha": 1} if model == "cone" else {"P": P, "Q": Q}
+    a = write_json(tmp_path / "a.json", {"model": model, "terms": [
+        {"index": index, "re": "1", "im": "0"}]})
+    res = run("--model", model, "--n", "1", "--hbar", "1/2", "product", a, a)
+    assert res.exit_code == code, (res.output, res.exception)
+    assert ("length must be 1" if code == 3 else "share one dimension") in res.output
+    assert "Traceback" not in res.output
+
+
+def test_seminorm_float_past_the_float_range(tmp_path):
+    # the exact h value 10^400 and its root ends do not fit in a float
+    a = write_json(tmp_path / "a.json", {"model": "poly:monomial", "terms": [
+        {"index": 2, "re": "1" + "0" * 400, "im": "0"}]})
+    res = run("--model", "poly:monomial", "--output", "json", "seminorm", a, "--m-max", "1")
+    assert res.exit_code == 0, (res.output, res.exception)
+    rows = json.loads(res.output)["rows"]
+    assert [r["seminorm_float"] for r in rows] == ["inf", "inf"]
+    assert rows[1]["bracket_lo"].startswith("1" + "0" * 200)
+
+
 def test_domain_error_exit(tmp_path):
     m = get_model("cone", hbar=Fraction(1, 2))
     t = make_triple(MultiIndex((0,)), MultiIndex((0,)), 0)

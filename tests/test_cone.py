@@ -457,6 +457,22 @@ def test_disk_coefficient_extraction_matches_reduce():
             assert disk_coefficient_extraction(a, R, S, H) == d.coeff((R, S))
 
 
+def test_disk_coefficient_extraction_skips_the_reduction_rows(monkeypatch):
+    """The extraction route must not read the rows that disk_reduce uses."""
+    from exactstar import cone
+
+    rng = seeded(59)
+    a = random_cone_element(rng, 1, 3)
+    indices = [(Z1, Z1), (E1, Z1), (E1, E1), (MultiIndex((2,)), E1)]
+    want = [disk_reduce(a, Fraction(5, 7)).coeff(idx) for idx in indices]
+
+    def disabled(*args, **kw):
+        raise AssertionError("coefficient extraction reached _reduce_cached")
+
+    monkeypatch.setattr(cone, "_reduce_cached", disabled)
+    assert [disk_coefficient_extraction(a, R, S, Fraction(5, 7)) for R, S in indices] == want
+
+
 def test_disk_has_no_finite_fans():
     dm = DiskModel(1, H)
     a = Element.basis((Z1, Z1))

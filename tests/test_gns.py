@@ -122,6 +122,25 @@ def test_two_representation_routes_agree():
                 assert gns_rep(a, psi, hbar) == gns_rep_via_product(a, psi, hbar)
 
 
+def test_closed_route_runs_without_the_product_route(monkeypatch):
+    """gns_rep must not fall back on multiply-then-project: with the disk
+    product and the reduction rows disabled it still gives the same action."""
+    from exactstar import cone, gns
+
+    rng = seeded(107)
+    cases = [(random_disk_element(rng, n, 2), random_vector(rng, n, 2), hbar)
+             for n in (1, 2) for hbar in (H, Fraction(5, 7))]
+    want = [gns_rep(a, psi, hbar) for a, psi, hbar in cases]
+
+    def disabled(*args, **kw):
+        raise AssertionError("the closed-form action reached the product route")
+
+    monkeypatch.setattr(cone, "disk_multiply", disabled)
+    monkeypatch.setattr(gns, "disk_multiply", disabled)
+    monkeypatch.setattr(cone, "_reduce_cached", disabled)
+    assert [gns_rep(a, psi, hbar) for a, psi, hbar in cases] == want
+
+
 def test_representation_property():
     rng = seeded(103)
     a = random_disk_element(rng, 1, 2)
@@ -224,5 +243,7 @@ def test_vector_arithmetic():
     psi = GnsVector.basis(E1).scale(GR(2))
     phi = GnsVector.basis(E1)
     assert (psi - phi) == GnsVector.basis(E1)
+    assert (phi - phi).is_zero()
+    assert (phi - GnsVector.basis(Z1)).coeff(Z1) == GR(-1)
     assert (psi + phi).coeff(E1) == GR(3)
     assert GnsVector.zero().is_zero()

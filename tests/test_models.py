@@ -626,3 +626,43 @@ def test_kernel_outputs_unchanged():
         put_terms(disk_reduce(multiply(cone2, disk_lift(x), disk_lift(x)), half).terms)
         put_terms(gns_rep(x, psi, half).terms)
     assert digest.hexdigest()[:16] == "e17474ab8c6910a8"
+
+
+def test_reduction_and_vacuum_outputs_unchanged_off_half():
+    """Disk reductions and the vacuum action, inner product and state at
+    hbar = 5/7 (2 hbar = 10/7) and reductions at hbar = -5/7 (2 hbar = -10/7),
+    pinned bit for bit.  At hbar = 1/2 every power of the numerator and the
+    denominator of 2 hbar is 1, so only a value off 1/2 pins those powers and
+    the sign of a negative hbar."""
+    import hashlib
+
+    from exactstar.cone import ConeModel, disk_lift, disk_reduce, reduce_class
+    from exactstar.gns import gns_inner, gns_rep, positivity_check
+
+    from oracles import random_disk_element, random_vector
+
+    digests = []
+    for hbar in (Fraction(5, 7), Fraction(-5, 7)):
+        rng = seeded(5077)
+        digest = hashlib.sha256()
+
+        def put(*parts):
+            digest.update(repr(parts).encode() + b"\n")
+
+        for n, level in ((1, 4), (2, 2)):
+            cone = ConeModel(n, hbar)
+            for alpha in range(level + 2):
+                t = (MultiIndex.unit(n, 0), MultiIndex.zero(n), alpha + 1)
+                put(sorted(reduce_class(t, hbar).terms.items()))
+            for _ in range(3):
+                x = random_disk_element(rng, n, level)
+                y = random_disk_element(rng, n, level)
+                put(sorted(disk_reduce(multiply(cone, disk_lift(x), disk_lift(y)), hbar).terms.items()))
+                if hbar > 0:
+                    psi, phi = random_vector(rng, n, level), random_vector(rng, n, level)
+                    rep = gns_rep(x, psi, hbar)
+                    put(sorted(rep.terms.items()))
+                    put(gns_inner(rep, phi, hbar), gns_inner(psi, psi, hbar))
+                    put(positivity_check(x, hbar))
+        digests.append(digest.hexdigest()[:16])
+    assert digests == ["9dc96a314ebf7b79", "0ab531136447ebd4"]

@@ -46,6 +46,10 @@ def test_bracket_constructors_and_tags():
     assert not t.is_divergent() and not t.finite_certified()
     assert t.midpoint_float() == 1.0
 
+    huge = Fraction(10**400)
+    assert Bracket.exact(huge).midpoint_float() == float("inf")
+    assert Bracket.truncated(huge, depth=1).midpoint_float() == float("inf")
+
     e = Bracket.enclosure(Fraction(2), Fraction(2))
     assert e.is_exact()
 
@@ -97,6 +101,9 @@ def test_hval_kinds_and_exact_rational():
     assert HVal.exact(Fraction(5, 3)).exact_rational() == Fraction(5, 3)
     assert HVal.modulus_sq(Fraction(9, 4)).exact_rational() == Fraction(3, 2)
     assert HVal.modulus_sq(Fraction(2)).exact_rational() is None
+    # a square past the float range whose root is not
+    assert 1.414e200 < HVal.modulus_sq(Fraction(2 * 10**400)).to_float() < 1.415e200
+    assert "~inf" in repr(HVal.exact(Fraction(10**400)))
     assert HVal.root(RootSum.rational(Fraction(4))).kind == "exact"
     rs = RootSum.sqrt_rational(Fraction(2))
     assert HVal.root(rs).exact_rational() is None

@@ -4,16 +4,27 @@ constants.
 A model supplies, for each ordered pair of basis indices, the finite
 expansion of their product in the basis.  Elements are finite maps
 index -> Gaussian rational; all arithmetic is exact.
+
+This is the lowest layer above the scalars: the model base class and the
+model registry live here too, so that a command which builds a cone or disk
+model never loads `models` or `seminorms`; get_model imports a model family
+only when it builds one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts, settle
 
+if TYPE_CHECKING:
+    from .seminorms import HTable
+
 Index = Hashable
+
+# enclosure width target of certified brackets and comparisons
+DEFAULT_TOL = Fraction(1, 10**12)
 
 
 class DomainError(ValueError):
@@ -26,6 +37,13 @@ class DimensionError(DomainError):
 
 class InfiniteFanError(DomainError):
     """Raised when a finite enumeration of product contributors does not exist."""
+
+
+class UnresolvedError(RuntimeError):
+    """A certified comparison that did not resolve: its two sides stayed
+    inside one enclosure down to the finest tolerance tried, so neither
+    answer is claimed.  Raised by seminorms.rootsum_sign and
+    check_triangle_inequality; the CLI reports it with exit code 3."""
 
 
 @runtime_checkable
@@ -43,6 +61,111 @@ class StructureModel(Protocol):
     def index_to_json(self, idx: Index) -> Any: ...
 
     def index_from_json(self, data: Any) -> Index: ...
+
+
+class BaseModel:
+    """Shared memoization and defaults for structure-constant models."""
+
+    name: str = "base"
+    commutative: bool = False
+
+    def __init__(self):
+        self._row_memo: dict = {}
+        self._col_memo: dict = {}
+        self._fan_memo: dict = {}
+
+    # -- product ------------------------------------------------------------
+    def pair_product(self, left: Index, right: Index) -> dict:
+        """Nonzero structure constants of left * right; callers must not
+        mutate the result, which a model may share from a cache."""
+        return self._pair(left, right)
+
+    def _pair(self, left: Index, right: Index) -> dict:
+        raise NotImplementedError
+
+    # -- recursion weights --------------------------------------------------
+    def row_sum(self, alpha: Index, gamma: Index):
+        key = (alpha, gamma)
+        out = self._row_memo.get(key)
+        if out is None:
+            out = self._row(alpha, gamma)
+            self._row_memo[key] = out
+        return out
+
+    def col_sum(self, beta: Index, gamma: Index):
+        key = (beta, gamma)
+        out = self._col_memo.get(key)
+        if out is None:
+            out = self._col(beta, gamma)
+            self._col_memo[key] = out
+        return out
+
+    def _row(self, alpha: Index, gamma: Index):
+        raise NotImplementedError
+
+    def _col(self, beta: Index, gamma: Index):
+        raise NotImplementedError
+
+    def row_parents(self, gamma: Index) -> Iterable[Index]:
+        raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
+
+    def col_parents(self, gamma: Index) -> Iterable[Index]:
+        raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
+
+    def fan(self, bit: int, gamma: Index) -> list:
+        """(parent, weight) pairs of the row (bit 0) or column (bit 1) fan of
+        gamma with a nonzero weight, memoized per (bit, gamma).  Weights are
+        read through row_sum/col_sum; an InfiniteFanError stores nothing."""
+        key = (bit, gamma)
+        out = self._fan_memo.get(key)
+        if out is None:
+            if bit == 0:
+                weight, parents = self.row_sum, self.row_parents(gamma)
+            else:
+                weight, parents = self.col_sum, self.col_parents(gamma)
+            out = [(p, w) for p in parents if (w := weight(p, gamma)) != 0]
+            self._fan_memo[key] = out
+        return out
+
+    def h_special(self, table: HTable, m: int, ell: int, gamma: Index):
+        """h[m, ell, gamma] at m >= 2 of a nonzero element, for models whose
+        fans are infinite; it sums through table.step or truncated_sum.  None
+        leaves the cell to the finite row_parents/col_parents fans."""
+        return None
+
+    # -- index plumbing -----------------------------------------------------
+    def validate_index(self, idx: Index) -> Index:
+        return idx
+
+    def index_sort_key(self, idx: Index):
+        return idx
+
+    def index_rank(self, idx: Index) -> int:
+        raise NotImplementedError
+
+    def indices_up_to(self, rank: int) -> Iterator[Index]:
+        raise NotImplementedError
+
+    def index_to_json(self, idx: Index):
+        return idx
+
+    def index_from_json(self, data) -> Index:
+        return self.validate_index(data)
+
+    def unit_index(self) -> Index | None:
+        return None
+
+    def unit(self) -> Element:
+        u = self.unit_index()
+        if u is None:
+            raise DomainError(f"{self.name}: no unit basis vector")
+        return Element.basis(u)
+
+
+def _as_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class Element:
@@ -160,3 +283,69 @@ def from_pairs(pairs: Iterable[tuple[Index, GaussianRational | Fraction | int]])
         c = GaussianRational.coerce(c)
         out[idx] = out.get(idx, GR_ZERO) + c
     return Element(out)
+
+
+# ---------------------------------------------------------------------------
+# model registry
+
+
+def get_model(spec: str, hbar: Fraction | None = None, epsilon: Fraction | None = None, n: int | None = None):
+    """Instantiate a model from its CLI name.
+
+    poly:monomial | poly:factorial | laurent:plain | laurent:factorial |
+    matrix:plain | matrix:hat | matrix:tilde | group:Z | group:Zd:<d> |
+    group:free:<N> | wick:<n> | cone | disk
+    """
+    parts = spec.split(":")
+    family = parts[0]
+    if family in ("cone", "disk") and len(parts) == 1:
+        from .cone import ConeModel, DiskModel
+
+        if hbar is None:
+            raise DomainError(f"{family} model needs --hbar")
+        dim = 1 if n is None else n
+        if family == "cone":
+            return ConeModel(dim, hbar)
+        return DiskModel(dim, hbar)
+    if family not in ("poly", "laurent", "matrix", "group", "wick"):
+        raise DomainError(f"unknown model {spec!r}")
+    from . import models
+
+    eps = Fraction(1) if epsilon is None else Fraction(epsilon)
+    if family == "poly" and len(parts) == 2:
+        return models.PolynomialModel(parts[1])
+    if family == "laurent" and len(parts) == 2:
+        return models.LaurentModel(parts[1])
+    if family == "matrix" and len(parts) == 2:
+        return models.MatrixModel(parts[1])
+    if family == "group":
+        if len(parts) == 2 and parts[1] == "Z":
+            return models.GroupModel("Z", epsilon=eps)
+        if len(parts) == 3 and parts[1] == "Zd":
+            return models.GroupModel("Zd", int(parts[2]), epsilon=eps)
+        if len(parts) == 3 and parts[1] == "free":
+            return models.GroupModel("free", int(parts[2]), epsilon=eps)
+    if family == "wick" and len(parts) == 2:
+        if hbar is None:
+            raise DomainError("wick model needs --hbar")
+        return models.WickFlatModel(int(parts[1]), hbar)
+    raise DomainError(f"unknown model {spec!r}")
+
+
+def model_registry() -> list[dict]:
+    """Names and parameter hints for the CLI listing."""
+    return [
+        {"name": "poly:monomial", "params": ""},
+        {"name": "poly:factorial", "params": ""},
+        {"name": "laurent:plain", "params": ""},
+        {"name": "laurent:factorial", "params": ""},
+        {"name": "matrix:plain", "params": ""},
+        {"name": "matrix:hat", "params": ""},
+        {"name": "matrix:tilde", "params": ""},
+        {"name": "group:Z", "params": "--epsilon 1|1/2"},
+        {"name": "group:Zd:<d>", "params": "--epsilon 1|1/2"},
+        {"name": "group:free:<N>", "params": "--epsilon 1|1/2"},
+        {"name": "wick:<n>", "params": "--hbar p/q"},
+        {"name": "cone", "params": "--hbar p/q --n <dim>"},
+        {"name": "disk", "params": "--hbar p/q --n <dim>"},
+    ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Element, from_pairs, multiply
+from .algebra import DEFAULT_TOL, Element, from_pairs, get_model, multiply
 from .cone import (
     ConeModel,
     cone_triples,
@@ -22,7 +22,6 @@ from .cone import (
     tilde_structure_constants,
     vanishing_ideal_witness,
 )
-from .models import get_model
 from .scalars import (
     GR_I,
     GR_ONE,
@@ -31,7 +30,6 @@ from .scalars import (
     MultiIndex,
     multi_indices_up_to_degree,
 )
-from .seminorms import DEFAULT_TOL, HTable
 
 
 def _seeded_disk_elements(n: int, level: int, count: int, seed: int = 11):
@@ -72,6 +70,8 @@ def positivity(n: int, hbar: Fraction, level: int):
 
 def laurent_divergence(n: int, hbar: Fraction, level: int):
     """Plain Laurent and matrix weights diverge at depth 2; factorial ones do not."""
+    from .seminorms import HTable
+
     a = from_pairs([(1, 1), (2, Fraction(1, 2))])
     plain = get_model("laurent:plain")
     for ell in range(4):

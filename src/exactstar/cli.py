@@ -7,8 +7,14 @@ sort order and JSON keys are sorted, so identical inputs give
 byte-identical files.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error (a size
-flag above its cap included), 3 domain error (disallowed parameter,
-unsupported operation) or a certified comparison that did not resolve.
+flag or a file's term count above its cap included), 3 domain error
+(disallowed parameter, unsupported operation, an index or point of the wrong
+dimension) or a certified comparison that did not resolve.
+
+Every CLI process imports this module, so it loads only the layers each
+command runs: cone, gns, seminorms and the check suites are imported inside
+the commands that use them, and get_model loads `models` only for its
+families.
 """
 
 from __future__ import annotations
@@ -20,21 +26,26 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
 from .algebra import (
+    DEFAULT_TOL,
     DimensionError,
     DomainError,
     Element,
+    UnresolvedError,
     element_from_json,
     element_to_json,
+    get_model,
+    model_registry,
     multiply,
 )
-from .cone import ConeModel, DiskModel, seminorm_R
-from .models import get_model, model_registry
 from .scalars import GaussianRational, parse_rational
-from .seminorms import DEFAULT_TOL, HTable, SeminormResult, UnresolvedError, present
+
+if TYPE_CHECKING:
+    from .seminorms import SeminormResult
 
 DEFAULT_HBAR = Fraction(1, 2)
 
@@ -46,11 +57,15 @@ DEFAULT_HBAR = Fraction(1, 2)
 # 6,050 checks at n = 1, 275,282 at n = 2 and 6,069,128 at n = 3.  Each
 # seminorm level squares the one below, so --m-max doubles the digits per
 # step: a three-term poly:factorial element has ~139k digits at m = 16.
+# An element or vector file holds at most TERMS_CAP terms: every cone element
+# at n = 1 up to level 16 (1,785 triples) fits, and a product of two files at
+# the cap already makes 16.8 million pair products.
 GAMMA_MAX_CAP = 16
 DEPTH_CAP = 16
 CHECK_LEVEL_CAP = 4
 N_CAP = 2
 M_MAX_CAP = 16
+TERMS_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +236,17 @@ def build_model(cfg: RunConfig):
 
 
 def _load_json(path: str, parse):
-    """parse(data) of a JSON file; malformed JSON or content is a usage error,
-    while an index of the wrong dimension is a domain error."""
+    """parse(data) of a JSON file; malformed JSON or content, and more than
+    TERMS_CAP terms, are usage errors, while an index of the wrong dimension
+    is a domain error."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"{path}: invalid JSON ({exc})") from exc
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if isinstance(terms, list) and len(terms) > TERMS_CAP:
+        raise click.UsageError(f"{path}: {len(terms)} terms, at most {TERMS_CAP} allowed")
     try:
         return parse(data)
     except DimensionError as exc:
@@ -359,6 +378,9 @@ def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
     One row per (m, branch, index in the element's support); values are the
     recursion values with certified enclosures, roots presented as floats.
     """
+    from .cone import ConeModel, seminorm_R
+    from .seminorms import HTable, present
+
     model = build_model(cfg)
     a = read_element(model, a_file)
     table = HTable(model, a, cfg.tolerance)
@@ -455,6 +477,7 @@ def gns_inner_cmd(cfg: RunConfig, psi_file, phi_file):
 @click.pass_obj
 def gns_rep_cmd(cfg: RunConfig, a_file, psi_file, route, out):
     """Apply a disk element to a vector; --route both cross-checks."""
+    from .cone import DiskModel
     from .gns import gns_rep, gns_rep_via_product, gns_vector_to_json
 
     model = DiskModel(cfg.n, cfg.resolved_hbar)
@@ -483,9 +506,11 @@ def gns_rep_cmd(cfg: RunConfig, a_file, psi_file, route, out):
 @click.option("--out", default=None, type=click.Path())
 @click.pass_obj
 def gns_coherent_cmd(cfg: RunConfig, point, cap, out):
+    from .cone import check_point_dimension
     from .gns import coherent_vector, gns_vector_to_json
 
     w = parse_point(point)
+    check_point_dimension(w, cfg.n, "a disk point")
     vec = coherent_vector(w, cfg.gamma_max if cap is None else cap)
     emit(render_json(gns_vector_to_json(vec)), out)
 
@@ -494,6 +519,7 @@ def gns_coherent_cmd(cfg: RunConfig, point, cap, out):
 @click.argument("a_file", type=click.Path(exists=True))
 @click.pass_obj
 def gns_positivity_cmd(cfg: RunConfig, a_file):
+    from .cone import DiskModel
     from .gns import positivity_check
 
     model = DiskModel(cfg.n, cfg.resolved_hbar)

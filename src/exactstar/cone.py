@@ -14,10 +14,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .algebra import DimensionError, DomainError, Element, InfiniteFanError, multiply
-from .models import BaseModel, _as_int
+from .algebra import (
+    DEFAULT_TOL,
+    BaseModel,
+    DimensionError,
+    DomainError,
+    Element,
+    InfiniteFanError,
+    _as_int,
+    multiply,
+)
 from .scalars import (
     CACHE_ENTRIES,
     GR_ONE,
@@ -37,7 +45,9 @@ from .scalars import (
     settle,
     _multi_index,
 )
-from .seminorms import DEFAULT_TOL, TAG_MAJORANT, Bracket, HTable, HVal
+
+if TYPE_CHECKING:
+    from .seminorms import Bracket, HTable, HVal
 
 Triple = tuple  # (P: MultiIndex, Q: MultiIndex, alpha: int)
 DiskIndex = tuple  # (P: MultiIndex, Q: MultiIndex)
@@ -364,11 +374,14 @@ class ConeModel(BaseModel):
         )
 
     def evaluate(self, a: Element, w) -> GaussianRational:
+        check_point_dimension(w, self.n + 1, "a cone point")
         return eval_upstairs(a, w, self.hbar)
 
 
 # ---------------------------------------------------------------------------
-# combined seminorms with certified factorial-weighted sums
+# combined seminorms with certified factorial-weighted sums; seminorms is
+# imported inside them, so that the cone and disk products and evaluations
+# run without loading it
 
 
 def h_combined(
@@ -381,6 +394,8 @@ def h_combined(
     tol: Fraction = DEFAULT_TOL,
 ) -> HVal:
     """Recursion value summed over every triple at one level; exact."""
+    from .seminorms import HTable, HVal
+
     if table is None:
         table = HTable(model, a, tol)
     acc = HVal.zero()
@@ -422,6 +437,8 @@ def seminorm_R(
     Partial sums up to the depth are exact; the tail uses the per-element
     growth certificate and closes with a geometric bound once the term ratio
     falls below 1/2.  The 2^m-th root is left to the caller."""
+    from .seminorms import TAG_MAJORANT, Bracket, HTable
+
     R = Fraction(R)
     if R <= 0:
         raise DomainError("R must be positive")
@@ -456,6 +473,12 @@ def seminorm_R(
 def cone_y(w) -> Fraction:
     w = tuple(GaussianRational.coerce(c) for c in w)
     return w[0].abs_squared() - sum((c.abs_squared() for c in w[1:]), Fraction(0))
+
+
+def check_point_dimension(point, length: int, what: str) -> None:
+    """A point with other than `length` coordinates raises DimensionError."""
+    if len(point) != length:
+        raise DimensionError(f"{what} has {length} coordinates, got {len(point)}")
 
 
 def _check_cone_point(w):
@@ -814,4 +837,5 @@ class DiskModel(BaseModel):
         return Element({(Q, P): c.conjugate() for (P, Q), c in a.terms.items()})
 
     def evaluate(self, a: Element, v) -> GaussianRational:
+        check_point_dimension(v, self.n, "a disk point")
         return eval_disk(a, v, self.hbar)

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Protocol
 
-from .algebra import DomainError, Element, Index, multiply
+from .algebra import DEFAULT_TOL, DomainError, Element, Index, UnresolvedError, multiply
 from .scalars import ExtendedNonNeg, RootSum, rational_sqrt, sqrt_bracket
-
-DEFAULT_TOL = Fraction(1, 10**12)
 
 # tail_source tags, in absorption priority (highest wins when combining)
 TAG_DIVERGENT = "divergent_witness"
@@ -166,13 +164,6 @@ def rootsum_bracket(rs: RootSum, tol: Fraction = DEFAULT_TOL) -> Bracket:
     if lo < 0:
         raise ValueError("negative value cannot become a nonnegative Bracket")
     return Bracket.enclosure(lo, hi, 0, TAG_GEOMETRIC)
-
-
-class UnresolvedError(RuntimeError):
-    """A certified comparison that did not resolve: its two sides stayed
-    inside one enclosure down to the finest tolerance tried, so neither
-    answer is claimed.  Raised by rootsum_sign and check_triangle_inequality;
-    the CLI reports it with exit code 3."""
 
 
 def rootsum_sign(rs: RootSum) -> int:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from exactstar.algebra import Element, element_from_json, element_to_json, from_pairs, multiply
 from exactstar.cli import main, parse_point_coordinate
@@ -249,6 +250,11 @@ def test_gns_coherent_pin():
     assert vec.coeff(MultiIndex((2,))) == GR(Fraction(8, 9))
     bad = run("gns", "coherent", "--point", "1", "--cap", "2")
     assert bad.exit_code == 3
+    # a point whose length is not --n
+    bad = run("--n", "1", "gns", "coherent", "--point", "1/4,1/4,1/4", "--cap", "1")
+    assert bad.exit_code == 3, (bad.output, bad.exception)
+    assert bad.output == "error: a disk point has 1 coordinates, got 3\n"
+    assert run("--n", "2", "gns", "coherent", "--point", "1/4,1/4", "--cap", "1").exit_code == 0
 
 
 def test_gns_positivity(tmp_path):
@@ -606,16 +612,172 @@ def test_unresolved_comparison_exits_3(tmp_path, monkeypatch):
                           "value suspiciously close to zero\n")
 
 
-def test_cli_import_leaves_suites_and_gns_unloaded():
-    # every CLI process imports exactstar.cli; without a bytecode cache each module
-    # it loads is compiled again, so the suites, gns and su1n load only on demand
+LAZY_LAYERS = ("exactstar.seminorms", "exactstar.models", "exactstar.checks",
+               "exactstar.gns", "exactstar.su1n")
+
+
+def _loaded_layers(code, *argv):
+    """The LAZY_LAYERS loaded after running code in a fresh interpreter."""
     import exactstar
 
-    src = os.path.dirname(os.path.dirname(exactstar.__file__))
-    code = ("import sys, exactstar.cli; "
-            "print(sorted(m for m in ('exactstar.checks', 'exactstar.gns', 'exactstar.su1n') "
-            "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out == "[]\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exactstar.__file__)))
+    probe = code + (
+        "\nimport sys\nsys.stderr.write('LOADED ' + ' '.join("
+        f"m for m in {LAZY_LAYERS!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=env, check=True)
+    return set(proc.stderr.rsplit("LOADED", 1)[1].split())
+
+
+def test_cli_import_leaves_suites_and_gns_unloaded():
+    # every CLI process imports exactstar.cli; without a bytecode cache each module
+    # it loads is compiled again, so every layer below loads only on demand
+    assert _loaded_layers("import exactstar.cli") == set()
+
+
+_RUN_CLI = """import sys
+from exactstar.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("list", set()),
+    ("product", set()),
+    ("eval", set()),
+    ("gns rep", {"exactstar.gns"}),
+    ("check oracle", {"exactstar.checks"}),
+    ("cone seminorm", {"exactstar.seminorms"}),
+    ("poly seminorm", {"exactstar.seminorms", "exactstar.models"}),
+])
+def test_cli_command_loads_only_its_layers(tmp_path, command, loaded):
+    cone = ["--model", "cone", "--hbar", "1/2"]
+    a = _cone_file(tmp_path)
+    dm = DiskModel(1, Fraction(1, 2))
+    x = write_json(tmp_path / "x.json", element_to_json(
+        dm, Element.basis((MultiIndex((1,)), MultiIndex((0,))))))
+    psi = write_json(tmp_path / "psi.json", {"terms": [{"index": [1], "re": "1", "im": "0"}]})
+    args = {
+        "list": ["algebra", "list"],
+        "product": cone + ["product", a, a],
+        "eval": cone + ["eval", a, "--point", "2,0"],
+        "gns rep": ["--model", "disk", "--hbar", "1/2", "gns", "rep", x, psi],
+        "check oracle": ["check", "oracle", "--level", "1"],
+        "cone seminorm": cone + ["seminorm", a, "--m-max", "1", "--radius", "1/2"],
+        "poly seminorm": ["--model", "poly:monomial", "seminorm",
+                          poly_file(tmp_path, "p.json", [(1, 1)]), "--m-max", "1"],
+    }[command]
+    assert _loaded_layers(_RUN_CLI, *args) == loaded
+
+
+def test_package_names_resolve_on_first_access():
+    # the seminorm names of exactstar.__all__ load their module only when asked for
+    code = """import sys, exactstar
+assert "exactstar.seminorms" not in sys.modules
+from exactstar import seminorms
+for name in exactstar.__all__:
+    value = getattr(exactstar, name)
+    assert getattr(seminorms, name, value) is value, name
+ns = {}
+exec("from exactstar import *", ns)
+assert set(exactstar.__all__) <= set(ns)
+assert all(ns[name] is getattr(exactstar, name) for name in exactstar.__all__)
+try:
+    exactstar.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown names must raise AttributeError")"""
+    assert _loaded_layers("import exactstar") == set()
+    assert _loaded_layers(code) == {"exactstar.seminorms"}
+
+
+def test_moved_names_stay_bound_in_their_old_modules():
+    # perfbench patches models.BaseModel and reads seminorms.DEFAULT_TOL
+    from exactstar import algebra, models, seminorms
+
+    assert models.BaseModel is algebra.BaseModel
+    assert models.get_model is algebra.get_model
+    assert models.model_registry is algebra.model_registry
+    assert seminorms.DEFAULT_TOL is algebra.DEFAULT_TOL
+    assert seminorms.UnresolvedError is algebra.UnresolvedError
+
+
+@pytest.mark.parametrize("model, point", [
+    ("cone", "2"),
+    ("cone", "2,0,0"),
+    ("disk", "1/2,0"),
+])
+def test_eval_point_dimension(tmp_path, model, point):
+    # a point with other than n + 1 (cone) or n (disk) coordinates exits 3
+    if model == "cone":
+        a = _cone_file(tmp_path)
+    else:
+        a = write_json(tmp_path / "x.json", element_to_json(
+            DiskModel(1, Fraction(1, 2)), Element.basis((MultiIndex((1,)), MultiIndex((0,))))))
+    res = run("--model", model, "--n", "1", "--hbar", "1/2", "eval", a, "--point", point)
+    assert res.exit_code == 3, (res.output, res.exception)
+    assert "coordinates" in res.output
+
+
+@pytest.mark.parametrize("kind", ["element", "vector"])
+def test_terms_capped(tmp_path, kind):
+    from exactstar.cli import TERMS_CAP
+
+    def write(name, count):
+        if kind == "element":
+            return write_json(tmp_path / name, {"terms": [
+                {"index": k, "re": "1", "im": "0"} for k in range(count)]})
+        # two variables keep the degrees, and so the vacuum weights, small
+        return write_json(tmp_path / name, {"terms": [
+            {"index": [k % 64, k // 64], "re": "1", "im": "0"} for k in range(count)]})
+
+    def args(path):
+        if kind == "element":
+            return ["--model", "poly:monomial", "product", path, write("one.json", 1)]
+        return ["--n", "2", "gns", "inner", path, path]
+
+    assert run(*args(write("cap.json", TERMS_CAP))).exit_code == 0
+    res = run(*args(write("over.json", TERMS_CAP + 1)))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert f"{TERMS_CAP + 1} terms, at most {TERMS_CAP} allowed" in res.output
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    cone, disk = get_model("cone", hbar=Fraction(1, 2)), DiskModel(1, Fraction(1, 2))
+    one, zero = MultiIndex((1,)), MultiIndex((0,))
+    return {
+        "cone": write_json(base / "cone.json", element_to_json(cone, Element({
+            make_triple(one, zero, 1): GR(1), make_triple(zero, zero, 2): GR(0, 2)}))),
+        "disk": write_json(base / "disk.json", element_to_json(disk, Element({
+            (one, zero): GR(1), (zero, one): GR(Fraction(1, 3))}))),
+        "poly:monomial": poly_file(base, "poly.json", [(0, 1), (3, GR(1, 1))]),
+    }
+
+
+_COORDINATE = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 4)),
+    st.builds("{}{:+}i".format, st.integers(-2, 2), st.integers(-2, 2)),
+    st.sampled_from(["0", "2", "i", "-i", "1/2", "3/5+4/5i", ""]),
+    st.text(alphabet="0123456789/+-i. e", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(target=st.sampled_from(["cone", "disk", "poly:monomial", "coherent"]),
+       point=st.lists(_COORDINATE, min_size=1, max_size=4).map(",".join))
+def test_point_parsing_fuzz(fuzz_files, target, point):
+    # every --point string gives a value, a usage error (2) or a domain error (3)
+    if target == "coherent":
+        res = run("gns", "coherent", f"--point={point}", "--cap", "2")
+    else:
+        res = run("--model", target, "--hbar", "1/2", "eval", fuzz_files[target],
+                  f"--point={point}")
+    assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if target == "coherent" and res.exit_code == 0:
+        assert "," not in point, "a coherent vector at --n 1 needs one coordinate"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactstar.algebra import DomainError, Element, InfiniteFanError, multiply
+from exactstar.algebra import DimensionError, DomainError, Element, InfiniteFanError, multiply
 from exactstar.cone import (
     ConeModel,
     DiskModel,
@@ -336,6 +336,15 @@ def test_eval_upstairs_rejects_outside_points():
         eval_upstairs(a, (0, 0), H)
     with pytest.raises(DomainError):
         eval_upstairs(a, (1, 0), Fraction(0))
+
+
+@pytest.mark.parametrize("point", [(2,), (2, 0, 0)])
+def test_evaluate_rejects_points_of_the_wrong_dimension(point):
+    # a cone point has n + 1 coordinates and a disk point n
+    with pytest.raises(DimensionError, match="coordinates"):
+        ConeModel(1, H).evaluate(Element.basis((E1, Z1, 1)), point)
+    with pytest.raises(DimensionError, match="coordinates"):
+        DiskModel(1, H).evaluate(Element.basis((E1, Z1)), tuple(Fraction(1, 4) for _ in point[1:]))
 
 
 def test_quotient_eval_consistency():

@@ -14,21 +14,21 @@ dimension) or a certified comparison that did not resolve.
 Every CLI process imports this module, so it loads only the layers each
 command runs: cone, gns, seminorms and the check suites are imported inside
 the commands that use them, and get_model loads `models` only for its
-families.
+families.  The parser is the standard library's argparse, and neither this
+module nor the layers below it load dataclasses.  A usage error prints the
+command's usage line and `exactstar <command>: error: <message>` to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import click
 
 from .algebra import (
     DEFAULT_TOL,
@@ -68,78 +68,69 @@ M_MAX_CAP = 16
 TERMS_CAP = 4096
 
 
+class UsageError(Exception):
+    """A malformed flag, argument or input file: exit code 2."""
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
-
-@dataclass
-class RunConfig:
-    model: str = "disk"
-    hbar: Fraction | None = None
-    n: int = 1
-    epsilon: Fraction = Fraction(1)
-    gamma_max: int = 4
-    depth: int = 8
-    tolerance: Fraction = DEFAULT_TOL
-    output: str = "json"
-
-    @property
-    def resolved_hbar(self) -> Fraction:
-        """hbar, or DEFAULT_HBAR when neither a flag nor the config file set it."""
-        return DEFAULT_HBAR if self.hbar is None else self.hbar
-
-    def validated(self) -> "RunConfig":
-        if self.n < 1:
-            raise click.UsageError("n must be >= 1")
-        if self.n > N_CAP:
-            raise click.UsageError(f"n must be <= {N_CAP}")
-        if self.gamma_max < 0:
-            raise click.UsageError("gamma-max must be >= 0")
-        if self.gamma_max > GAMMA_MAX_CAP:
-            raise click.UsageError(f"gamma-max must be <= {GAMMA_MAX_CAP}")
-        if self.depth < self.gamma_max:
-            raise click.UsageError("depth must be >= gamma-max")
-        if self.depth > DEPTH_CAP:
-            raise click.UsageError(f"depth must be <= {DEPTH_CAP}")
-        if self.tolerance <= 0:
-            raise click.UsageError("tolerance must be positive")
-        if self.output not in ("json", "csv", "pretty"):
-            raise click.UsageError("output must be json, csv or pretty")
-        return self
-
-
-_CONFIG_KEYS = {
-    "model": str,
-    "hbar": parse_rational,
-    "n": int,
-    "epsilon": parse_rational,
-    "gamma_max": int,
-    "depth": int,
-    "tolerance": parse_rational,
-    "output": str,
+# Run settings, key: (parser, default).  Every command reads them from the
+# parsed arguments: the default, then a --config file, then the flag.  hbar
+# stays None unless one of them sets it; resolved_hbar is then DEFAULT_HBAR.
+_SETTINGS = {
+    "model": (str, "disk"), "hbar": (parse_rational, None), "n": (int, 1),
+    "epsilon": (parse_rational, Fraction(1)), "gamma_max": (int, 4), "depth": (int, 8),
+    "tolerance": (parse_rational, DEFAULT_TOL), "output": (str, "json"),
 }
 
 
+def _configure(args) -> None:
+    """Sets the validated run settings, and resolved_hbar, on args."""
+    settings = {key: default for key, (_, default) in _SETTINGS.items()}
+    if args.config:
+        settings.update(load_config_file(args.config))
+    for key, (parse, _) in _SETTINGS.items():
+        if getattr(args, key) is not None:
+            settings[key] = _parse_flag(key, getattr(args, key), parse)
+    vars(args).update(settings)
+    for bad, message in [
+        (args.n < 1, "n must be >= 1"),
+        (args.n > N_CAP, f"n must be <= {N_CAP}"),
+        (args.gamma_max < 0, "gamma-max must be >= 0"),
+        (args.gamma_max > GAMMA_MAX_CAP, f"gamma-max must be <= {GAMMA_MAX_CAP}"),
+        (args.depth < args.gamma_max, "depth must be >= gamma-max"),
+        (args.depth > DEPTH_CAP, f"depth must be <= {DEPTH_CAP}"),
+        (args.tolerance <= 0, "tolerance must be positive"),
+        (args.output not in ("json", "csv", "pretty"), "output must be json, csv or pretty"),
+    ]:
+        if bad:
+            raise UsageError(message)
+    args.resolved_hbar = DEFAULT_HBAR if args.hbar is None else args.hbar
+
+
 def load_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment."""
+    """key=value lines of a UTF-8 file; '#' starts a comment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.UsageError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = _CONFIG_KEYS[key](val.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise click.UsageError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _SETTINGS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = _SETTINGS[key][0](val.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -147,7 +138,7 @@ def _parse_flag(name: str, text, parse=parse_rational):
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"--{name.replace('_', '-')}: {exc}") from exc
+        raise UsageError(f"--{name.replace('_', '-')}: {exc}") from exc
 
 
 _GR_PATTERN = re.compile(
@@ -163,23 +154,13 @@ def parse_point_coordinate(text: str) -> GaussianRational:
     """Accepts 'p/q', 'p/qi', 'a+bi', 'a-bi', 'i', '-i'."""
     m = _GR_PATTERN.match(text)
     if not m or (m.group("re") is None and m.group("im") is None):
-        raise click.UsageError(f"cannot parse coordinate {text!r}")
+        raise UsageError(f"cannot parse coordinate {text!r}")
+    re_text, im_text = m.group("re") or "0", (m.group("im") or "0i")[:-1]
+    im_text = {"": "1", "+": "1", "-": "-1"}.get(im_text, im_text)
     try:
-        re_part = parse_rational(m.group("re")) if m.group("re") else Fraction(0)
-        im_text = m.group("im")
-        if im_text is None:
-            im_part = Fraction(0)
-        else:
-            body = im_text[:-1]
-            if body in ("", "+"):
-                im_part = Fraction(1)
-            elif body == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = parse_rational(body)
+        return GaussianRational.of(parse_rational(re_text), parse_rational(im_text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"cannot parse coordinate {text!r}: {exc}") from exc
-    return GaussianRational.of(re_part, im_part)
+        raise UsageError(f"cannot parse coordinate {text!r}: {exc}") from exc
 
 
 def parse_point(text: str) -> tuple:
@@ -197,12 +178,27 @@ def format_gr(z: GaussianRational) -> str:
 # output plumbing
 
 
-def emit(text: str, out_path: str | None) -> None:
-    if out_path:
+def _too_long(what: str) -> DomainError:
+    return DomainError(f"{what} is too long to print "
+                       f"(more than {sys.get_int_max_str_digits()} digits)")
+
+
+def emit(render, out_path: str | None = None) -> None:
+    """Writes render() to out_path, or to stdout.  render only formats: str() of
+    an integer past sys.get_int_max_str_digits() raises ValueError, and that
+    value is a domain error."""
+    try:
+        text = render()
+    except ValueError as exc:
+        raise _too_long("an exact value") from exc
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from exc
 
 
 def render_json(obj) -> str:
@@ -219,20 +215,10 @@ def render_table(rows: list[dict], columns: list[str], mode: str) -> str:
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in columns})
         return buf.getvalue()
-    widths = {
-        c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
-        for c in columns
-    }
-    lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
-    for row in rows:
-        lines.append(
-            "  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def build_model(cfg: RunConfig):
-    return get_model(cfg.model, hbar=cfg.hbar, epsilon=cfg.epsilon, n=cfg.n)
+    widths = {c: max([len(c)] + [len(str(r.get(c, ""))) for r in rows]) for c in columns}
+    lines = [columns] + [[str(r.get(c, "")) for c in columns] for r in rows]
+    return "".join("  ".join(v.ljust(widths[c]) for c, v in zip(columns, line)) + "\n"
+                   for line in lines)
 
 
 def _load_json(path: str, parse):
@@ -242,17 +228,17 @@ def _load_json(path: str, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # malformed, or an integer past the int-to-str digit limit
+        raise UsageError(f"{path}: invalid JSON ({exc})") from exc
     terms = data.get("terms") if isinstance(data, dict) else None
     if isinstance(terms, list) and len(terms) > TERMS_CAP:
-        raise click.UsageError(f"{path}: {len(terms)} terms, at most {TERMS_CAP} allowed")
+        raise UsageError(f"{path}: {len(terms)} terms, at most {TERMS_CAP} allowed")
     try:
         return parse(data)
     except DimensionError as exc:
         raise DimensionError(f"{path}: {exc}") from exc
     except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"{path}: {exc}") from exc
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def read_element(model, path: str) -> Element:
@@ -260,82 +246,26 @@ def read_element(model, path: str) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# command group
+# commands: each takes the parsed arguments, run settings included
 
 
-class _Main(click.Group):
-    """Maps a DomainError (InfiniteFanError included) or an UnresolvedError
-    from any subcommand to one `error:` line and exit code 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (DomainError, UnresolvedError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Main)
-@click.option("--model", default=None, help="Model name, see `algebra list`.")
-@click.option("--hbar", default=None, help="Deformation parameter p/q.")
-@click.option("--n", type=int, default=None,
-              help=f"Number of disk variables, at most {N_CAP}.")
-@click.option("--epsilon", default=None, help="Group weight exponent (1 or 1/2).")
-@click.option("--gamma-max", type=int, default=None,
-              help=f"Level cutoff for tables, at most {GAMMA_MAX_CAP}.")
-@click.option("--depth", type=int, default=None,
-              help=f"Partial-sum depth for brackets, at most {DEPTH_CAP}.")
-@click.option("--tolerance", default=None, help="Enclosure width target p/q.")
-@click.option("--output", default=None, type=click.Choice(["json", "csv", "pretty"]))
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True),
-              help="key=value file mirroring the flags; flags win.")
-@click.pass_context
-def main(ctx, config_path, **flags):
-    """Exact star products, seminorm tables and representation checks."""
-    cfg = RunConfig()
-    if config_path:
-        cfg = replace(cfg, **load_config_file(config_path))
-    overrides = {
-        key: _parse_flag(key, text, _CONFIG_KEYS[key])
-        for key, text in flags.items() if text is not None
-    }
-    ctx.obj = replace(cfg, **overrides).validated()
-
-
-@main.group()
-def algebra():
-    """Registry introspection."""
-
-
-@algebra.command("list")
-@click.pass_obj
-def algebra_list(cfg: RunConfig):
+def algebra_list(cfg) -> None:
     """Print the available models and their parameters."""
-    rows = [
-        {"name": entry["name"], "params": entry["params"]}
-        for entry in model_registry()
-    ]
-    emit(render_table(rows, ["name", "params"], cfg.output), None)
+    rows = [{"name": entry["name"], "params": entry["params"]} for entry in model_registry()]
+    emit(lambda: render_table(rows, ["name", "params"], cfg.output))
 
 
-@main.command()
-@click.argument("a_file", type=click.Path(exists=True))
-@click.argument("b_file", type=click.Path(exists=True))
-@click.option("--out", default=None, type=click.Path())
-@click.pass_obj
-def product(cfg: RunConfig, a_file, b_file, out):
+def product(cfg) -> None:
     """Exact product of two serialized elements."""
-    model = build_model(cfg)
-    a = read_element(model, a_file)
-    b = read_element(model, b_file)
+    model = get_model(cfg.model, hbar=cfg.hbar, epsilon=cfg.epsilon, n=cfg.n)
+    a = read_element(model, cfg.a_file)
+    b = read_element(model, cfg.b_file)
     prod = multiply(model, a, b)
-    emit(render_json(element_to_json(model, prod)), out)
+    emit(lambda: render_json(element_to_json(model, prod)), cfg.out)
 
 
-SEMINORM_COLUMNS = [
-    "m", "ell", "gamma", "h_exact", "seminorm_float",
-    "bracket_lo", "bracket_hi", "depth",
-]
+SEMINORM_COLUMNS = ["m", "ell", "gamma", "h_exact", "seminorm_float", "bracket_lo",
+                    "bracket_hi", "depth"]
 
 
 def _seminorm_row(res: SeminormResult, gamma_json) -> dict:
@@ -346,98 +276,61 @@ def _seminorm_row(res: SeminormResult, gamma_json) -> dict:
         lo_str = str(br.lo)
         hi_str = "inf" if br.hi.infinite else str(br.hi.value)
     except ValueError as exc:
-        raise DomainError(
-            f"the exact value at m={res.m} is too long to print "
-            f"(more than {sys.get_int_max_str_digits()} digits)"
-        ) from exc
-    return {
-        "m": res.m,
-        "ell": res.ell,
-        "gamma": json.dumps(gamma_json),
-        "h_exact": h_exact,
-        "seminorm_float": repr(res.value_float),
-        "bracket_lo": lo_str,
-        "bracket_hi": hi_str,
-        "depth": br.depth,
-    }
+        raise _too_long(f"the exact value at m={res.m}") from exc
+    return {"m": res.m, "ell": res.ell, "gamma": json.dumps(gamma_json), "h_exact": h_exact,
+            "seminorm_float": repr(res.value_float), "bracket_lo": lo_str,
+            "bracket_hi": hi_str, "depth": br.depth}
 
 
-@main.command()
-@click.argument("a_file", type=click.Path(exists=True))
-@click.option("--m-max", type=click.IntRange(min=0, max=M_MAX_CAP), default=2,
-              show_default=True, help=f"Deepest recursion level, at most {M_MAX_CAP}.")
-@click.option("--ell", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Branch word; truncated to the m low bits per row.")
-@click.option("--radius", default=None,
-              help="Also append summed rows at this radius (cone model).")
-@click.option("--out", default=None, type=click.Path())
-@click.pass_obj
-def seminorm(cfg: RunConfig, a_file, m_max, ell, radius, out):
+def seminorm(cfg) -> None:
     """Seminorm table over the support of an element.
 
     One row per (m, branch, index in the element's support); values are the
-    recursion values with certified enclosures, roots presented as floats.
-    """
+    recursion values with certified enclosures, roots presented as floats."""
     from .cone import ConeModel, seminorm_R
     from .seminorms import HTable, present
 
-    model = build_model(cfg)
-    a = read_element(model, a_file)
+    model = get_model(cfg.model, hbar=cfg.hbar, epsilon=cfg.epsilon, n=cfg.n)
+    a = read_element(model, cfg.a_file)
     table = HTable(model, a, cfg.tolerance)
     rows = []
     support = sorted(a.terms, key=model.index_sort_key)
-    for m in range(m_max + 1):
-        ell_m = ell & ((1 << m) - 1)
+    for m in range(cfg.m_max + 1):
+        ell_m = cfg.ell & ((1 << m) - 1)
         for idx in support:
             res = present(m, ell_m, idx, table.h(m, ell_m, idx), cfg.tolerance)
             rows.append(_seminorm_row(res, model.index_to_json(idx)))
-    if radius is not None:
+    if cfg.radius is not None:
         if not isinstance(model, ConeModel):
             raise DomainError("--radius tables need the cone model")
-        R = _parse_flag("radius", radius)
-        for m in range(m_max + 1):
-            ell_m = ell & ((1 << m) - 1)
+        R = _parse_flag("radius", cfg.radius)
+        for m in range(cfg.m_max + 1):
+            ell_m = cfg.ell & ((1 << m) - 1)
             br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
             rows.append(_seminorm_row(present(m, ell_m, None, br, cfg.tolerance),
                                       {"radius": str(R)}))
-    emit(render_table(rows, SEMINORM_COLUMNS, cfg.output), out)
+    emit(lambda: render_table(rows, SEMINORM_COLUMNS, cfg.output), cfg.out)
 
 
-@main.command("eval")
-@click.argument("a_file", type=click.Path(exists=True))
-@click.option("--point", "points", multiple=True, required=True,
-              help="Comma-separated coordinates, e.g. '1,0' or '3/5+4/5i'.")
-@click.option("--out", default=None, type=click.Path())
-@click.pass_obj
-def eval_cmd(cfg: RunConfig, a_file, points, out):
+def _value_row(val: GaussianRational) -> dict:
+    return {"value": format_gr(val), "re": str(val.re), "im": str(val.im)}
+
+
+def eval_cmd(cfg) -> None:
     """Evaluate an element at rational points."""
-    model = build_model(cfg)
-    a = read_element(model, a_file)
+    model = get_model(cfg.model, hbar=cfg.hbar, epsilon=cfg.epsilon, n=cfg.n)
+    a = read_element(model, cfg.a_file)
     if not hasattr(model, "evaluate"):
         raise DomainError(f"{model.name}: no evaluation functional")
     scalar_arg = model.name.startswith(("poly:", "laurent:"))
-    rows = []
-    for text in points:
+    values = []
+    for text in cfg.points:
         pt = parse_point(text)
-        if scalar_arg:
-            if len(pt) != 1:
-                raise click.UsageError(
-                    f"{model.name} evaluates at one coordinate, got {text!r}"
-                )
-            val = model.evaluate(a, pt[0])
-        else:
-            val = model.evaluate(a, pt)
-        rows.append({
-            "point": text,
-            "value": format_gr(val),
-            "re": str(val.re),
-            "im": str(val.im),
-        })
-    emit(render_table(rows, ["point", "value", "re", "im"], cfg.output), out)
-
-
-# ---------------------------------------------------------------------------
-# vacuum representation commands
+        if scalar_arg and len(pt) != 1:
+            raise UsageError(f"{model.name} evaluates at one coordinate, got {text!r}")
+        values.append((text, model.evaluate(a, pt[0] if scalar_arg else pt)))
+    emit(lambda: render_table([{"point": text, **_value_row(val)} for text, val in values],
+                              ["point", "value", "re", "im"], cfg.output), cfg.out)
 
 
 def _read_vector(path: str, n: int):
@@ -450,105 +343,211 @@ def _read_vector(path: str, n: int):
     return psi
 
 
-@main.group()
-def gns():
-    """Vacuum representation: inner products, action, coherent vectors."""
-
-
-@gns.command("inner")
-@click.argument("psi_file", type=click.Path(exists=True))
-@click.argument("phi_file", type=click.Path(exists=True))
-@click.pass_obj
-def gns_inner_cmd(cfg: RunConfig, psi_file, phi_file):
+def gns_inner_cmd(cfg) -> None:
+    """Vacuum inner product of two vectors."""
     from .gns import gns_inner
 
-    val = gns_inner(_read_vector(psi_file, cfg.n), _read_vector(phi_file, cfg.n),
+    val = gns_inner(_read_vector(cfg.psi_file, cfg.n), _read_vector(cfg.phi_file, cfg.n),
                     cfg.resolved_hbar)
-    emit(render_json({"value": format_gr(val), "re": str(val.re),
-                      "im": str(val.im)}), None)
+    emit(lambda: render_json(_value_row(val)))
 
 
-@gns.command("rep")
-@click.argument("a_file", type=click.Path(exists=True))
-@click.argument("psi_file", type=click.Path(exists=True))
-@click.option("--route", default="closed", show_default=True,
-              type=click.Choice(["closed", "product", "both"]))
-@click.option("--out", default=None, type=click.Path())
-@click.pass_obj
-def gns_rep_cmd(cfg: RunConfig, a_file, psi_file, route, out):
+def gns_rep_cmd(cfg) -> None:
     """Apply a disk element to a vector; --route both cross-checks."""
     from .cone import DiskModel
     from .gns import gns_rep, gns_rep_via_product, gns_vector_to_json
 
     model = DiskModel(cfg.n, cfg.resolved_hbar)
-    a = read_element(model, a_file)
-    psi = _read_vector(psi_file, model.n)
-    hbar = model.hbar
-    if route == "closed":
-        res = gns_rep(a, psi, hbar)
-    elif route == "product":
-        res = gns_rep_via_product(a, psi, hbar)
+    a = read_element(model, cfg.a_file)
+    psi = _read_vector(cfg.psi_file, model.n)
+    if cfg.route == "product":
+        res = gns_rep_via_product(a, psi, model.hbar)
     else:
-        res = gns_rep(a, psi, hbar)
-        other = gns_rep_via_product(a, psi, hbar)
-        if res != other:
-            click.echo("check failed: closed form differs from product route",
-                       err=True)
+        res = gns_rep(a, psi, model.hbar)
+        if cfg.route == "both" and res != gns_rep_via_product(a, psi, model.hbar):
+            sys.stderr.write("check failed: closed form differs from product route\n")
             sys.exit(1)
-    emit(render_json(gns_vector_to_json(res)), out)
+    emit(lambda: render_json(gns_vector_to_json(res)), cfg.out)
 
 
-@gns.command("coherent")
-@click.option("--point", required=True,
-              help="Interior point, comma-separated coordinates.")
-@click.option("--cap", type=click.IntRange(min=0, max=GAMMA_MAX_CAP), default=None,
-              help=f"Support cap, at most {GAMMA_MAX_CAP}; defaults to gamma-max.")
-@click.option("--out", default=None, type=click.Path())
-@click.pass_obj
-def gns_coherent_cmd(cfg: RunConfig, point, cap, out):
+def gns_coherent_cmd(cfg) -> None:
+    """Coherent vector at an interior point."""
     from .cone import check_point_dimension
     from .gns import coherent_vector, gns_vector_to_json
 
-    w = parse_point(point)
+    w = parse_point(cfg.point)
     check_point_dimension(w, cfg.n, "a disk point")
-    vec = coherent_vector(w, cfg.gamma_max if cap is None else cap)
-    emit(render_json(gns_vector_to_json(vec)), out)
+    vec = coherent_vector(w, cfg.gamma_max if cfg.cap is None else cfg.cap)
+    emit(lambda: render_json(gns_vector_to_json(vec)), cfg.out)
 
 
-@gns.command("positivity")
-@click.argument("a_file", type=click.Path(exists=True))
-@click.pass_obj
-def gns_positivity_cmd(cfg: RunConfig, a_file):
+def gns_positivity_cmd(cfg) -> None:
+    """Vacuum expectation of a* a for a disk element; exit 1 if negative."""
     from .cone import DiskModel
     from .gns import positivity_check
 
     model = DiskModel(cfg.n, cfg.resolved_hbar)
-    a = read_element(model, a_file)
+    a = read_element(model, cfg.a_file)
     val = positivity_check(a, model.hbar)
-    emit(render_json({"value": str(val), "nonnegative": val >= 0}), None)
+    emit(lambda: render_json({"value": str(val), "nonnegative": val >= 0}))
     if val < 0:
         sys.exit(1)
 
 
-@main.command()
-@click.argument("suite", type=str)
-@click.option("--level", type=click.IntRange(min=0, max=CHECK_LEVEL_CAP), default=2,
-              show_default=True, help="Basis level cutoff for the suite.")
-@click.pass_obj
-def check(cfg: RunConfig, suite, level):
-    """Run an invariant suite; nonzero exit on any failure."""
-    from .checks import SUITES, run_suite
+# the keys of checks.SUITES, sorted; named here so that --help lists them
+SUITE_NAMES = ("associativity", "filtration", "ideal", "laurent-divergence", "oracle",
+               "positivity", "symmetry")
 
-    if suite not in SUITES:
-        known = ", ".join(sorted(SUITES))
-        raise click.UsageError(f"unknown suite {suite!r}; known: {known}")
-    checks, failures = run_suite(suite, cfg.n, cfg.resolved_hbar, level)
+
+def check(cfg) -> None:
+    """Run an invariant suite; nonzero exit on any failure."""
+    from .checks import run_suite
+
+    if cfg.suite not in SUITE_NAMES:
+        raise UsageError(f"unknown suite {cfg.suite!r}; known: {', '.join(SUITE_NAMES)}")
+    checks, failures = run_suite(cfg.suite, cfg.n, cfg.resolved_hbar, cfg.level)
+    for line in failures:
+        print(f"FAIL {line}")
     if failures:
-        for line in failures:
-            click.echo(f"FAIL {line}")
-        click.echo(f"check {suite}: FAIL ({len(failures)}/{checks} checks failed)")
+        print(f"check {cfg.suite}: FAIL ({len(failures)}/{checks} checks failed)")
         sys.exit(1)
-    click.echo(f"check {suite}: PASS ({checks} checks)")
+    print(f"check {cfg.suite}: PASS ({checks} checks)")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _int_flag(lo: int, hi: int | None = None):
+    """An argparse type: an integer from lo up to hi (no bound when None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
+        if value < lo or (hi is not None and value > hi):
+            span = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {span}.")
+        return value
+    return parse
+
+
+def _choice(*names: str):
+    """An argparse type: one of names."""
+    def parse(text: str) -> str:
+        if text not in names:
+            listed = ", ".join(repr(name) for name in names)
+            raise argparse.ArgumentTypeError(f"{text!r} is not one of {listed}.")
+        return text
+    return parse
+
+
+def _readable(path: str) -> str:
+    """An argparse type: a file that opens for reading."""
+    try:
+        open(path, "rb").close()
+    except FileNotFoundError:
+        raise argparse.ArgumentTypeError(f"Path {path!r} does not exist.") from None
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"Path {path!r} cannot be read: {exc.strerror}.") from None
+    return path
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each `--option value` written `--option=value`: every option
+    but --help takes a value, and one that starts with '-' (--hbar -5/7,
+    --point -i) stays a value."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        if arg == "--":
+            return out + [arg, *rest]
+        value = None
+        if arg.startswith("--") and "=" not in arg and arg != "--help":
+            value = next(rest, None)
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
+def _parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="exactstar", allow_abbrev=False,
+        description="Exact star products, seminorm tables and representation checks.",
+        epilog=f"Caps: --n {N_CAP}, --gamma-max {GAMMA_MAX_CAP}, --depth {DEPTH_CAP}, "
+               f"--m-max {M_MAX_CAP}, --cap {GAMMA_MAX_CAP}, --level {CHECK_LEVEL_CAP}, "
+               f"{TERMS_CAP} terms per file.  Exit codes: 0 success, 1 a check failed, "
+               "2 usage or parse error, 3 domain error or unresolved comparison.")
+    for flag, text in [("--model", "Model name, see `algebra list`."),
+                       ("--hbar", "Deformation parameter p/q."),
+                       ("--n", "Number of disk variables."),
+                       ("--epsilon", "Group weight exponent (1 or 1/2)."),
+                       ("--gamma-max", "Level cutoff for tables."),
+                       ("--depth", "Partial-sum depth for brackets, at least gamma-max."),
+                       ("--tolerance", "Enclosure width target p/q.")]:
+        top.add_argument(flag, help=text)
+    top.add_argument("--output", type=_choice("json", "csv", "pretty"), help="json, csv or pretty.")
+    top.add_argument("--config", type=_readable,
+                     help="key=value file mirroring the flags; flags win.")
+
+    def group(commands, name, text):
+        parser = commands.add_parser(name, help=text, description=text, allow_abbrev=False)
+        return parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(commands, name, run, *files, out=False):
+        text = run.__doc__.split("\n")[0]
+        parser = commands.add_parser(name, help=text, description=text, allow_abbrev=False)
+        parser.set_defaults(run=run, parser=parser)
+        for file in files:
+            parser.add_argument(file, type=_readable)
+        if out:
+            parser.add_argument("--out", help="Write to this file instead of stdout.")
+        return parser
+
+    commands = top.add_subparsers(required=True, metavar="COMMAND")
+    command(group(commands, "algebra", "Registry introspection."), "list", algebra_list)
+    command(commands, "product", product, "a_file", "b_file", out=True)
+    p = command(commands, "seminorm", seminorm, "a_file", out=True)
+    p.add_argument("--m-max", type=_int_flag(0, M_MAX_CAP), default=2,
+                   help=f"Deepest recursion level, at most {M_MAX_CAP} (default 2).")
+    p.add_argument("--ell", type=_int_flag(0), default=0,
+                   help="Branch word; truncated to the m low bits per row (default 0).")
+    p.add_argument("--radius", help="Also append summed rows at this radius (cone model).")
+    p = command(commands, "eval", eval_cmd, "a_file", out=True)
+    p.add_argument("--point", dest="points", action="append", required=True,
+                   help="Comma-separated coordinates, e.g. '1,0' or '3/5+4/5i'; repeatable.")
+    gns = group(commands, "gns", "Vacuum representation: inner products, action, coherent vectors.")
+    command(gns, "inner", gns_inner_cmd, "psi_file", "phi_file")
+    p = command(gns, "rep", gns_rep_cmd, "a_file", "psi_file", out=True)
+    p.add_argument("--route", type=_choice("closed", "product", "both"), default="closed",
+                   help="closed (default), product or both.")
+    p = command(gns, "coherent", gns_coherent_cmd, out=True)
+    p.add_argument("--point", required=True, help="Interior point, comma-separated coordinates.")
+    p.add_argument("--cap", type=_int_flag(0, GAMMA_MAX_CAP),
+                   help=f"Support cap, at most {GAMMA_MAX_CAP}; defaults to gamma-max.")
+    command(gns, "positivity", gns_positivity_cmd, "a_file")
+    p = command(commands, "check", check)
+    p.add_argument("suite", help="One of " + ", ".join(SUITE_NAMES) + ".")
+    p.add_argument("--level", type=_int_flag(0, CHECK_LEVEL_CAP), default=2,
+                   help=f"Basis level cutoff for the suite, at most {CHECK_LEVEL_CAP} (default 2).")
+    return top
+
+
+def main(argv: list[str] | None = None) -> None:
+    """`exactstar ARGS`: returns on success, else raises SystemExit with 1 (a check
+    failed), 2 (a usage error) or 3 (`error: <message>` for a DomainError, an
+    InfiniteFanError included, or an UnresolvedError)."""
+    parser = _parser()
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    try:
+        _configure(args)
+    except UsageError as exc:
+        parser.error(str(exc))
+    try:
+        args.run(args)
+    except UsageError as exc:
+        args.parser.error(str(exc))
+    except (DomainError, UnresolvedError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.exit(3)
 
 
 if __name__ == "__main__":

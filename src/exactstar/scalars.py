@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[int, Fraction]
+
+# GaussianRational and ExtendedNonNeg are immutable: their __init__ sets the
+# slots through object.__setattr__, bound once here, and __setattr__ refuses.
+_set = object.__setattr__
+
+
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
 
 _FACTORIAL_MEMO_CAP = 256
 _factorial_memo: list[int] = [1]
@@ -139,12 +147,27 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
 class GaussianRational:
     """Complex number with Fraction real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def of(re: RationalLike, im: RationalLike = 0) -> "GaussianRational":
@@ -397,7 +420,6 @@ def multi_indices_up_to_degree(n: int, d: int) -> Iterator[MultiIndex]:
         yield from multi_indices_of_degree(n, total)
 
 
-@dataclass(frozen=True)
 class ExtendedNonNeg:
     """Nonnegative rational extended with infinity.
 
@@ -406,8 +428,24 @@ class ExtendedNonNeg:
     with nonzero values.
     """
 
-    value: Fraction
-    infinite: bool = False
+    __slots__ = ("value", "infinite")
+
+    def __init__(self, value: Fraction, infinite: bool = False):
+        _set(self, "value", value)
+        _set(self, "infinite", infinite)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExtendedNonNeg:
+            return NotImplemented
+        return self.value == other.value and self.infinite == other.infinite
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.infinite))
+
+    def __reduce__(self):
+        return ExtendedNonNeg, (self.value, self.infinite)
 
     @staticmethod
     def of(value: RationalLike) -> "ExtendedNonNeg":

@@ -1,11 +1,14 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from exactstar.algebra import Element, element_from_json, element_to_json, from_pairs, multiply
@@ -24,8 +27,33 @@ from exactstar.scalars import GaussianRational, MultiIndex
 GR = GaussianRational.of
 
 
-def run(*args, **kw):
-    return CliRunner().invoke(main, list(args), **kw)
+def run(*args):
+    """`exactstar ARGS` in this process.  output interleaves stdout and stderr in
+    the order written; exit_code is the SystemExit code, or 1 for an uncaught
+    exception, and exception is what ended a run with a nonzero code."""
+    both = io.StringIO()
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            both.write(text)
+            return super().write(text)
+
+    out, err = Stream(), Stream()
+    code, exception = 0, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+            if code != 0:
+                exception = exc
+            if not isinstance(code, int):
+                sys.stdout.write(f"{code}\n")
+                code = 1
+        except Exception as exc:
+            code, exception = 1, exc
+    return SimpleNamespace(output=both.getvalue(), stdout=out.getvalue(), stderr=err.getvalue(),
+                           exit_code=code, exception=exception)
 
 
 def write_json(path, data):
@@ -616,14 +644,15 @@ LAZY_LAYERS = ("exactstar.seminorms", "exactstar.models", "exactstar.checks",
                "exactstar.gns", "exactstar.su1n")
 
 
-def _loaded_layers(code, *argv):
-    """The LAZY_LAYERS loaded after running code in a fresh interpreter."""
+def _loaded_layers(code, *argv, modules=LAZY_LAYERS):
+    """The modules (LAZY_LAYERS by default) loaded after running code in a fresh
+    interpreter."""
     import exactstar
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exactstar.__file__)))
     probe = code + (
         "\nimport sys\nsys.stderr.write('LOADED ' + ' '.join("
-        f"m for m in {LAZY_LAYERS!r} if m in sys.modules))\n")
+        f"m for m in {modules!r} if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                           text=True, env=env, check=True)
     return set(proc.stderr.rsplit("LOADED", 1)[1].split())
@@ -670,6 +699,21 @@ def test_cli_command_loads_only_its_layers(tmp_path, command, loaded):
                           poly_file(tmp_path, "p.json", [(1, 1)]), "--m-max", "1"],
     }[command]
     assert _loaded_layers(_RUN_CLI, *args) == loaded
+
+
+# the parser library this front end replaced, and what `from dataclasses import
+# dataclass` brings with it (inspect, and through it ast, dis and tokenize)
+START_UP_EXTRAS = ("click", "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("code, argv", [
+    ("import exactstar.cli", []),
+    (_RUN_CLI, ["algebra", "list"]),
+    (_RUN_CLI, ["--model", "cone", "--hbar", "1/2", "algebra", "list"]),
+    (_RUN_CLI, ["check", "oracle", "--level", "1"]),
+], ids=["import", "algebra list", "cone flags", "check oracle"])
+def test_cli_start_up_loads_no_click_or_dataclasses(code, argv):
+    assert _loaded_layers(code, *argv, modules=START_UP_EXTRAS) == set()
 
 
 def test_package_names_resolve_on_first_access():
@@ -781,3 +825,415 @@ def test_point_parsing_fuzz(fuzz_files, target, point):
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     if target == "coherent" and res.exit_code == 0:
         assert "," not in point, "a coherent vector at --n 1 needs one coordinate"
+
+
+# ---------------------------------------------------------------------------
+# transcript: exit code and stdout of a fixed command table, pinned
+
+
+def _transcript_files(base):
+    cone = {"model": "cone", "terms": [
+        {"index": {"P": [1], "Q": [0], "alpha": 1}, "re": "1", "im": "0"},
+        {"index": {"P": [0], "Q": [2], "alpha": 3}, "re": "2/3", "im": "-1"},
+        {"index": {"P": [1], "Q": [1], "alpha": 2}, "re": "0", "im": "1/5"}]}
+    texts = {
+        "a": cone,
+        "b": {"model": "cone", "terms": [
+            {"index": {"P": [0], "Q": [1], "alpha": 2}, "re": "3", "im": "1"},
+            {"index": {"P": [2], "Q": [0], "alpha": 2}, "re": "-1/2", "im": "0"}]},
+        "s": {"model": "cone", "terms": cone["terms"][:2]},
+        "wrongn": {"model": "cone", "terms": [
+            {"index": {"P": [1, 0], "Q": [0, 0], "alpha": 1}, "re": "1", "im": "0"}]},
+        "x": {"model": "disk", "terms": [
+            {"index": {"P": [1], "Q": [0]}, "re": "1", "im": "2"},
+            {"index": {"P": [0], "Q": [0]}, "re": "3", "im": "0"},
+            {"index": {"P": [2], "Q": [2]}, "re": "1/7", "im": "0"}]},
+        "psi": {"terms": [{"index": [0], "re": "1", "im": "0"},
+                          {"index": [2], "re": "1/2", "im": "-3"}]},
+        "one": {"terms": [{"index": [1], "re": "1", "im": "0"}]},
+        "two": {"terms": [{"index": [1, 0], "re": "1", "im": "0"}]},
+        "p": {"model": "poly:monomial", "terms": [
+            {"index": 0, "re": "1", "im": "0"}, {"index": 2, "re": "1", "im": "0"},
+            {"index": 3, "re": "1/3", "im": "-1"}]},
+        "pf": {"model": "poly:factorial", "terms": [{"index": 1, "re": "1", "im": "0"}]},
+        "l": {"model": "laurent:plain", "terms": [
+            {"index": -1, "re": "1", "im": "0"}, {"index": 1, "re": "2", "im": "0"}]},
+    }
+    files = {name: write_json(base / f"{name}.json", data) for name, data in texts.items()}
+    for name, text in [("bad", "{not json"), ("cfg", "model = poly:monomial\ngamma-max = 3  # c\n"),
+                       ("badkey", "colour = blue\n"), ("badval", "hbar = abc\n"),
+                       ("noeq", "just words\n")]:
+        (base / name).write_text(text)
+        files[name] = str(base / name)
+    files["missing"] = str(base / "missing.json")
+    files["out"] = str(base / "out.json")
+    return files
+
+
+CONE = "--model cone --hbar 1/2 "
+DISK = "--model disk --hbar 1/2 "
+POLY = "--model poly:monomial "
+
+# (command with {file} fields, exit code, sha256 prefix of stdout followed by any
+# --out file, error message or None), recorded from the click front end that
+# argparse replaced.  Only the framing of a usage error may differ: click wrote
+# "Error: Invalid value for '--cap': <message>", argparse writes
+# "exactstar gns coherent: error: argument --cap: <message>".  None marks a
+# message that click worded itself (a missing option, argument or command).
+TRANSCRIPT = [
+    ("algebra list", 0, "1d633c8e0bf69ab6", None),
+    ("--output csv algebra list", 0, "0ab02cd1d2aab7d0", None),
+    ("--output pretty algebra list", 0, "3b0e6127b62a5f1b", None),
+    (CONE + "product {a} {b}", 0, "6daac932cfda6f5a", None),
+    (CONE + "product {a} {b} --out {out}", 0, "6daac932cfda6f5a", None),
+    (CONE + "product {a} --out {out} {b}", 0, "6daac932cfda6f5a", None),
+    (DISK + "product {x} {x}", 0, "a70b604719fe1666", None),
+    (POLY + "--output pretty product {p} {p}", 0, "6322d00e2f71cc19", None),
+    ("--config {cfg} product {p} {p}", 0, "6322d00e2f71cc19", None),
+    ("--config {cfg} --model poly:factorial product {pf} {pf}", 0, "fdf261546fe0ad2e", None),
+    ("--config {cfg} product {pf} {pf}", 2, "e3b0c44298fc1c14",
+     "<tmp>/pf.json: element was serialized for model 'poly:factorial', not 'poly:monomial'"),
+    (CONE + "seminorm {s} --m-max 2 --radius 1/2", 0, "e8bfd902cd8cb3dc", None),
+    (CONE + "--output csv seminorm {s} --m-max 1 --ell 1", 0, "73a93331a91ccb9b", None),
+    (POLY + "--output pretty seminorm {p} --ell 3", 0, "9b6a9d0f386ed5b4", None),
+    ("--model laurent:plain seminorm {l} --m-max 2", 0, "86d3d7c1f561342e", None),
+    (CONE + "eval {a} --point 2,0 --point 3/2,1/2", 0, "373cda53e32fd2e2", None),
+    (POLY + "--output csv eval {p} --point 2 --point 1/2+i --point -i", 0, "067329a6143df63f",
+     None),
+    (DISK + "eval {x} --point=1/3", 0, "2d07133f1b6f9d32", None),
+    (DISK + "eval {x} --point=1/3i", 3, "e3b0c44298fc1c14", "point outside the unit disk"),
+    ("gns inner {psi} {psi}", 0, "000f551d84093f85", None),
+    ("--hbar 1/4 gns inner {psi} {one}", 0, "639e928894b62497", None),
+    (DISK + "gns rep {x} {psi} --route both", 0, "8821214cd3c52a8d", None),
+    (DISK + "gns rep --route product {x} {psi} --out {out}", 0, "8821214cd3c52a8d", None),
+    ("gns coherent --point 1/2 --cap 3", 0, "104f0450cabad790", None),
+    ("gns coherent --point -1/3 --cap 2", 0, "d217e861748f1849", None),
+    ("--n 2 --gamma-max 2 gns coherent --point 1/4,-1/4", 0, "6bcb7896c195aebc", None),
+    (DISK + "gns positivity {x}", 0, "4e9981fa3269a2d2", None),
+    ("--model disk --hbar -5/7 gns positivity {x}", 3, "e3b0c44298fc1c14",
+     "representation needs hbar > 0"),
+    ("--model cone --hbar -5/7 product {a} {b}", 0, "6daac932cfda6f5a", None),
+    (CONE + "--tolerance 1/1000 --gamma-max 3 --depth 5 seminorm {s} --m-max 1 --radius 1/3",
+     0, "4a0dea586070c27f", None),
+    ("check oracle --level 1", 0, "4956808f0dbd74f3", None),
+    ("check filtration --level=1", 0, "53a0a0e9d5bb715a", None),
+    ("--hbar 3/7 check positivity", 0, "4fa52f4b9fb5e6e8", None),
+    ("check nope", 2, "e3b0c44298fc1c14",
+     "unknown suite 'nope'; known: associativity, filtration, ideal, laurent-divergence, "
+     "oracle, positivity, symmetry"),
+    ("--output yaml algebra list", 2, "e3b0c44298fc1c14",
+     "'yaml' is not one of 'json', 'csv', 'pretty'."),
+    ("--n 3 algebra list", 2, "e3b0c44298fc1c14", "n must be <= 2"),
+    ("--gamma-max 17 algebra list", 2, "e3b0c44298fc1c14", "gamma-max must be <= 16"),
+    ("--depth 1 --gamma-max 5 algebra list", 2, "e3b0c44298fc1c14", "depth must be >= gamma-max"),
+    ("--hbar x/y algebra list", 2, "e3b0c44298fc1c14",
+     "--hbar: expected a rational 'p' or 'p/q', got 'x/y'"),
+    ("--hbar 1e999999 algebra list", 2, "e3b0c44298fc1c14",
+     "--hbar: expected a rational 'p' or 'p/q', got '1e999999'"),
+    ("--config {missing} algebra list", 2, "e3b0c44298fc1c14",
+     "Path '<tmp>/missing.json' does not exist."),
+    ("--config {badkey} algebra list", 2, "e3b0c44298fc1c14",
+     "<tmp>/badkey:1: unknown key 'colour'"),
+    ("--config {badval} algebra list", 2, "e3b0c44298fc1c14",
+     "<tmp>/badval:1: expected a rational 'p' or 'p/q', got 'abc'"),
+    ("--config {noeq} algebra list", 2, "e3b0c44298fc1c14",
+     "<tmp>/noeq:1: expected key=value, got 'just words'"),
+    (POLY + "product {missing} {p}", 2, "e3b0c44298fc1c14",
+     "Path '<tmp>/missing.json' does not exist."),
+    (POLY + "seminorm {bad}", 2, "e3b0c44298fc1c14",
+     "<tmp>/bad: invalid JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1))"),
+    (POLY + "seminorm {p} --m-max 17", 2, "e3b0c44298fc1c14", "17 is not in the range 0<=x<=16."),
+    (POLY + "seminorm {p} --ell -1", 2, "e3b0c44298fc1c14", "-1 is not in the range x>=0."),
+    ("check ideal --level 5", 2, "e3b0c44298fc1c14", "5 is not in the range 0<=x<=4."),
+    ("gns coherent --point 1/2 --cap 17", 2, "e3b0c44298fc1c14",
+     "17 is not in the range 0<=x<=16."),
+    (DISK + "gns rep {x} {psi} --route x", 2, "e3b0c44298fc1c14",
+     "'x' is not one of 'closed', 'product', 'both'."),
+    (POLY + "eval {p} --point oops", 2, "e3b0c44298fc1c14", "cannot parse coordinate 'oops'"),
+    (POLY + "eval {p}", 2, "e3b0c44298fc1c14", None),
+    (CONE + "product {a}", 2, "e3b0c44298fc1c14", None),
+    ("algebra", 2, "e3b0c44298fc1c14", None),
+    ("", 2, "e3b0c44298fc1c14", None),
+    ("--model cone --hbar 0 product {a} {a}", 3, "e3b0c44298fc1c14", "hbar must be nonzero"),
+    (CONE + "--n 1 product {wrongn} {wrongn}", 3, "e3b0c44298fc1c14",
+     "<tmp>/wrongn.json: multiindex length must be 1"),
+    ("gns inner {one} {two}", 3, "e3b0c44298fc1c14",
+     "<tmp>/two.json: vector indices must have length 1"),
+    ("--n 1 gns coherent --point 1/4,1/4,1/4 --cap 1", 3, "e3b0c44298fc1c14",
+     "a disk point has 1 coordinates, got 3"),
+    ("gns coherent --point 1 --cap 2", 3, "e3b0c44298fc1c14",
+     "coherent vectors live at interior points"),
+    ("--model laurent:plain eval {l} --point 0", 3, "e3b0c44298fc1c14",
+     "Laurent evaluation needs a nonzero point"),
+    (POLY + "seminorm {p} --radius 1/2", 3, "e3b0c44298fc1c14",
+     "--radius tables need the cone model"),
+]
+
+
+def _transcript_digest(files, command):
+    res = run(*command.format(**files).split())
+    digest = hashlib.sha256(res.stdout.encode())
+    if "{out}" in command:
+        with open(files["out"], "rb") as fh:
+            digest.update(fh.read())
+        os.remove(files["out"])
+    return res, digest.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def transcript_files(tmp_path_factory):
+    return _transcript_files(tmp_path_factory.mktemp("transcript"))
+
+
+@pytest.mark.parametrize("command, code, digest, message", TRANSCRIPT,
+                         ids=[row[0] or "no arguments" for row in TRANSCRIPT])
+def test_cli_transcript_unchanged(transcript_files, command, code, digest, message):
+    res, got = _transcript_digest(transcript_files, command)
+    assert (res.exit_code, got) == (code, digest), (res.output, res.exception)
+    assert "Traceback" not in res.output
+    if message is not None:
+        base = os.path.dirname(transcript_files["out"])
+        assert message.replace("<tmp>", base) in res.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "gns inner"])
+def test_too_long_to_print_is_domain_error(tmp_path, command):
+    # z^5000 at 10 and the vacuum norm of e_[1200] at hbar = 1/2 have more digits
+    # than str() of an int may print
+    if command == "eval":
+        a = poly_file(tmp_path, "z.json", [(5000, 1)])
+        args = ["--model", "poly:monomial", "eval", a, "--point", "10"]
+    else:
+        psi = write_json(tmp_path / "psi.json", {"terms": [{"index": [1200], "re": "1"}]})
+        args = ["--hbar", "1/2", "gns", "inner", psi, psi]
+    res = run(*args)
+    assert res.exit_code == 3, (res.output, res.exception)
+    assert res.stdout == ""
+    assert "too long to print" in res.stderr and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("flag", ["element", "vector", "--config"])
+@pytest.mark.parametrize("problem", ["missing", "a directory"])
+def test_unreadable_input_file_is_usage_error(tmp_path, flag, problem):
+    path = tmp_path / "input.json"
+    if problem == "a directory":
+        path.mkdir()
+    good = poly_file(tmp_path, "good.json", [(1, 1)])
+    args = {"element": ["--model", "poly:monomial", "product", good, str(path)],
+            "vector": ["gns", "inner", str(path), str(path)],
+            "--config": ["--config", str(path), "algebra", "list"]}[flag]
+    res = run(*args)
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert str(path) in res.stderr and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("kind", ["config latin-1", "element latin-1", "element 5000 digits"])
+def test_undecodable_input_file_is_usage_error(tmp_path, kind):
+    path = tmp_path / "input"
+    if kind == "config latin-1":
+        path.write_bytes("model = poly:monomial  # café\n".encode("latin-1"))
+        args = ["--config", str(path), "algebra", "list"]
+    else:
+        text = '{"terms": [{"index": 1, "re": "1", "im": "%s"}]}' % "é"
+        if kind == "element 5000 digits":
+            text = '{"terms": [{"index": 1%s, "re": "1"}]}' % ("0" * 5000)
+        path.write_bytes(text.encode("latin-1"))
+        args = ["--model", "poly:monomial", "product", str(path), str(path)]
+    res = run(*args)
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert str(path) in res.stderr and "Traceback" not in res.output
+
+
+def test_unwritable_out_file_is_usage_error(tmp_path):
+    a = poly_file(tmp_path, "a.json", [(1, 1)])
+    res = run("--model", "poly:monomial", "product", a, a, "--out", str(tmp_path))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert str(tmp_path) in res.stderr and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--m-max", ["seminorm", "{a}", "--m-max", "17"]),
+    ("--m-max", ["seminorm", "{a}", "--m-max", "two"]),
+    ("--level", ["check", "oracle", "--level", "5"]),
+    ("--cap", ["gns", "coherent", "--point", "1/2", "--cap", "17"]),
+    ("--route", ["gns", "rep", "{x}", "{psi}", "--route", "x"]),
+    ("--output", ["--output", "yaml", "algebra", "list"]),
+    ("--point", ["eval", "{a}"]),
+    ("--n", ["--n", "two", "algebra", "list"]),
+])
+def test_flag_out_of_range_names_the_flag(transcript_files, flag, args):
+    res = run(*(arg.format(**transcript_files) for arg in args))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert flag in res.stderr and res.stdout == "" and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args, listed", [
+    ([], ["algebra", "product", "seminorm", "eval", "gns", "check", "--n N",
+          "--gamma-max 16", "--depth 16", "--m-max 16", "--level 4", "4096 terms"]),
+    (["gns"], ["inner", "rep", "coherent", "positivity"]),
+    (["gns", "coherent"], ["--point", "--cap", "at most 16"]),
+    (["check"], ["--level", "at most 4", "laurent-divergence"]),
+    (["seminorm"], ["--m-max", "at most 16", "--radius", "--out"]),
+])
+def test_help_lists_commands_and_caps(args, listed):
+    res = run(*args, "--help")
+    assert res.exit_code == 0 and res.exception is None, res.output
+    text = " ".join(res.stdout.split())
+    assert all(word in text for word in listed), text
+
+
+def test_help_names_every_suite():
+    from exactstar.checks import SUITES
+    from exactstar.cli import SUITE_NAMES
+
+    assert SUITE_NAMES == tuple(sorted(SUITES))
+
+
+def test_file_arguments_before_or_after_options(transcript_files):
+    f = transcript_files
+    orders = [
+        ["seminorm", f["s"], "--m-max", "1", "--ell", "1"],
+        ["seminorm", "--m-max", "1", f["s"], "--ell", "1"],
+        ["seminorm", "--m-max", "1", "--ell", "1", f["s"]],
+        ["seminorm", "--m-max=1", "--ell=1", f["s"]],
+    ]
+    outputs = {run("--model", "cone", "--hbar", "1/2", *args).stdout for args in orders}
+    assert len(outputs) == 1 and json.loads(outputs.pop())["rows"]
+
+
+def test_option_values_may_start_with_a_dash(transcript_files):
+    f = transcript_files
+    res = run("--model", "poly:monomial", "eval", f["p"], "--point", "-1/2-i")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["rows"][0]["point"] == "-1/2-i"
+    # an unknown flag, or a main flag after the command, is still a usage error
+    assert run("--model", "poly:monomial", "eval", f["p"], "--pt", "1").exit_code == 2
+    assert run("algebra", "list", "--model", "cone").exit_code == 2
+    assert run("--mod", "cone", "algebra", "list").exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# input files fuzzed through the front end
+
+
+def _mostly(valid, *invalid):
+    """valid, or about one draw in eight one of the invalid values."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda ok: valid if ok else st.sampled_from(invalid))
+
+
+_RATIONAL = _mostly(st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 4)),
+                    "1/0", "", "1e3", "0.5", " 2", "x", "1" * 1001, 3, None)
+_NATURAL = _mostly(st.integers(0, 3), -1, 1.5, "1", True, None)
+
+
+def _file(index, model=None):
+    term = _mostly(st.fixed_dictionaries({"index": index},
+                                         optional={"re": _RATIONAL, "im": _RATIONAL}), {}, [], 1)
+    head = {} if model is None else {"model": _mostly(st.just(model), "disk", 1)}
+    return _mostly(st.fixed_dictionaries({"terms": st.lists(term, max_size=4)}, optional=head),
+                   [], {}, {"terms": 3}, {"terms": {}}, "terms", None)
+
+
+_ELEMENT = st.one_of(
+    st.tuples(st.just("poly:monomial"), _file(_NATURAL, "poly:monomial")),
+    st.tuples(st.just("cone"), _file(st.fixed_dictionaries({
+        "P": _mostly(st.lists(_NATURAL, min_size=1, max_size=1), [0, 0], []),
+        "Q": _mostly(st.lists(_NATURAL, min_size=1, max_size=1), [0, 0], []),
+        "alpha": st.integers(0, 4)}), "cone")),
+)
+_VECTOR = _file(_mostly(st.lists(st.integers(0, 3), min_size=1, max_size=1), [1, 0], [1.5], 1))
+
+_SETTING = st.one_of(
+    st.tuples(st.just("model"), st.sampled_from(["disk", "cone", "poly:monomial"])),
+    st.tuples(st.sampled_from(["hbar", "epsilon"]), _RATIONAL),
+    st.tuples(st.just("tolerance"), _mostly(st.builds("1/{}".format, st.integers(1, 10**6)),
+                                            "0", "-1/2")),
+    st.tuples(st.just("n"), _mostly(st.integers(1, 2), 0, 3)),
+    st.tuples(st.sampled_from(["gamma_max", "gamma-max"]), _mostly(st.integers(0, 8), -1, 17)),
+    st.tuples(st.just("depth"), _mostly(st.integers(8, 16), 3, 17)),
+    st.tuples(st.just("output"), _mostly(st.sampled_from(["json", "csv", "pretty"]), "yaml")),
+).map("{0[0]} = {0[1]}".format)
+_CONFIG_LINE = _mostly(_SETTING, "", "# comment", "just words", "=", "colour = blue",
+                       " n=1 # one", "n = 1/0", "\x00", "\u00e9 = 1")
+
+
+def _accepted(res):
+    assert res.exit_code in (0, 1, 2, 3), (res.output, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+    return res.exit_code == 0
+
+
+@pytest.fixture(scope="module")
+def unit_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("units")
+    return {
+        "poly:monomial": write_json(base / "poly.json", {"terms": [{"index": 0, "re": "1"}]}),
+        "cone": write_json(base / "cone.json", {"terms": [
+            {"index": {"P": [0], "Q": [0], "alpha": 0}, "re": "1"}]}),
+        "disk": write_json(base / "disk.json", {"terms": [{"index": {"P": [0], "Q": [0]},
+                                                            "re": "1"}]}),
+        "input": base / "input.json",
+    }
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(model_data=_ELEMENT)
+def test_element_file_fuzz(unit_files, model_data):
+    # a product with the unit prints the element read from the file, or the
+    # file is a usage (2) or domain (3) error
+    model, data = model_data
+    path = write_json(unit_files["input"], data)
+    res = run("--model", model, "--hbar", "1/2", "product", path, unit_files[model])
+    if _accepted(res):
+        m = get_model(model, hbar=Fraction(1, 2))
+        out = json.loads(res.stdout)
+        assert element_from_json(m, out) == element_from_json(m, data)
+        assert element_to_json(m, element_from_json(m, out)) == out
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=_VECTOR)
+def test_vector_file_fuzz(unit_files, data):
+    # the unit of the disk acts as the identity on the vector read from the file
+    path = write_json(unit_files["input"], data)
+    res = run("--model", "disk", "--hbar", "1/2", "gns", "rep", unit_files["disk"], path)
+    if _accepted(res):
+        out = json.loads(res.stdout)
+        assert gns_vector_from_json(out) == gns_vector_from_json(data)
+        assert gns_vector_to_json(gns_vector_from_json(out)) == out
+
+
+_CONFIG_LINE = st.one_of(
+    st.builds("{} = {}".format,
+              st.sampled_from(["model", "hbar", "n", "epsilon", "gamma_max", "gamma-max",
+                               "depth", "tolerance", "output", "colour"]),
+              st.one_of(st.sampled_from(["disk", "cone", "json", "csv", "pretty", "1/0",
+                                         "-1", "17", ""]),
+                        st.builds("{}/{}".format, st.integers(-3, 20), st.integers(1, 9)),
+                        st.integers(-2, 20).map(str))),
+    st.sampled_from(["", "# comment", "just words", "=", " n=1 # one"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(lines=st.lists(_CONFIG_LINE, max_size=5))
+def test_config_file_fuzz(unit_files, lines):
+    from exactstar.cli import load_config_file
+    from exactstar.scalars import format_rational
+
+    path = unit_files["input"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    res = run("--config", path, "algebra", "list")
+    if _accepted(res):
+        settings_read = load_config_file(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value if isinstance(value, str) else format_rational(value)}\n"
+                          for key, value in settings_read.items())
+        assert load_config_file(path) == settings_read
+        assert res.stdout == run("--output", settings_read.get("output", "json"),
+                                 "algebra", "list").stdout

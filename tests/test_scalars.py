@@ -243,6 +243,35 @@ def test_extended_nonneg():
     assert math.isinf(ENN_INF.to_float())
 
 
+@pytest.mark.parametrize("make, other", [
+    (lambda: gr(Fraction(1, 3), -2), lambda: ExtendedNonNeg(Fraction(1, 3))),
+    (lambda: ExtendedNonNeg(Fraction(5, 2)), lambda: gr(Fraction(5, 2))),
+    (lambda: ENN_INF, lambda: (Fraction(0), True)),
+], ids=["GaussianRational", "ExtendedNonNeg", "infinity"])
+def test_value_classes_immutable_and_same_class_equal(make, other):
+    import copy
+    import pickle
+
+    x = make()
+    assert x == make() and hash(x) == hash(make())
+    assert x != other() and not (x == other())
+    for name in x.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(0))
+        if name != "extra":
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+    assert not hasattr(x, "__dict__")
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x and type(clone) is type(x) and repr(clone) == repr(x)
+    # hash and repr as the frozen dataclasses these classes replaced gave them
+    fields = tuple(getattr(x, name) for name in x.__slots__)
+    assert hash(x) == hash(fields)
+    assert repr(gr(Fraction(1, 3), -2)) == "GaussianRational(1/3, -2)"
+    assert repr(ExtendedNonNeg(Fraction(5, 2))) == "ExtendedNonNeg(5/2)"
+    assert repr(ENN_INF) == "ExtendedNonNeg(inf)"
+
+
 def test_rootsum_arithmetic():
     r = RootSum.sqrt_rational(Fraction(2))
     s = RootSum.sqrt_rational(Fraction(8))

@@ -14,7 +14,7 @@ only when it builds one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts, settle
 
@@ -46,28 +46,17 @@ class UnresolvedError(RuntimeError):
     check_triangle_inequality; the CLI reports it with exit code 3."""
 
 
-@runtime_checkable
-class StructureModel(Protocol):
-    """Minimal protocol a basis-indexed algebra model implements."""
-
-    name: str
-
-    def validate_index(self, idx: Index) -> Index: ...
-
-    def pair_product(self, left: Index, right: Index) -> dict[Index, Fraction]: ...
-
-    def index_sort_key(self, idx: Index) -> Any: ...
-
-    def index_to_json(self, idx: Index) -> Any: ...
-
-    def index_from_json(self, data: Any) -> Index: ...
-
-
 class BaseModel:
     """Shared memoization and defaults for structure-constant models."""
 
     name: str = "base"
     commutative: bool = False
+    """True only when c^gamma_{alpha beta} = c^gamma_{beta alpha} for every
+    index triple.  Then row_sum(x, gamma) == col_sum(x, gamma), row_parents
+    and col_parents enumerate the same indices, and an h_special must choose
+    between row and column weights only through ell & 1.  By induction on m
+    every branch word then runs the same arithmetic on the same values, so
+    HTable computes and caches each cell once, under ell = 0."""
 
     def __init__(self):
         self._row_memo: dict = {}
@@ -107,6 +96,8 @@ class BaseModel:
         raise NotImplementedError
 
     def row_parents(self, gamma: Index) -> Iterable[Index]:
+        """Finite enumeration of the alpha with row_sum(alpha, gamma) != 0;
+        InfiniteFanError when none exists (the model then has h_special)."""
         raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
 
     def col_parents(self, gamma: Index) -> Iterable[Index]:
@@ -233,7 +224,7 @@ class Element:
         return "Element({" + ", ".join(parts) + more + "})"
 
 
-def multiply(model: StructureModel, a: Element, b: Element) -> Element:
+def multiply(model: BaseModel, a: Element, b: Element) -> Element:
     """Product through the model's structure constants (exact)."""
     out: dict = {}
     b_parts = [(ib, gaussian_parts(cb)) for ib, cb in b.terms.items()]
@@ -247,7 +238,7 @@ def multiply(model: StructureModel, a: Element, b: Element) -> Element:
     return Element(settle(out))
 
 
-def element_to_json(model: StructureModel, a: Element) -> dict:
+def element_to_json(model: BaseModel, a: Element) -> dict:
     terms = []
     for idx in sorted(a.terms, key=model.index_sort_key):
         c = a.terms[idx]
@@ -257,7 +248,7 @@ def element_to_json(model: StructureModel, a: Element) -> dict:
     return {"model": model.name, "terms": terms}
 
 
-def element_from_json(model: StructureModel, data: dict) -> Element:
+def element_from_json(model: BaseModel, data: dict) -> Element:
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("element JSON needs a 'terms' list")
     declared = data.get("model")

@@ -141,17 +141,19 @@ def _parse_flag(name: str, text, parse=parse_rational):
         raise UsageError(f"--{name.replace('_', '-')}: {exc}") from exc
 
 
+# a real part must end at the sign of an imaginary part or at the end, so
+# that '3i' and '1/3i' read as pure imaginaries
 _GR_PATTERN = re.compile(
     r"""^\s*
-    (?P<re>[+-]?[0-9]+(?:/[0-9]+)?)?
-    (?P<im>(?:[+-][0-9]+(?:/[0-9]+)?|[+-]?)i)?
+    (?:(?P<re>[+-]?[0-9]+(?:/[0-9]+)?)(?=[+-]|\s*$))?
+    (?P<im>(?:[+-]?[0-9]+(?:/[0-9]+)?|[+-]?)i)?
     \s*$""",
     re.VERBOSE,
 )
 
 
 def parse_point_coordinate(text: str) -> GaussianRational:
-    """Accepts 'p/q', 'p/qi', 'a+bi', 'a-bi', 'i', '-i'."""
+    """Accepts 'p/q', 'p/qi' (pure imaginary), 'a+bi', 'a-bi', 'i', '-i'."""
     m = _GR_PATTERN.match(text)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise UsageError(f"cannot parse coordinate {text!r}")

@@ -463,7 +463,7 @@ def seminorm_R(
         extra += majorant(g)
         g += 1
     tail = extra + 2 * majorant(g)
-    return Bracket(partial.lo, partial.hi.add(tail), depth, TAG_MAJORANT)
+    return Bracket(partial.lo, partial.hi + tail, depth, TAG_MAJORANT)
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,9 @@ def gns_vector_from_json(data: dict) -> GnsVector:
     out = {}
     for entry in terms:
         q = MultiIndex(entry["index"])
-        out[q] = GaussianRational.from_json(
-            {"re": entry.get("re", "0"), "im": entry.get("im", "0")}
-        )
+        c = GaussianRational.from_json({"re": entry.get("re", "0"), "im": entry.get("im", "0")})
+        # a repeated index sums, as in algebra.element_from_json
+        out[q] = out[q] + c if q in out else c
     if len({len(q) for q in out}) > 1:
         raise ValueError("GNS vector indices must all have one length")
     return GnsVector(out)

@@ -407,12 +407,6 @@ class MatrixModel(BaseModel):
         return table.step(2, ell, ((p, weight(p, gamma)) for p in parents))
 
 
-def matrix_trace(model: MatrixModel, a: Element) -> GaussianRational:
-    if not isinstance(model, MatrixModel):
-        raise DomainError("matrix_trace needs a matrix model")
-    return model.trace(a)
-
-
 # ---------------------------------------------------------------------------
 # group algebras: Z, Z^d, free groups
 
@@ -532,11 +526,7 @@ class GroupModel(BaseModel):
                         yield [(gen, sign * e)] + rest
 
     def shell_growth_base(self) -> int:
-        if self.kind == "Z":
-            return 2
-        if self.kind == "Zd":
-            return 2 * self.size
-        return 2 * self.size
+        return 2 if self.kind == "Z" else 2 * self.size
 
     # -- weights ------------------------------------------------------------
     def c_scale(self, g):
@@ -733,7 +723,7 @@ class GroupModel(BaseModel):
                 tail = term_bound_hi(s + 1) / (1 - ratio_bound_hi(s + 1))
                 partial = acc.to_bracket(tol)
                 if tail <= tol * (partial.lo + tail) or s >= smin + 60:
-                    hi = partial.hi.add(tail)
+                    hi = partial.hi + tail
                     return HVal.bracket(Bracket(partial.lo, hi, s, TAG_MAJORANT))
             s += 1
 

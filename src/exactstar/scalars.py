@@ -2,8 +2,7 @@
 extended nonnegative values, certified square-root enclosures, and exact
 finite sums of square roots.
 
-Everything here stays in (extensions of) the rationals.  Floating point
-appears only in explicit ``to_float`` presentations.
+Everything here stays in (extensions of) the rationals; no value is a float.
 """
 
 from __future__ import annotations
@@ -421,7 +420,8 @@ def multi_indices_up_to_degree(n: int, d: int) -> Iterator[MultiIndex]:
 
 
 class ExtendedNonNeg:
-    """Nonnegative rational extended with infinity.
+    """Nonnegative rational extended with infinity: the upper end of a
+    seminorms.Bracket.
 
     Convention: 0 * inf = 0 (an absent contribution stays absent no matter
     how large the weight); inf absorbs under addition and under products
@@ -464,8 +464,6 @@ class ExtendedNonNeg:
             return ExtendedNonNeg.infinity()
         return ExtendedNonNeg(self.value + o.value)
 
-    __radd__ = __add__
-
     def __mul__(self, other: "ExtendedNonNeg | RationalLike") -> "ExtendedNonNeg":
         o = other if isinstance(other, ExtendedNonNeg) else ExtendedNonNeg.of(other)
         if self.is_zero() or o.is_zero():
@@ -474,44 +472,11 @@ class ExtendedNonNeg:
             return ExtendedNonNeg.infinity()
         return ExtendedNonNeg(self.value * o.value)
 
-    __rmul__ = __mul__
-
-    def add(self, other: "ExtendedNonNeg | RationalLike") -> "ExtendedNonNeg":
-        return self + other
-
-    def mul(self, other: "ExtendedNonNeg | RationalLike") -> "ExtendedNonNeg":
-        return self * other
-
-    def squared(self) -> "ExtendedNonNeg":
-        return self * self
-
     def is_zero(self) -> bool:
         return not self.infinite and self.value == 0
 
-    def compare(self, other: "ExtendedNonNeg") -> int:
-        if self.infinite and other.infinite:
-            return 0
-        if self.infinite:
-            return 1
-        if other.infinite:
-            return -1
-        return (self.value > other.value) - (self.value < other.value)
-
-    def __le__(self, other: "ExtendedNonNeg") -> bool:
-        return self.compare(other) <= 0
-
-    def __lt__(self, other: "ExtendedNonNeg") -> bool:
-        return self.compare(other) < 0
-
-    def to_float(self) -> float:
-        return math.inf if self.infinite else self.value.numerator / self.value.denominator
-
     def __repr__(self) -> str:
         return "ExtendedNonNeg(inf)" if self.infinite else f"ExtendedNonNeg({self.value!s})"
-
-
-ENN_ZERO = ExtendedNonNeg.of(0)
-ENN_INF = ExtendedNonNeg.infinity()
 
 
 # --- exact finite sums of square roots ------------------------------------

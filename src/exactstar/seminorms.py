@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
-from .algebra import DEFAULT_TOL, DomainError, Element, Index, UnresolvedError, multiply
+from .algebra import DEFAULT_TOL, BaseModel, DomainError, Element, Index, UnresolvedError, multiply
 from .scalars import ExtendedNonNeg, RootSum, rational_sqrt, sqrt_bracket
 
 # tail_source tags, in absorption priority (highest wins when combining)
@@ -109,7 +109,7 @@ class Bracket:
     def __add__(self, other: "Bracket") -> "Bracket":
         return Bracket(
             self.lo + other.lo,
-            self.hi.add(other.hi),
+            self.hi + other.hi,
             max(self.depth, other.depth),
             _join_tag(self.tail_source, other.tail_source),
         )
@@ -119,7 +119,7 @@ class Bracket:
             return Bracket.exact(0)
         return Bracket(
             self.lo * other.lo,
-            self.hi.mul(other.hi),
+            self.hi * other.hi,
             max(self.depth, other.depth),
             _join_tag(self.tail_source, other.tail_source),
         )
@@ -129,7 +129,7 @@ class Bracket:
             raise ValueError("scale factor must be nonnegative")
         if q == 0:
             return Bracket.exact(0)
-        return Bracket(self.lo * q, self.hi.mul(ExtendedNonNeg.of(q)), self.depth, self.tail_source)
+        return Bracket(self.lo * q, self.hi * q, self.depth, self.tail_source)
 
     def root_interval(self, m: int, tol: Fraction = DEFAULT_TOL) -> tuple[Fraction, ExtendedNonNeg]:
         """Enclosure of the 2^m-th root."""
@@ -191,26 +191,27 @@ def rootsum_sign(rs: RootSum) -> int:
 class HVal:
     """Value of one h[m, ell, gamma] cell.
 
-    kind "exact":   extended nonnegative rational, the value itself
+    kind "exact":   nonnegative Fraction q, the value itself
     kind "sqrt":    value = sqrt(sq) for a rational sq (modulus at m = 0)
     kind "root":    exact finite sum of square roots of rationals
-    kind "bracket": certified interval
+    kind "bracket": certified interval; an infinite cell holds Bracket.divergent()
     """
 
-    __slots__ = ("kind", "enn", "sq", "rs", "br")
+    __slots__ = ("kind", "q", "sq", "rs", "br")
 
-    def __init__(self, kind: str, enn=None, sq=None, rs=None, br=None):
+    def __init__(self, kind: str, q=None, sq=None, rs=None, br=None):
         self.kind = kind
-        self.enn = enn
+        self.q = q
         self.sq = sq
         self.rs = rs
         self.br = br
 
     @staticmethod
-    def exact(value: ExtendedNonNeg | Fraction | int) -> "HVal":
-        if not isinstance(value, ExtendedNonNeg):
-            value = ExtendedNonNeg.of(Fraction(value))
-        return HVal("exact", enn=value)
+    def exact(value: Fraction | int) -> "HVal":
+        q = Fraction(value)
+        if q < 0:
+            raise ValueError("exact h value must be >= 0")
+        return HVal("exact", q=q)
 
     @staticmethod
     def modulus_sq(sq: Fraction) -> "HVal":
@@ -237,11 +238,11 @@ class HVal:
 
     @staticmethod
     def infinite() -> "HVal":
-        return HVal.exact(ExtendedNonNeg.infinity())
+        return HVal("bracket", br=Bracket.divergent())
 
     def is_zero(self) -> bool:
         if self.kind == "exact":
-            return self.enn.is_zero()
+            return self.q == 0
         if self.kind == "sqrt":
             return self.sq == 0
         if self.kind == "root":
@@ -249,16 +250,12 @@ class HVal:
         return self.br.is_zero()
 
     def is_infinite(self) -> bool:
-        if self.kind == "exact":
-            return self.enn.infinite
-        if self.kind == "bracket":
-            return self.br.is_divergent()
-        return False
+        return self.kind == "bracket" and self.br.is_divergent()
 
     def exact_rational(self) -> Fraction | None:
         """The value as a Fraction when it is exactly one, else None."""
-        if self.kind == "exact" and not self.enn.infinite:
-            return self.enn.value
+        if self.kind == "exact":
+            return self.q
         if self.kind == "sqrt":
             return rational_sqrt(self.sq)
         if self.kind == "root" and self.rs.is_rational():
@@ -271,7 +268,7 @@ class HVal:
         if self.kind == "sqrt":
             return HVal.exact(self.sq)
         if self.kind == "exact":
-            return HVal.exact(self.enn.squared())
+            return HVal("exact", q=self.q * self.q)
         if self.kind == "root":
             return HVal.root(self.rs * self.rs)
         return HVal.bracket(self.br * self.br)
@@ -283,7 +280,7 @@ class HVal:
             if w == 0 or self.is_zero():
                 return HVal.zero()
             if self.kind == "exact":
-                return HVal.exact(self.enn.mul(ExtendedNonNeg.of(w)))
+                return HVal.exact(self.q * w)
             if self.kind == "sqrt":
                 return HVal.root(RootSum.sqrt_rational(self.sq) * RootSum.rational(w))
             if self.kind == "root":
@@ -304,20 +301,19 @@ class HVal:
             return other
         if other.is_zero():
             return self
+        # the bracket sum would keep the finite side's lo and depth
         if self.is_infinite() or other.is_infinite():
             return HVal.infinite()
         a, b = self, other
         if a.kind == "bracket" or b.kind == "bracket":
             return HVal.bracket(a.to_bracket() + b.to_bracket())
         if a.kind == "exact" and b.kind == "exact":
-            return HVal.exact(a.enn.add(b.enn))
+            return HVal("exact", q=a.q + b.q)
         return HVal.root(a._as_rootsum() + b._as_rootsum())
 
     def _as_rootsum(self) -> RootSum:
         if self.kind == "exact":
-            if self.enn.infinite:
-                raise ValueError("infinite value has no root-sum form")
-            return RootSum.rational(self.enn.value)
+            return RootSum.rational(self.q)
         if self.kind == "sqrt":
             return RootSum.sqrt_rational(self.sq)
         if self.kind == "root":
@@ -326,9 +322,7 @@ class HVal:
 
     def to_bracket(self, tol: Fraction = DEFAULT_TOL) -> Bracket:
         if self.kind == "exact":
-            if self.enn.infinite:
-                return Bracket.divergent()
-            return Bracket.exact(self.enn.value)
+            return Bracket.exact(self.q)
         if self.kind == "sqrt":
             r = rational_sqrt(self.sq)
             if r is not None:
@@ -360,52 +354,15 @@ class HVal:
         return f"HVal({self.kind}, ~{self.to_float():.6g})"
 
 
-# ---------------------------------------------------------------------------
-# model protocol as the engine sees it
-
-
-class SeminormModel(Protocol):
-    name: str
-    commutative: bool
-    """True only when c^gamma_{alpha beta} = c^gamma_{beta alpha} for every
-    index triple.  Then row_sum(x, gamma) == col_sum(x, gamma), row_parents
-    and col_parents enumerate the same indices, and an h_special must choose
-    between row and column weights only through ell & 1.  By induction on m
-    every branch word then runs the same arithmetic on the same values, so
-    HTable computes and caches each cell once, under ell = 0."""
-
-    def pair_product(self, left: Index, right: Index) -> dict[Index, Any]: ...
-
-    def row_sum(self, alpha: Index, gamma: Index): ...
-
-    def col_sum(self, beta: Index, gamma: Index): ...
-
-    def row_parents(self, gamma: Index) -> Iterable[Index]:
-        """Finite enumeration of alpha with row_sum(alpha, gamma) != 0.
-
-        Must raise InfiniteFanError when no finite enumeration exists; such
-        models provide h_special(table, m, ell, gamma), which HTable asks
-        first at m >= 2 for a nonzero element."""
-        ...
-
-    def col_parents(self, gamma: Index) -> Iterable[Index]: ...
-
-    def fan(self, bit: int, gamma: Index) -> list[tuple[Index, Any]]:
-        """The (parent, weight) pairs of the row (bit 0) or column (bit 1)
-        parents of gamma whose weight is nonzero.  HTable sums over it at
-        levels m >= 2 (level 1 sums over the element's support)."""
-        ...
-
-
 class HTable:
     """Memoized h[m, ell, gamma] values for one (model, element) pair."""
 
-    def __init__(self, model, element: Element, tol: Fraction = DEFAULT_TOL):
+    def __init__(self, model: BaseModel, element: Element, tol: Fraction = DEFAULT_TOL):
         self.model = model
         self.element = element
         self.tol = tol
         self._cells: dict[tuple[int, int, Index], HVal] = {}
-        # one cell per (m, gamma) on a commutative model, see SeminormModel
+        # one cell per (m, gamma) on a commutative model, see BaseModel.commutative
         self._commutative = model.commutative
 
     def h(self, m: int, ell: int, gamma: Index) -> HVal:
@@ -454,7 +411,7 @@ class HTable:
         certified h_special sums all run through this one step
         (truncated_sum, a lower bound, is the only other sum)."""
         parent_ell = ell >> 1
-        # While every contribution is a finite exact or sqrt cell times a
+        # While every contribution is an exact or sqrt cell times a
         # Fraction weight, the HVal sum would be HVal.exact(num/den); keep the
         # integers and switch to HVal arithmetic at the first other kind.
         num, den = 0, 1
@@ -471,8 +428,8 @@ class HTable:
                     num, den = _add_ratio(num, den, sq.numerator * w.numerator,
                                           sq.denominator * w.denominator)
                     continue
-                if hv.kind == "exact" and not hv.enn.infinite:
-                    v = hv.enn.value
+                if hv.kind == "exact":
+                    v = hv.q
                     num, den = _add_ratio(num, den, v.numerator * v.numerator * w.numerator,
                                           v.denominator * v.denominator * w.denominator)
                     continue
@@ -515,17 +472,6 @@ def truncated_sum(table: HTable, m: int, ell: int, weighted_parents: Iterable, d
         num, den = _add_ratio(num, den, lo.numerator * lo.numerator * w_lo.numerator,
                               lo.denominator * lo.denominator * w_lo.denominator)
     return HVal.bracket(Bracket.truncated(Fraction(num, den), depth))
-
-
-def h(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = DEFAULT_TOL):
-    """One h value; ExtendedNonNeg when exact, Bracket otherwise."""
-    v = HTable(model, a, tol).h(m, ell, gamma)
-    q = v.exact_rational()
-    if q is not None:
-        return ExtendedNonNeg.of(q)
-    if v.kind == "exact":
-        return v.enn
-    return v.to_bracket(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +616,7 @@ def hval_product(x: HVal, y: HVal) -> HVal:
     if x.kind == "bracket" or y.kind == "bracket":
         return HVal.bracket(x.to_bracket() * y.to_bracket())
     if x.kind == "exact" and y.kind == "exact":
-        return HVal.exact(x.enn.mul(y.enn))
+        return HVal("exact", q=x.q * y.q)
     return HVal.root(x._as_rootsum() * y._as_rootsum())
 
 
@@ -899,7 +845,7 @@ def omega_h(
         partial = _omega_partial(model, table, a, m, ell, omega, cap, tol)
         rho = ratio_bound(cap + 1)
         tail = term_bound(cap + 1) / (1 - rho)
-    hi = partial.hi.add(ExtendedNonNeg.of(tail))
+    hi = partial.hi + tail
     return Bracket(partial.lo, hi, cap, _join_tag(TAG_MAJORANT, partial.tail_source))
 
 
@@ -935,7 +881,7 @@ def check_omega_product_inequality(
     rb = omega_h(model, b, m + 1, (1 << m) + ell, omega, gamma_cap, tol)
     if ra.is_divergent() or rb.is_divergent():
         return True
-    lhs_sq_hi = lhs.hi.squared()
+    lhs_sq_hi = lhs.hi * lhs.hi
     if lhs_sq_hi.infinite:
         raise DomainError("left side lacks a certified upper bound")
     return lhs_sq_hi.value <= ra.lo * rb.lo or _exact_omega_compare(lhs, ra, rb)

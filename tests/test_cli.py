@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactstar.algebra import Element, element_from_json, element_to_json, from_pairs, multiply
-from exactstar.cli import main, parse_point_coordinate
+from exactstar.cli import UsageError, main, parse_point_coordinate
 from exactstar.cone import (
     DiskModel,
     cone_triples,
@@ -161,6 +161,29 @@ def test_point_coordinate_parser():
     assert parse_point_coordinate("7") == GR(7)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3i", GR(0, 3)),
+    ("1/3i", GR(0, Fraction(1, 3))),
+    ("-2i", GR(0, -2)),
+    ("+12/5i", GR(0, Fraction(12, 5))),
+    ("i", GR(0, 1)),
+    ("-i", GR(0, -1)),
+    ("2+3i", GR(2, 3)),
+    ("1/2-i", GR(Fraction(1, 2), -1)),
+    ("-1/3-2/7i", GR(Fraction(-1, 3), Fraction(-2, 7))),
+    (" 5 ", GR(5)),
+    ("3i+2", None),
+    ("2+-3i", None),
+    ("1/3/i", None),
+])
+def test_point_coordinate_forms(text, value):
+    if value is None:
+        with pytest.raises(UsageError, match="cannot parse coordinate"):
+            parse_point_coordinate(text)
+    else:
+        assert parse_point_coordinate(text) == value
+
+
 def test_seminorm_table(tmp_path):
     a = poly_file(tmp_path, "a.json", [(5, 1)])
     res = run("--model", "poly:monomial", "seminorm", a, "--m-max", "2")
@@ -222,6 +245,17 @@ def test_gns_inner(tmp_path):
 
     res = run("--hbar", "1/4", "gns", "inner", psi, psi)
     assert json.loads(res.output)["value"] == "2"
+
+
+def test_gns_inner_sums_repeated_indices(tmp_path):
+    # like an element file, a vector file that lists an index twice means the
+    # sum of its coefficients: 1 + 2 at [1] against e_[1] at hbar = 1/2
+    twice = write_json(tmp_path / "twice.json", {"terms": [{"index": [1], "re": "1"},
+                                                           {"index": [1], "re": "2"}]})
+    one = write_json(tmp_path / "one.json", gns_vector_to_json(GnsVector.basis(MultiIndex((1,)))))
+    res = run("gns", "inner", twice, one)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["value"] == "3"
 
 
 def test_gns_rep_routes(tmp_path):
@@ -901,7 +935,8 @@ TRANSCRIPT = [
     (POLY + "--output csv eval {p} --point 2 --point 1/2+i --point -i", 0, "067329a6143df63f",
      None),
     (DISK + "eval {x} --point=1/3", 0, "2d07133f1b6f9d32", None),
-    (DISK + "eval {x} --point=1/3i", 3, "e3b0c44298fc1c14", "point outside the unit disk"),
+    # recorded on argparse: 1/3i is the pure imaginary i/3, inside the disk
+    (DISK + "eval {x} --point=1/3i", 0, "d8d6773afbb3ec9c", None),
     ("gns inner {psi} {psi}", 0, "000f551d84093f85", None),
     ("--hbar 1/4 gns inner {psi} {one}", 0, "639e928894b62497", None),
     (DISK + "gns rep {x} {psi} --route both", 0, "8821214cd3c52a8d", None),

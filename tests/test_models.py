@@ -11,7 +11,7 @@ from exactstar.models import (
     word_length,
 )
 from exactstar.scalars import GaussianRational, MultiIndex, factorial
-from exactstar.seminorms import HTable, h
+from exactstar.seminorms import HTable
 
 from oracles import e_minus_one_decimal, random_gr, seeded
 

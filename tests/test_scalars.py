@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exactstar.scalars import (
-    ENN_INF,
-    ENN_ZERO,
     ExtendedNonNeg,
     GR_I,
     GR_ONE,
@@ -234,19 +232,24 @@ def test_sqrt_bracket_scale_matches_bit_loop():
 
 
 def test_extended_nonneg():
-    two = ExtendedNonNeg.of(Fraction(2))
-    assert (two + ENN_INF).infinite
-    assert (ENN_ZERO * ENN_INF) == ENN_ZERO
-    assert (two * ENN_INF).infinite
-    assert two.squared() == ExtendedNonNeg.of(Fraction(4))
-    assert ENN_ZERO.compare(two) < 0 < ENN_INF.compare(two)
-    assert math.isinf(ENN_INF.to_float())
+    zero, two = ExtendedNonNeg.of(0), ExtendedNonNeg.of(Fraction(2))
+    inf = ExtendedNonNeg.infinity()
+    assert (two + inf).infinite
+    assert (zero * inf) == zero
+    assert (two * inf).infinite
+    assert two * two == ExtendedNonNeg.of(Fraction(4))
+    # a Bracket's upper end takes a rational tail or factor as it is
+    assert two + Fraction(1, 2) == ExtendedNonNeg.of(Fraction(5, 2))
+    assert two * 3 == ExtendedNonNeg.of(6)
+    assert zero.is_zero() and not two.is_zero() and not inf.is_zero()
+    with pytest.raises(ValueError):
+        ExtendedNonNeg.of(-1)
 
 
 @pytest.mark.parametrize("make, other", [
     (lambda: gr(Fraction(1, 3), -2), lambda: ExtendedNonNeg(Fraction(1, 3))),
     (lambda: ExtendedNonNeg(Fraction(5, 2)), lambda: gr(Fraction(5, 2))),
-    (lambda: ENN_INF, lambda: (Fraction(0), True)),
+    (lambda: ExtendedNonNeg.infinity(), lambda: (Fraction(0), True)),
 ], ids=["GaussianRational", "ExtendedNonNeg", "infinity"])
 def test_value_classes_immutable_and_same_class_equal(make, other):
     import copy
@@ -269,7 +272,7 @@ def test_value_classes_immutable_and_same_class_equal(make, other):
     assert hash(x) == hash(fields)
     assert repr(gr(Fraction(1, 3), -2)) == "GaussianRational(1/3, -2)"
     assert repr(ExtendedNonNeg(Fraction(5, 2))) == "ExtendedNonNeg(5/2)"
-    assert repr(ENN_INF) == "ExtendedNonNeg(inf)"
+    assert repr(ExtendedNonNeg.infinity()) == "ExtendedNonNeg(inf)"
 
 
 def test_rootsum_arithmetic():

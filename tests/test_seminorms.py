@@ -17,7 +17,6 @@ from exactstar.seminorms import (
     check_triangle_inequality,
     comparison_constant,
     growth_classify,
-    h,
     hval_product,
     omega_h,
     rootsum_bracket,
@@ -108,6 +107,11 @@ def test_hval_kinds_and_exact_rational():
     rs = RootSum.sqrt_rational(Fraction(2))
     assert HVal.root(rs).exact_rational() is None
     assert HVal.zero().is_zero() and HVal.infinite().is_infinite()
+    # 0 * inf = 0: an absent contribution stays absent
+    assert HVal.infinite().times(Fraction(0)).is_zero()
+    assert hval_product(HVal.infinite(), HVal.zero()).is_zero()
+    with pytest.raises(ValueError):
+        HVal.exact(-1)
     assert HVal.exact(2).exact_string() == "2"
     assert HVal.infinite().exact_string() == "inf"
     assert HVal.root(rs).exact_string() == ""
@@ -151,6 +155,30 @@ def test_rootsum_sign_and_bracket():
         rootsum_bracket(RootSum.rational(Fraction(-1)))
 
 
+_INF = HVal.infinite()
+
+
+@pytest.mark.parametrize("op", [
+    lambda: _INF,
+    lambda: _INF.squared(),
+    lambda: _INF.times(Fraction(3, 2)),
+    lambda: _INF.times(RootSum.sqrt_rational(Fraction(2))),
+    lambda: _INF.plus(HVal.exact(Fraction(5, 3))),
+    lambda: HVal.modulus_sq(Fraction(2)).plus(_INF),
+    lambda: _INF.plus(HVal.bracket(Bracket.enclosure(Fraction(1), Fraction(2), depth=4))),
+    lambda: hval_product(_INF, HVal.root(RootSum.sqrt_rational(Fraction(3)))),
+    lambda: hval_product(HVal.exact(2), _INF),
+], ids=["infinite", "squared", "times-fraction", "times-irrational-rootsum", "plus-exact",
+        "sqrt-plus", "plus-bracket", "product-root", "product-exact"])
+def test_infinite_cell_stays_the_divergent_bracket(op):
+    v = op()
+    assert v.is_infinite() and not v.is_zero()
+    assert v.exact_rational() is None
+    assert v.to_bracket() == Bracket.divergent()
+    assert v.exact_string() == "inf"
+    assert v.to_float() == float("inf")
+
+
 def test_unresolved_comparison_is_typed(monkeypatch):
     # enclosures that never narrow: the refinement loop gives up with the
     # documented error instead of a bare RuntimeError
@@ -164,15 +192,15 @@ def test_unresolved_comparison_is_typed(monkeypatch):
 
 def test_h_poly_pinned_values():
     m = get_model("poly:monomial")
-    a = from_pairs([(0, 1), (1, 2)])  # 1 + 2z
-    assert h(m, a, 0, 0, 1).value == 2
-    assert [h(m, a, 1, 0, g).value for g in range(4)] == [1, 5, 5, 5]
-    assert h(m, a, 2, 0, 1).value == 26
-    assert h(m, a, 2, 1, 1).value == 26
-    b = from_pairs([(0, 1), (1, 1)])  # 1 + z
-    assert [h(m, b, 1, 0, g).value for g in range(3)] == [1, 2, 2]
-    mf = get_model("poly:factorial")
-    assert [h(mf, a, 1, 0, g).value for g in range(4)] == [1, 5, 9, 13]
+    ta = HTable(m, from_pairs([(0, 1), (1, 2)]))  # 1 + 2z
+    assert ta.h(0, 0, 1).exact_rational() == 2
+    assert [ta.h(1, 0, g).exact_rational() for g in range(4)] == [1, 5, 5, 5]
+    assert ta.h(2, 0, 1).exact_rational() == 26
+    assert ta.h(2, 1, 1).exact_rational() == 26
+    tb = HTable(m, from_pairs([(0, 1), (1, 1)]))  # 1 + z
+    assert [tb.h(1, 0, g).exact_rational() for g in range(3)] == [1, 2, 2]
+    tf = HTable(get_model("poly:factorial"), ta.element)
+    assert [tf.h(1, 0, g).exact_rational() for g in range(4)] == [1, 5, 9, 13]
 
 
 def test_h_table_input_validation():
@@ -193,11 +221,11 @@ def test_homogeneity_exact(data):
     a = from_pairs(pairs)
     c = random_gr(rng)
     q = c.abs_squared()
-    ca = a.scale(c)
+    ta, tca = HTable(model, a), HTable(model, a.scale(c))
     for m in (1, 2):
         for g in range(4):
-            lhs = h(model, ca, m, 0, g).value
-            rhs = q ** (2 ** (m - 1)) * h(model, a, m, 0, g).value
+            lhs = tca.h(m, 0, g).exact_rational()
+            rhs = q ** (2 ** (m - 1)) * ta.h(m, 0, g).exact_rational()
             assert lhs == rhs
 
 
@@ -207,10 +235,10 @@ def test_homogeneity_unit_modulus():
     a = from_pairs([(0, Fraction(1, 3)), (2, GaussianRational.of(1, 1))])
     c = GaussianRational.of(Fraction(3, 5), Fraction(4, 5))
     assert c.abs_squared() == 1
-    ca = a.scale(c)
+    ta, tca = HTable(model, a), HTable(model, a.scale(c))
     for m in (0, 1, 2):
         for g in range(4):
-            assert h(model, ca, m, 0, g) == h(model, a, m, 0, g)
+            assert tca.h(m, 0, g).to_bracket() == ta.h(m, 0, g).to_bracket()
 
 
 class _BranchWordView:
@@ -273,10 +301,10 @@ def test_monotone_in_added_terms(data):
     model = get_model("poly:monomial")
     a = from_pairs([(k, random_gr(rng)) for k in (0, 2)])
     extra = from_pairs([(5, random_gr(rng))])
-    both = a + extra
+    ta, tboth = HTable(model, a), HTable(model, a + extra)
     for m in (1, 2):
         for g in range(4):
-            assert h(model, both, m, 0, g).value >= h(model, a, m, 0, g).value
+            assert tboth.h(m, 0, g).exact_rational() >= ta.h(m, 0, g).exact_rational()
 
 
 @given(data=st.data())
@@ -513,7 +541,7 @@ def _reference_cell(table, m, ell, gamma):
 
 
 def _hval_key(v):
-    return (v.kind, v.enn, v.sq, v.rs, v.br)
+    return (v.kind, v.q, v.sq, v.rs, v.br)
 
 
 def test_h_accumulation_matches_hval_reference():

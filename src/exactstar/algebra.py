@@ -124,6 +124,14 @@ class BaseModel:
         leaves the cell to the finite row_parents/col_parents fans."""
         return None
 
+    h_majorant = None
+    """Growth majorant, in models that have one: a method h_majorant(a, m)
+    returning (C, B, p) such that, for every rank k and branch word ell, the
+    sum of h[m, ell, idx](a) over all indices idx of rank k is at most
+    C * B^k * (k+1)^p; it returns None at an m it does not bound.  omega_h
+    closes the tails of rank-weighted sums with it, and seminorm --radius
+    needs it."""
+
     # -- index plumbing -----------------------------------------------------
     def validate_index(self, idx: Index) -> Index:
         return idx

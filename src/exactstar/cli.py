@@ -289,8 +289,7 @@ def seminorm(cfg) -> None:
 
     One row per (m, branch, index in the element's support); values are the
     recursion values with certified enclosures, roots presented as floats."""
-    from .cone import ConeModel, seminorm_R
-    from .seminorms import HTable, present
+    from .seminorms import HTable, OmegaWeights, omega_h, present
 
     model = get_model(cfg.model, hbar=cfg.hbar, epsilon=cfg.epsilon, n=cfg.n)
     a = read_element(model, cfg.a_file)
@@ -303,14 +302,15 @@ def seminorm(cfg) -> None:
             res = present(m, ell_m, idx, table.h(m, ell_m, idx), cfg.tolerance)
             rows.append(_seminorm_row(res, model.index_to_json(idx)))
     if cfg.radius is not None:
-        if not isinstance(model, ConeModel):
-            raise DomainError("--radius tables need the cone model")
-        R = _parse_flag("radius", cfg.radius)
+        if model.h_majorant is None:
+            raise DomainError(f"--radius tables need a model with a growth majorant, "
+                              f"not {model.name}")
+        weights = OmegaWeights.point_factorial(_parse_flag("radius", cfg.radius))
         for m in range(cfg.m_max + 1):
             ell_m = cfg.ell & ((1 << m) - 1)
-            br = seminorm_R(model, a, m, ell_m, R, cfg.depth, cfg.tolerance)
+            br = omega_h(model, a, m, ell_m, weights, cfg.depth, cfg.tolerance)
             rows.append(_seminorm_row(present(m, ell_m, None, br, cfg.tolerance),
-                                      {"radius": str(R)}))
+                                      {"radius": str(weights.ratio)}))
     emit(lambda: render_table(rows, SEMINORM_COLUMNS, cfg.output), cfg.out)
 
 
@@ -512,7 +512,8 @@ def _parser() -> argparse.ArgumentParser:
                    help=f"Deepest recursion level, at most {M_MAX_CAP} (default 2).")
     p.add_argument("--ell", type=_int_flag(0), default=0,
                    help="Branch word; truncated to the m low bits per row (default 0).")
-    p.add_argument("--radius", help="Also append summed rows at this radius (cone model).")
+    p.add_argument("--radius", help="Also append summed rows at this radius "
+                                    "(models with a growth majorant: cone, poly).")
     p = command(commands, "eval", eval_cmd, "a_file", out=True)
     p.add_argument("--point", dest="points", action="append", required=True,
                    help="Comma-separated coordinates, e.g. '1,0' or '3/5+4/5i'; repeatable.")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .algebra import (
-    DEFAULT_TOL,
     BaseModel,
     DimensionError,
     DomainError,
@@ -45,9 +44,6 @@ from .scalars import (
     settle,
     _multi_index,
 )
-
-if TYPE_CHECKING:
-    from .seminorms import Bracket, HTable, HVal
 
 Triple = tuple  # (P: MultiIndex, Q: MultiIndex, alpha: int)
 DiskIndex = tuple  # (P: MultiIndex, Q: MultiIndex)
@@ -377,93 +373,19 @@ class ConeModel(BaseModel):
         check_point_dimension(w, self.n + 1, "a cone point")
         return eval_upstairs(a, w, self.hbar)
 
-
-# ---------------------------------------------------------------------------
-# combined seminorms with certified factorial-weighted sums; seminorms is
-# imported inside them, so that the cone and disk products and evaluations
-# run without loading it
-
-
-def h_combined(
-    model: ConeModel,
-    a: Element,
-    m: int,
-    ell: int,
-    gamma: int,
-    table: HTable | None = None,
-    tol: Fraction = DEFAULT_TOL,
-) -> HVal:
-    """Recursion value summed over every triple at one level; exact."""
-    from .seminorms import HTable, HVal
-
-    if table is None:
-        table = HTable(model, a, tol)
-    acc = HVal.zero()
-    for P in multi_indices_up_to_degree(model.n, gamma):
-        for Q in multi_indices_up_to_degree(model.n, gamma):
-            acc = acc.plus(table.h(m, ell, (P, Q, gamma)))
-    return acc
-
-
-def _growth_certificate(model: ConeModel, a: Element, m: int):
-    """(K, B, p) with h_combined(m, ell, gamma) <= K * B^gamma * (gamma+1)^p.
-
-    Level 0 sums coefficient moduli, bounded via |c| <= (1 + |c|^2)/2;
-    level 1 sums squared moduli against the crude row-sum bound
-    (gamma+1)^(4n+1) * 4^gamma; each further level squares the sum and picks
-    up one more row-sum bound and a level count."""
-    n = model.n
-    if m == 0:
-        K = sum(((1 + c.abs_squared()) / 2 for c in a.terms.values()), Fraction(0))
-        return K, Fraction(1), 0
-    K = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
-    B, p = Fraction(4), 4 * n + 1
-    for _ in range(m - 1):
-        K, B, p = K * K, 4 * B * B, 2 * p + 4 * n + 2
-    return K, B, p
-
-
-def seminorm_R(
-    model: ConeModel,
-    a: Element,
-    m: int,
-    ell: int,
-    R,
-    depth: int,
-    tol: Fraction = DEFAULT_TOL,
-) -> Bracket:
-    """Certified value of sum_gamma R^gamma/gamma! * h_combined(m, ell, gamma).
-
-    Partial sums up to the depth are exact; the tail uses the per-element
-    growth certificate and closes with a geometric bound once the term ratio
-    falls below 1/2.  The 2^m-th root is left to the caller."""
-    from .seminorms import TAG_MAJORANT, Bracket, HTable
-
-    R = Fraction(R)
-    if R <= 0:
-        raise DomainError("R must be positive")
-    if a.is_zero():
-        return Bracket.exact(Fraction(0))
-    table = HTable(model, a, tol)
-    partial = Bracket.exact(Fraction(0))
-    for gamma in range(depth + 1):
-        hv = h_combined(model, a, m, ell, gamma, table, tol)
-        partial = partial + hv.to_bracket(tol).scale(R**gamma / factorial(gamma))
-    K, B, p = _growth_certificate(model, a, m)
-
-    def majorant(g: int) -> Fraction:
-        return K * (R * B) ** g * Fraction(g + 1) ** p / factorial(g)
-
-    def ratio(g: int) -> Fraction:
-        return R * B * Fraction(g + 2, g + 1) ** p / (g + 1)
-
-    g = depth + 1
-    extra = Fraction(0)
-    while ratio(g) >= Fraction(1, 2):
-        extra += majorant(g)
-        g += 1
-    tail = extra + 2 * majorant(g)
-    return Bracket(partial.lo, partial.hi + tail, depth, TAG_MAJORANT)
+    def h_majorant(self, a: Element, m: int):
+        """Level 0 sums coefficient moduli, bounded via |c| <= (1 + |c|^2)/2;
+        level 1 sums squared moduli against the crude row-sum bound
+        (k+1)^(4n+1) * 4^k; each further level squares the sum and picks up
+        one more row-sum bound and a level count."""
+        if m == 0:
+            C = sum(((1 + c.abs_squared()) / 2 for c in a.terms.values()), Fraction(0))
+            return C, Fraction(1), 0
+        C = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
+        B, p = Fraction(4), 4 * self.n + 1
+        for _ in range(m - 1):
+            C, B, p = C * C, 4 * B * B, 2 * p + 4 * self.n + 2
+        return C, B, p
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,7 @@ class PolynomialModel(BaseModel):
     def involution(self, a: Element) -> Element:
         return a.map_coeffs(lambda c: c.conjugate())
 
-    # h[m, ., k] <= C * B^k * (k+1)^p for all k: closed-form majorant used by
-    # the weighted-series tails
+    # h[m, ., k] <= C * B^k * (k+1)^p for all k (rank k holds the one index k)
     def h_majorant(self, a: Element, m: int):
         if m < 1:
             return None
@@ -716,8 +715,12 @@ class GroupModel(BaseModel):
             sh = self.shell(s)
             words += len(sh)
             if words > self.SHELL_BUDGET:
-                lo = acc.to_bracket(tol).lo
-                return HVal.bracket(Bracket.truncated(lo, s - 1))
+                # shells 0..s-1 are summed; certify from shell s on when the bound allows
+                partial = acc.to_bracket(tol)
+                if s - 1 >= smin and ratio_bound_hi(s) < Fraction(1, 2):
+                    tail = term_bound_hi(s) / (1 - ratio_bound_hi(s))
+                    return HVal.bracket(Bracket(partial.lo, partial.hi + tail, s - 1, TAG_MAJORANT))
+                return HVal.bracket(Bracket.truncated(partial.lo, s - 1))
             acc = acc.plus(table.step(2, ell, ((g, weight(g, gamma)) for g in sh)))
             if s >= smin and ratio_bound_hi(s + 1) < Fraction(1, 2):
                 tail = term_bound_hi(s + 1) / (1 - ratio_bound_hi(s + 1))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .algebra import DEFAULT_TOL, BaseModel, DomainError, Element, Index, UnresolvedError, multiply
-from .scalars import ExtendedNonNeg, RootSum, rational_sqrt, sqrt_bracket
+from .scalars import ExtendedNonNeg, RootSum, factorial, rational_sqrt, sqrt_bracket
 
 # tail_source tags, in absorption priority (highest wins when combining)
 TAG_DIVERGENT = "divergent_witness"
@@ -498,7 +498,7 @@ def present(m: int, ell: int, gamma: Index, v: HVal | Bracket, tol: Fraction) ->
     """The 2^m-th root enclosure of an h value and its float midpoint.
 
     v is an h cell, or the bracket of a value that has no cell (a sum over
-    indices, as seminorm_R returns); h_val is None then."""
+    indices, as omega_h returns); h_val is None then."""
     h_val, br = (v, v.to_bracket(tol)) if isinstance(v, HVal) else (None, v)
     rlo, rhi = br.root_interval(m, tol)
     if rhi.infinite:
@@ -633,7 +633,8 @@ def check_triangle_inequality(
 
     Refines the interval evaluation until the comparison resolves; exact
     equality cases (zero summands, equal supports) resolve structurally.
-    Raises UnresolvedError when six refinements leave the sides overlapping."""
+    Raises UnresolvedError when six refinements leave the sides overlapping,
+    or when a side needed for the comparison is a truncated bracket."""
     table_ab = HTable(model, a + b, tol)
     ha = HTable(model, a, tol).h(m, ell, gamma)
     hb = HTable(model, b, tol).h(m, ell, gamma)
@@ -676,12 +677,13 @@ def check_triangle_inequality(
         la, ra = ha.to_bracket(cur).root_interval(m, cur)
         lb_, rb_ = hb.to_bracket(cur).root_interval(m, cur)
         lab, rab = hab.to_bracket(cur).root_interval(m, cur)
-        if rab.infinite or ra.infinite or rb_.infinite:
-            return False
-        if rab.value <= la + lb_:
+        if not rab.infinite and rab.value <= la + lb_:
             return True
-        if lab > ra.value + rb_.value:
+        if not (ra.infinite or rb_.infinite) and lab > ra.value + rb_.value:
             return False
+        if rab.infinite or ra.infinite or rb_.infinite:
+            # a truncated side has no upper bound at any tol
+            raise UnresolvedError("triangle comparison did not resolve; a side has no upper bound")
         cur = cur * cur
     raise UnresolvedError("triangle comparison did not resolve; sides too close")
 
@@ -706,6 +708,10 @@ class OmegaWeights:
     table: tuple = ()
     ratio: Fraction | None = None
 
+    def __post_init__(self):
+        if self.ratio is not None and self.ratio <= 0:
+            raise DomainError("radius must be positive")
+
     @staticmethod
     def coefficient(idx: Index) -> "OmegaWeights":
         return OmegaWeights(f"coefficient functional at {idx}", "coefficient", ((idx, Fraction(1)),))
@@ -720,15 +726,11 @@ class OmegaWeights:
     @staticmethod
     def point(radius: Fraction) -> "OmegaWeights":
         radius = Fraction(radius)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
         return OmegaWeights(f"point evaluation, radius {radius}", "geometric", (), radius)
 
     @staticmethod
     def point_factorial(radius: Fraction) -> "OmegaWeights":
         radius = Fraction(radius)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
         return OmegaWeights(
             f"point evaluation with factorial basis scaling, radius {radius}",
             "geometric_factorial",
@@ -742,8 +744,6 @@ class OmegaWeights:
                 if i == idx:
                     return w
             return Fraction(0)
-        from .scalars import factorial
-
         if self.kind == "geometric":
             return self.ratio**rank
         if self.kind == "geometric_factorial":
@@ -754,27 +754,38 @@ class OmegaWeights:
         return max((rank_fn(i) for i, w in self.table if w != 0), default=0)
 
 
+# Most majorant terms omega_h adds past the exact depth before the geometric
+# close; past it the result is a truncated bracket.  The terms are fractions
+# of size ~k!, and their count grows with radius * B: the cone majorant at
+# m = 3 (B = 16384) needs 16,412 of them at radius 1/2, at m = 4 about 2e9.
+MAJORANT_TERMS = 1000
+
+
 def omega_h(
     model,
     a: Element,
     m: int,
     ell: int,
     omega: OmegaWeights,
-    gamma_cap: int,
+    depth: int,
     tol: Fraction = DEFAULT_TOL,
 ) -> Bracket:
     """Sum over indices of |omega| * h[m, ell, .], as a certified Bracket.
 
-    gamma_cap floors the summation rank; the sum is extended further until the
-    model's tail majorant certifies the remainder (or divergence is witnessed,
-    or no bound exists and the result is a truncated lower bound)."""
-    if gamma_cap < 0:
+    Table and coefficient weights sum their finite support exactly.  Rank
+    weights (point, point_factorial) sum the exact terms of rank <= depth,
+    and the model's growth majorant at m (BaseModel.h_majorant) bounds the
+    rest when it converges against the weights.  Otherwise the result is the
+    exact sum over the finite support at m = 0, and above it a divergence
+    witness or a truncated lower bound.  tol sets only the enclosures of the
+    h cells."""
+    if depth < 0:
         raise ValueError("truncation rank must be nonnegative")
     rank_fn = model.index_rank
     table = HTable(model, a, tol)
 
     if omega.kind in ("table", "coefficient"):
-        cap = max(gamma_cap, omega.max_table_rank(rank_fn))
+        cap = max(depth, omega.max_table_rank(rank_fn))
         acc = HVal.zero()
         for idx in model.indices_up_to(cap):
             w = omega.weight(rank_fn(idx), idx)
@@ -786,82 +797,75 @@ def omega_h(
     if a.is_zero():
         return Bracket.exact(0)
 
+    factorial_weights = omega.kind == "geometric_factorial"
+    bound = None if model.h_majorant is None else model.h_majorant(a, m)
+    if bound is not None and (factorial_weights or omega.ratio * bound[1] < 1):
+        partial = _omega_partial(model, table, m, ell, omega, depth, tol)
+        tail = _majorant_tail(bound, omega, depth + 1)
+        if tail is None:
+            return Bracket.truncated(partial.lo, depth)
+        tag = _join_tag(TAG_MAJORANT, partial.tail_source)
+        return Bracket(partial.lo, partial.hi + tail, depth, tag)
+
     if m == 0:
         # finite support: the weighted sum is finite and exact
         acc = HVal.zero()
-        depth = 0
+        top = 0
         for idx in a.support():
             r = rank_fn(idx)
-            depth = max(depth, r)
+            top = max(top, r)
             acc = acc.plus(table.h(0, 0, idx).times(omega.weight(r, idx)))
         br = acc.to_bracket(tol)
-        return Bracket(br.lo, br.hi, depth, br.tail_source)
+        return Bracket(br.lo, br.hi, top, br.tail_source)
 
-    factorial_weights = omega.kind == "geometric_factorial"
-    radius = omega.ratio
+    witness = getattr(model, "h_lower_const", None)
+    lower = None if factorial_weights or omega.ratio < 1 or witness is None else witness(a, m)
+    if lower is not None:
+        # h stays at or above lower[0] > 0 from rank lower[1] on, against R^k >= 1
+        top = max(depth, lower[1])
+        return Bracket.divergent(_omega_partial(model, table, m, ell, omega, top, tol).lo, top)
+    return Bracket.truncated(_omega_partial(model, table, m, ell, omega, depth, tol).lo, depth)
 
-    majorant = getattr(model, "h_majorant", None)
-    bound = majorant(a, m) if majorant is not None else None
 
-    if bound is None:
-        br = _omega_partial(model, table, a, m, ell, omega, gamma_cap, tol)
-        return Bracket.truncated(br.lo, gamma_cap)
+def _omega_partial(model, table: HTable, m, ell, omega, depth, tol) -> Bracket:
+    """Rank-weighted sum over ranks <= depth: h is summed per rank, and each
+    rank sum is bracketed at tol, then scaled by its weight."""
+    sums: dict[int, HVal] = {}
+    for idx in model.indices_up_to(depth):
+        k = model.index_rank(idx)
+        sums[k] = sums.get(k, HVal.zero()).plus(table.h(m, ell, idx))
+    partial = Bracket.exact(0)
+    for k, hv in sums.items():
+        partial = partial + hv.to_bracket(tol).scale(omega.weight(k, None))
+    return Bracket(partial.lo, partial.hi, depth, partial.tail_source)
 
+
+def _majorant_tail(bound, omega: OmegaWeights, k: int) -> Fraction | None:
+    """Upper bound on the rank-weighted sum from rank k on, for a majorant
+    (C, B, p): majorant terms while their ratio is at least theta, then
+    term/(1 - theta), theta = 1/2 for factorial weights; None when that needs
+    more than MAJORANT_TERMS terms."""
     c_maj, b_maj, p_maj = bound
-    growth = radius * b_maj
-    if not factorial_weights and growth >= 1:
-        witness = getattr(model, "h_lower_const", None)
-        lower = witness(a, m) if witness is not None else None
-        if lower is not None and radius >= 1:
-            c_low, k0 = lower
-            if c_low > 0:
-                br = _omega_partial(model, table, a, m, ell, omega, max(gamma_cap, k0), tol)
-                return Bracket.divergent(br.lo, max(gamma_cap, k0))
-        br = _omega_partial(model, table, a, m, ell, omega, gamma_cap, tol)
-        return Bracket.truncated(br.lo, gamma_cap)
+    growth = omega.ratio * b_maj
+    factorial_weights = omega.kind == "geometric_factorial"
 
     def term_bound(k: int) -> Fraction:
-        from .scalars import factorial
-
         t = c_maj * growth**k * Fraction(k + 1) ** p_maj
         return t / factorial(k) if factorial_weights else t
 
     def ratio_bound(k: int) -> Fraction:
         # term_bound(k+1)/term_bound(k), decreasing in k
-        r = growth * (Fraction(k + 2, k + 1)) ** p_maj
+        r = growth * Fraction(k + 2, k + 1) ** p_maj
         return r / (k + 1) if factorial_weights else r
 
     theta = Fraction(1, 2) if factorial_weights else (1 + growth) / 2
-    cap = gamma_cap
-    hard_cap = gamma_cap + 100000
-    while ratio_bound(cap + 1) >= theta and cap < hard_cap:
-        cap += 1
-    partial = _omega_partial(model, table, a, m, ell, omega, cap, tol)
-    rho = ratio_bound(cap + 1)
-    tail = term_bound(cap + 1) / (1 - rho)
-    # keep extending while the tail dominates the requested resolution
-    while tail > tol * (partial.lo + tail) and cap < hard_cap:
-        cap = cap + max(1, cap // 4)
-        partial = _omega_partial(model, table, a, m, ell, omega, cap, tol)
-        rho = ratio_bound(cap + 1)
-        tail = term_bound(cap + 1) / (1 - rho)
-    hi = partial.hi + tail
-    return Bracket(partial.lo, hi, cap, _join_tag(TAG_MAJORANT, partial.tail_source))
-
-
-def _omega_partial(model, table: HTable, a, m, ell, omega, cap, tol) -> Bracket:
-    acc = HVal.zero()
-    rank_fn = model.index_rank
-    for idx in model.indices_up_to(cap):
-        w = omega.weight(rank_fn(idx), idx)
-        if w == 0:
-            continue
-        hv = table.h(m, ell, idx)
-        if hv.is_infinite():
-            return Bracket.divergent(acc.to_bracket(tol).lo, cap)
-        acc = acc.plus(hv.times(w))
-    br = acc.to_bracket(tol)
-    return Bracket(br.lo, br.hi, cap, br.tail_source)
+    if ratio_bound(k + MAJORANT_TERMS) >= theta:
+        return None
+    tail = Fraction(0)
+    while ratio_bound(k) >= theta:
+        tail += term_bound(k)
+        k += 1
+    return tail + term_bound(k) / (1 - theta)
 
 
 def check_omega_product_inequality(
@@ -871,14 +875,14 @@ def check_omega_product_inequality(
     m: int,
     ell: int,
     omega: OmegaWeights,
-    gamma_cap: int,
+    depth: int,
     tol: Fraction = DEFAULT_TOL,
 ) -> bool:
     """Squared form: (omega_h(a*b, m, ell))^2 <= omega_h(a, m+1, ell) * omega_h(b, m+1, 2^m+ell)."""
     ab = multiply(model, a, b)
-    lhs = omega_h(model, ab, m, ell, omega, gamma_cap, tol)
-    ra = omega_h(model, a, m + 1, ell, omega, gamma_cap, tol)
-    rb = omega_h(model, b, m + 1, (1 << m) + ell, omega, gamma_cap, tol)
+    lhs = omega_h(model, ab, m, ell, omega, depth, tol)
+    ra = omega_h(model, a, m + 1, ell, omega, depth, tol)
+    rb = omega_h(model, b, m + 1, (1 << m) + ell, omega, depth, tol)
     if ra.is_divergent() or rb.is_divergent():
         return True
     lhs_sq_hi = lhs.hi * lhs.hi

@@ -218,9 +218,12 @@ def test_seminorm_radius_cone(tmp_path):
 
 
 def test_seminorm_radius_needs_cone(tmp_path):
-    a = poly_file(tmp_path, "a.json", [(1, 1)])
-    res = run("--model", "poly:monomial", "seminorm", a, "--radius", "1/2")
+    # cone and poly have a growth majorant to close the radius tail; Laurent has none
+    m = get_model("laurent:plain")
+    a = write_json(tmp_path / "a.json", element_to_json(m, from_pairs([(1, 1)])))
+    res = run("--model", "laurent:plain", "seminorm", a, "--radius", "1/2")
     assert res.exit_code == 3
+    assert "growth majorant" in res.stderr and "Traceback" not in res.output
 
 
 def test_output_modes(tmp_path):
@@ -1001,8 +1004,10 @@ TRANSCRIPT = [
      "coherent vectors live at interior points"),
     ("--model laurent:plain eval {l} --point 0", 3, "e3b0c44298fc1c14",
      "Laurent evaluation needs a nonzero point"),
-    (POLY + "seminorm {p} --radius 1/2", 3, "e3b0c44298fc1c14",
-     "--radius tables need the cone model"),
+    # recorded when --radius moved onto omega_h: poly has a growth majorant
+    (POLY + "seminorm {p} --radius 1/2", 0, "7873273893193a72", None),
+    (POLY + "seminorm {p} --radius 0", 3, "e3b0c44298fc1c14", "radius must be positive"),
+    (CONE + "seminorm {s} --radius=-1/2", 3, "e3b0c44298fc1c14", "radius must be positive"),
 ]
 
 
@@ -1030,6 +1035,16 @@ def test_cli_transcript_unchanged(transcript_files, command, code, digest, messa
     if message is not None:
         base = os.path.dirname(transcript_files["out"])
         assert message.replace("<tmp>", base) in res.stderr
+
+
+def test_seminorm_radius_past_majorant_terms(transcript_files):
+    # at m = 3 the cone majorant needs 16,412 terms before its ratio falls
+    # below 1/2, more than MAJORANT_TERMS: that row is truncated, not summed
+    res = run(*(CONE + "seminorm {s} --m-max 3 --radius 1/2").format(**transcript_files).split())
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output)["rows"]
+    tails = [r["bracket_hi"] for r in rows if r["gamma"] == json.dumps({"radius": "1/2"})]
+    assert [hi == "inf" for hi in tails] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("command", ["eval", "gns inner"])

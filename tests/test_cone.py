@@ -18,19 +18,24 @@ from exactstar.cone import (
     eval_disk,
     eval_pair,
     eval_upstairs,
-    h_combined,
     ideal_level_dimension,
     occupancy_count,
     oracle_structure_constants,
     reduce_class,
-    seminorm_R,
     tilde_structure_constants,
     vanishing_ideal_witness,
     y_minus_one,
 )
 from exactstar.models import get_model
-from exactstar.scalars import GaussianRational, MultiIndex, multi_range, pochhammer, factorial
-from exactstar.seminorms import HTable
+from exactstar.scalars import (
+    GaussianRational,
+    MultiIndex,
+    factorial,
+    multi_indices_up_to_degree,
+    multi_range,
+    pochhammer,
+)
+from exactstar.seminorms import HTable, HVal, OmegaWeights, omega_h
 
 from oracles import random_cone_element, random_disk_element, random_gr, seeded
 
@@ -245,22 +250,33 @@ def test_cone_unit_and_involution():
     assert model.involution(Element.basis((E1, Z1, 1))) == Element.basis((Z1, E1, 1))
 
 
-def test_h_combined_pins():
+def rank_sum(model, a, m, ell, gamma, table=None):
+    """h[m, ell, .] summed over every triple of level gamma."""
+    if table is None:
+        table = HTable(model, a)
+    acc = HVal.zero()
+    for P in multi_indices_up_to_degree(model.n, gamma):
+        for Q in multi_indices_up_to_degree(model.n, gamma):
+            acc = acc.plus(table.h(m, ell, (P, Q, gamma)))
+    return acc
+
+
+def test_rank_sum_pins():
     model = ConeModel(1, H)
     u = model.unit()
-    assert [h_combined(model, u, 0, 0, g).exact_rational() for g in range(3)] == [1, 0, 0]
-    assert [h_combined(model, u, 1, 0, g).exact_rational() for g in range(3)] == [1, 4, 9]
+    assert [rank_sum(model, u, 0, 0, g).exact_rational() for g in range(3)] == [1, 0, 0]
+    assert [rank_sum(model, u, 1, 0, g).exact_rational() for g in range(3)] == [1, 4, 9]
     a = Element.basis((Z1, Z1, 1))
-    assert [h_combined(model, a, 1, 0, g).exact_rational() for g in range(4)] == [0, 3, 18, 60]
-    assert h_combined(model, a, 2, 1, 2).exact_rational() == 538
+    assert [rank_sum(model, a, 1, 0, g).exact_rational() for g in range(4)] == [0, 3, 18, 60]
+    assert rank_sum(model, a, 2, 1, 2).exact_rational() == 538
     # single-term elements reduce the combined value to a row-sum total
     for g in range(4):
-        assert h_combined(model, a, 1, 0, g).exact_rational() == cone_rowsum_gamma_total(
+        assert rank_sum(model, a, 1, 0, g).exact_rational() == cone_rowsum_gamma_total(
             (Z1, Z1, 1), g
         )
 
 
-def test_h_combined_vanishes_below_filtration():
+def test_h_vanishes_below_filtration():
     model = ConeModel(1, H)
     table = HTable(model, Element.basis((Z1, Z1, 2)))
     for m in (1, 2):
@@ -278,43 +294,43 @@ def test_combined_square_inequality():
             for ell in range(1 << m):
                 for g in range(3):
                     lhs = sum(
-                        (h_combined(model, a, m, ell, al, table).exact_rational() or Fraction(0))
+                        (rank_sum(model, a, m, ell, al, table).exact_rational() or Fraction(0))
                         ** 2
                         for al in range(g + 1)
                     )
-                    rhs = (g + 1) ** 2 * h_combined(model, a, m + 1, 2 * ell, g, table).exact_rational()
+                    rhs = (g + 1) ** 2 * rank_sum(model, a, m + 1, 2 * ell, g, table).exact_rational()
                     assert lhs <= rhs
 
 
-def test_growth_certificate_dominates():
-    from exactstar.cone import _growth_certificate
-
+def test_cone_h_majorant_dominates():
     model = ConeModel(1, H)
     rng = seeded(21)
     a = random_cone_element(rng, 1, 2, nterms=3)
     table = HTable(model, a)
     for m in (0, 1, 2):
-        K, B, p = _growth_certificate(model, a, m)
-        for g in range(5):
-            br = h_combined(model, a, m, 0, g, table).to_bracket()
-            assert not br.hi.infinite
-            assert br.hi.value <= K * B**g * Fraction(g + 1) ** p
+        K, B, p = model.h_majorant(a, m)
+        for ell in range(1 << m):
+            for g in range(5):
+                br = rank_sum(model, a, m, ell, g, table).to_bracket()
+                assert not br.hi.infinite
+                assert br.hi.value <= K * B**g * Fraction(g + 1) ** p
 
 
-def test_seminorm_R_brackets_nest_and_shrink():
+def test_omega_point_factorial_cone_nests_and_shrinks():
     model = ConeModel(1, H)
     a = Element.basis((Z1, Z1, 1))
+    weights = OmegaWeights.point_factorial(Fraction(1, 3))
     prev = None
     for depth in (2, 4, 6, 8):
-        br = seminorm_R(model, a, 1, 0, Fraction(1, 3), depth)
+        br = omega_h(model, a, 1, 0, weights, depth)
         assert br.finite_certified()
         if prev is not None:
             assert br.lo >= prev.lo
             assert br.hi.value <= prev.hi.value
         prev = br
-    assert seminorm_R(model, Element.zero(), 1, 0, Fraction(1, 3), 2).is_zero()
+    assert omega_h(model, Element.zero(), 1, 0, weights, 2).is_zero()
     with pytest.raises(DomainError):
-        seminorm_R(model, a, 1, 0, Fraction(0), 2)
+        omega_h(model, a, 1, 0, OmegaWeights.point_factorial(Fraction(0)), 2)
 
 
 def test_eval_upstairs_pins():

@@ -358,6 +358,14 @@ def test_product_inequality_group_weights():
         assert out["holds"] is True
 
 
+def test_triangle_truncated_side_is_unresolved():
+    # h(e_0 + e_1) at m = 3 is a truncated bracket: no upper bound, no verdict
+    model = get_model("laurent:factorial")
+    a, b = from_pairs([(0, 1)]), from_pairs([(1, 1)])
+    with pytest.raises(UnresolvedError, match="no upper bound"):
+        check_triangle_inequality(model, a, b, 3, 0, 0)
+
+
 def test_triangle_equality_proportional():
     # b = 2a makes both sides equal at every level; must resolve, not loop
     model = get_model("poly:monomial")
@@ -405,7 +413,7 @@ def test_omega_point_certified_tail():
     # value is 1 + 5 * sum_{g>=1} 2^-g = 6
     model = get_model("poly:monomial")
     a = from_pairs([(0, 1), (1, 2)])
-    br = omega_h(model, a, 1, 0, OmegaWeights.point(Fraction(1, 2)), 4)
+    br = omega_h(model, a, 1, 0, OmegaWeights.point(Fraction(1, 2)), 24)
     assert br.finite_certified() and not br.is_divergent()
     assert br.contains(Fraction(6))
     assert br.hi.value - br.lo < Fraction(1, 10**6)

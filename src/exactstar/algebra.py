@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts, settle
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts
 
 if TYPE_CHECKING:
     from .seminorms import HTable
@@ -232,18 +232,34 @@ class Element:
         return "Element({" + ", ".join(parts) + more + "})"
 
 
-def multiply(model: BaseModel, a: Element, b: Element) -> Element:
-    """Product through the model's structure constants (exact)."""
+def accumulate_product(pair_product: Callable, a_terms: Iterable, b_terms: Iterable) -> dict:
+    """The accumulate() dict of sum c_a c_b pair_product(i_a, i_b) over two
+    (index, coefficient) sequences: the product before any normalisation."""
     out: dict = {}
-    b_parts = [(ib, gaussian_parts(cb)) for ib, cb in b.terms.items()]
-    for ia, ca in a.terms.items():
+    b_parts = [(ib, gaussian_parts(cb)) for ib, cb in b_terms]
+    for ia, ca in a_terms:
         x, y, d = gaussian_parts(ca)
         for ib, (u, v, e) in b_parts:
-            # ca*cb over the denominator d*e, normalised only by settle()
+            # ca*cb over the denominator d*e, normalised only by settled_element()
             factor = (x * u - y * v, x * v + y * u, d * e)
-            for idx, const in model.pair_product(ia, ib).items():
+            for idx, const in pair_product(ia, ib).items():
                 accumulate(out, idx, factor, const)
-    return Element(settle(out))
+    return out
+
+
+def settled_element(acc: dict) -> Element:
+    """The Element of an accumulate() dict: one Gaussian rational per
+    (re_num, im_num, den) entry with a nonzero numerator.  Unlike Element(),
+    it neither coerces nor re-tests the values it builds."""
+    out = Element.__new__(Element)
+    out.terms = {key: GaussianRational(Fraction(a, d), Fraction(b, d))
+                 for key, (a, b, d) in acc.items() if a or b}
+    return out
+
+
+def multiply(model: BaseModel, a: Element, b: Element) -> Element:
+    """Product through the model's structure constants (exact)."""
+    return settled_element(accumulate_product(model.pair_product, a.terms.items(), b.terms.items()))
 
 
 def element_to_json(model: BaseModel, a: Element) -> dict:

@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -280,8 +281,9 @@ def _seminorm_row(res: SeminormResult, gamma_json) -> dict:
     except ValueError as exc:
         raise _too_long(f"the exact value at m={res.m}") from exc
     return {"m": res.m, "ell": res.ell, "gamma": json.dumps(gamma_json), "h_exact": h_exact,
-            "seminorm_float": repr(res.value_float), "bracket_lo": lo_str,
-            "bracket_hi": hi_str, "depth": br.depth}
+            # a truncated row has only a lower bound, and prints no value
+            "seminorm_float": "" if math.isnan(res.value_float) else repr(res.value_float),
+            "bracket_lo": lo_str, "bracket_hi": hi_str, "depth": br.depth}
 
 
 def seminorm(cfg) -> None:

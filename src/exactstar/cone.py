@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from itertools import product
+from math import comb
+from typing import Iterable, Iterator
 
 from .algebra import (
     BaseModel,
@@ -23,7 +25,9 @@ from .algebra import (
     Element,
     InfiniteFanError,
     _as_int,
+    accumulate_product,
     multiply,
+    settled_element,
 )
 from .scalars import (
     CACHE_ENTRIES,
@@ -41,7 +45,6 @@ from .scalars import (
     multi_indices_up_to_degree,
     multi_range,
     pochhammer,
-    settle,
     _multi_index,
 )
 
@@ -57,6 +60,15 @@ def make_triple(P, Q, alpha) -> Triple:
     if alpha < max(P.degree(), Q.degree()):
         raise DomainError(f"level {alpha} below max(|P|, |Q|)")
     return (P, Q, alpha)
+
+
+def allowed_hbar(hbar) -> Fraction:
+    """hbar as a Fraction; DomainError unless it is an allowed value, one at
+    which no prefactor (1/(2 hbar))_r of the quotient vanishes."""
+    hbar = Fraction(hbar)
+    if not is_allowed_hbar(hbar):
+        raise DomainError(f"hbar {hbar} is not an allowed value")
+    return hbar
 
 
 def cone_triples(n: int, level: int) -> Iterator[Triple]:
@@ -163,24 +175,33 @@ def _tilde_pairs(t1: Triple, t2: Triple) -> dict:
     Each Kp <= P.meet(S) fixes the target multiindices, so the Kp and
     C(I, R) C(J, Q) that _tilde_coefficient would re-derive per target are
     computed once here.  Its range test 0 <= kp <= min(alpha-|P|, beta-|S|)
-    needs no code: the level loop stops at kp = 0, and the two level
-    binomials vanish exactly when kp exceeds alpha-|P| or beta-|S|."""
+    is the level loop's range: the loop stops at kp = 0, and the two level
+    binomials vanish exactly when kp exceeds alpha-|P| or beta-|S|, so it
+    starts where kp is that minimum.  With gamma = alpha+beta-|Kp|-kp
+    the level binomials read C(beta-|R| + alpha-|P| - kp, beta-|R|) and
+    C(alpha-|Q| + beta-|S| - kp, alpha-|Q|), which do not depend on Kp; and
+    C(I, R) C(J, Q) >= 1, since I - R = P - Kp and J - Q = S - Kp.  So every
+    constant met is nonzero, and the whole table is integer arithmetic up to
+    one Fraction per constant."""
     (P, Q, alpha), (R, S, beta) = t1, t2
-    sum_pr, sum_qs = P + R, Q + S
-    rd, qd = R.degree(), Q.degree()
+    pd, qd, rd, sd = sum(P), sum(Q), sum(R), sum(S)
+    a_slack, b_slack = alpha - pd, beta - sd
+    # (gamma + |Kp|, signed level factor, kp!) from the lowest level up
+    levels = []
+    for kp in range(min(a_slack, b_slack), -1, -1):
+        lv = comb(beta - rd + a_slack - kp, beta - rd) * comb(alpha - qd + b_slack - kp, alpha - qd)
+        levels.append((alpha + beta - kp, -lv if kp & 1 else lv, factorial(kp)))
     out = {}
-    for Kp in multi_range(P.meet(S)):
-        I = _multi_index(a - k for a, k in zip(sum_pr, Kp))
-        J = _multi_index(a - k for a, k in zip(sum_qs, Kp))
-        kd = Kp.degree()
-        pair = multi_binomial(I, R) * multi_binomial(J, Q)
-        kf = Kp.factorial()
-        gi, gj = I.degree(), J.degree()
-        for gamma in range(max(alpha, beta), alpha + beta - kd + 1):
-            num = pair * binomial(gamma - gi, beta - rd) * binomial(gamma - gj, alpha - qd)
-            if num:
-                kp = alpha + beta - gamma - kd
-                out[(I, J, gamma)] = Fraction(-num if kp % 2 else num, factorial(kp) * kf)
+    for Kp in product(*[range(min(p, s) + 1) for p, s in zip(P, S)]):
+        pair = kf = 1
+        for p, q, r, s, k in zip(P, Q, R, S, Kp):
+            pair *= comb(p + r - k, r) * comb(q + s - k, q)
+            kf *= factorial(k)
+        kd = sum(Kp)
+        I = _multi_index([p + r - k for p, r, k in zip(P, R, Kp)])
+        J = _multi_index([q + s - k for q, s, k in zip(Q, S, Kp)])
+        for top, lv, kpf in levels:
+            out[(I, J, top - kd)] = Fraction(pair * lv, kpf * kf)
     return out
 
 
@@ -204,9 +225,7 @@ def oracle_structure_constants(t1: Triple, t2: Triple, hbar) -> dict:
     Each constant is one integer ratio carrying the powers of 2 hbar = a/b of
     the e-basis product and of the three scales; they cancel only when that
     ratio is normalised, so a wrong power leaves hbar in the result."""
-    hbar = Fraction(hbar)
-    if not is_allowed_hbar(hbar):
-        raise DomainError(f"hbar {hbar} is not an allowed value")
+    hbar = allowed_hbar(hbar)
     two_h = 2 * hbar
     a, b = two_h.numerator, two_h.denominator
     n1, d1 = _f_scale(t1, a, b)
@@ -599,47 +618,53 @@ def reduce_class(t: Triple, hbar) -> Element:
     return disk_reduce(Element.basis(t), hbar)
 
 
+def _lifted(a: Element) -> Iterator[tuple]:
+    """(minimal-level triple, coefficient) of each disk pair of a."""
+    for (P, Q), c in a.terms.items():
+        yield (P, Q, max(sum(P), sum(Q))), c
+
+
 def disk_lift(a: Element) -> Element:
     """Lift each disk pair to its minimal-level triple."""
-    return Element(
-        {(P, Q, max(P.degree(), Q.degree())): c for (P, Q), c in a.terms.items()}
-    )
+    return Element(dict(_lifted(a)))
 
 
-def _reduce_sum(terms: dict, hbar: Fraction) -> dict:
-    """Disk-basis coefficients of sum_t c_t [f_t]; entries may be zero."""
+def _reduce_sum(upstairs: Iterable[tuple], hbar: Fraction) -> dict:
+    """accumulate() dict of the disk class of sum_t z_t f_t, from (t, z_t)
+    pairs with z_t given as integers (re_num, im_num, den); entries may be
+    zero.  The one reduction step of disk_reduce, disk_multiply and
+    DiskModel's pair table."""
     acc: dict = {}
-    for t, c in terms.items():
-        parts = gaussian_parts(c)
+    for t, parts in upstairs:
         for idx, rc in _reduce_cached(t, hbar):
             accumulate(acc, idx, parts, rc)
-    return settle(acc)
+    return acc
 
 
 def disk_reduce(a: Element, hbar) -> Element:
     """Reduce an upstairs element to its disk class, term by term."""
-    hbar = Fraction(hbar)
-    if not is_allowed_hbar(hbar):
-        raise DomainError(f"hbar {hbar} is not an allowed value")
-    return Element(_reduce_sum(a.terms, hbar))
+    hbar = allowed_hbar(hbar)
+    return settled_element(_reduce_sum(((t, gaussian_parts(c)) for t, c in a.terms.items()), hbar))
 
 
-def disk_multiply(a: Element, b: Element, hbar, n: int | None = None) -> Element:
-    """Quotient product: lift at minimal levels, multiply upstairs, reduce."""
-    if n is None:
-        src = a if not a.is_zero() else b
-        if src.is_zero():
-            return Element.zero()
-        n = len(next(iter(src.terms))[0])
-    model = ConeModel(n, hbar)
-    return disk_reduce(multiply(model, disk_lift(a), disk_lift(b)), hbar)
+def disk_multiply(a: Element, b: Element, hbar) -> Element:
+    """Quotient product: lift at minimal levels, multiply upstairs, reduce.
+
+    The upstairs product stays the integer accumulator of multiply, built
+    from ConeModel.pair_product; its nonzero entries go through the
+    reduction rows unnormalised, and only the disk result is settled."""
+    src = a if a.terms else b
+    if not src.terms:
+        return Element.zero()
+    hbar = allowed_hbar(hbar)
+    model = ConeModel(len(next(iter(src.terms))[0]), hbar)
+    up = accumulate_product(model.pair_product, _lifted(a), _lifted(b))
+    return settled_element(_reduce_sum(((t, z) for t, z in up.items() if z[0] or z[1]), hbar))
 
 
 def eval_disk(a: Element, v, hbar) -> GaussianRational:
     """Exact evaluation of a disk element at a point with |v| < 1."""
-    hbar = Fraction(hbar)
-    if not is_allowed_hbar(hbar):
-        raise DomainError(f"hbar {hbar} is not an allowed value")
+    hbar = allowed_hbar(hbar)
     v = tuple(GaussianRational.coerce(c) for c in v)
     norm2 = sum((c.abs_squared() for c in v), Fraction(0))
     if norm2 >= 1:
@@ -660,9 +685,7 @@ def disk_coefficient_extraction(a: Element, R, S, hbar) -> GaussianRational:
 
     Second route past the reduction expansion: a double sum over the support
     and the shared lowering multiindex, with a Pochhammer-ratio weight."""
-    hbar = Fraction(hbar)
-    if not is_allowed_hbar(hbar):
-        raise DomainError(f"hbar {hbar} is not an allowed value")
+    hbar = allowed_hbar(hbar)
     R, S = MultiIndex(R), MultiIndex(S)
     nu = 1 / (2 * hbar)
     M = max(R.degree(), S.degree())
@@ -695,18 +718,16 @@ class DiskModel(BaseModel):
         if n < 1:
             raise DomainError("dimension must be >= 1")
         self.n = n
-        self.hbar = Fraction(hbar)
-        if not is_allowed_hbar(self.hbar):
-            raise DomainError(f"hbar {self.hbar} is not an allowed value")
+        self.hbar = allowed_hbar(hbar)
         self.name = "disk"
 
     def _pair(self, left, right):
         (P, Q), (R, S) = left, right
         t1 = (P, Q, max(P.degree(), Q.degree()))
         t2 = (R, S, max(R.degree(), S.degree()))
-        consts = {t: GaussianRational.coerce(c) for t, c in _tilde_pairs(t1, t2).items()}
+        consts = ((t, (c.numerator, 0, c.denominator)) for t, c in _tilde_pairs(t1, t2).items())
         acc = _reduce_sum(consts, self.hbar)
-        return {idx: c.re for idx, c in acc.items() if c.re}
+        return {idx: Fraction(re, d) for idx, (re, _, d) in acc.items() if re}
 
     def _row(self, alpha, gamma):
         raise InfiniteFanError(

@@ -95,7 +95,10 @@ def parse_rational(text: str) -> Fraction:
     sign, num, den = m.groups()
     if len(num) > RATIONAL_DIGIT_CAP or (den is not None and len(den) > RATIONAL_DIGIT_CAP):
         raise ValueError(f"rational has more than {RATIONAL_DIGIT_CAP} digits on one side")
-    value = Fraction(int(num), int(den) if den is not None else 1)
+    d = 1 if den is None else int(den)
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    value = Fraction(int(num), d)
     return -value if sign == "-" else value
 
 
@@ -263,7 +266,7 @@ def gaussian_parts(z: GaussianRational) -> tuple[int, int, int]:
 def accumulate(acc: dict, key, parts: tuple[int, int, int], q: RationalLike) -> None:
     """acc[key] += z*q for z given as gaussian_parts(z) and an int or Fraction
     q, held as integers (re_num, im_num, den) so that no step normalises;
-    settle() builds the Gaussian rationals."""
+    settle() or algebra.settled_element() builds the Gaussian rationals."""
     a, b, d = parts
     qn = q.numerator
     a, b, d = a * qn, b * qn, d * q.denominator

@@ -498,11 +498,13 @@ def present(m: int, ell: int, gamma: Index, v: HVal | Bracket, tol: Fraction) ->
     """The 2^m-th root enclosure of an h value and its float midpoint.
 
     v is an h cell, or the bracket of a value that has no cell (a sum over
-    indices, as omega_h returns); h_val is None then."""
+    indices, as omega_h returns); h_val is None then.  The float is inf for
+    a divergent bracket and nan for a truncated one, which bounds the value
+    only from below."""
     h_val, br = (v, v.to_bracket(tol)) if isinstance(v, HVal) else (None, v)
     rlo, rhi = br.root_interval(m, tol)
     if rhi.infinite:
-        val = math.inf if br.is_divergent() else _float_or_inf(rlo)
+        val = math.inf if br.is_divergent() else math.nan
     else:
         val = _float_or_inf((rlo + rhi.value) / 2)
     return SeminormResult(m, ell, gamma, h_val, br, rlo, rhi, val)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .algebra import DomainError, Element, from_pairs, multiply
+from .algebra import DomainError, Element, from_pairs, multiply, settled_element
 from .cone import ConeModel, eval_upstairs, make_triple, y_minus_one
 from .scalars import (
     CACHE_ENTRIES,
@@ -31,7 +31,6 @@ from .scalars import (
     gaussian_parts,
     multi_indices_up_to_degree,
     rational_sqrt,
-    settle,
 )
 
 # Sign relating commutators against momentum elements to the infinitesimal
@@ -361,7 +360,7 @@ def _apply_slices(slices, M: tuple, a: Element) -> Element:
         for (K, L), val in level.get((P, Q), ()):
             u, v, e = gaussian_parts(val)
             accumulate(acc, (K, L, alpha), (x * u - y * v, x * v + y * u, d * e), 1)
-    return Element(settle(acc))
+    return settled_element(acc)
 
 
 def apply_pullback(U, a: Element) -> Element:

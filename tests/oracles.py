@@ -1,9 +1,11 @@
 """Independent reference computations the tests compare against.
 
-Everything here is deliberately written without touching the library's own
+Most of it is deliberately written without touching the library's own
 product or recursion code paths: sympy differentiation for the flat star
 product, sympy polynomial expansion for the symmetry pullback, and the
-decimal module for high-precision constants.
+decimal module for high-precision constants.  The exception is the two-step
+disk product, which keeps the route that disk_multiply fuses: a settled
+upstairs product on the cone, then the reduction of that element.
 """
 
 from __future__ import annotations
@@ -56,6 +58,23 @@ def random_vector(rng, n: int, level: int, nterms: int = 3):
 
     idx = list(multi_indices_up_to_degree(n, level))
     return GnsVector({rng.choice(idx): random_gr(rng) for _ in range(nterms)})
+
+
+# ---------------------------------------------------------------------------
+# the disk product in two steps
+
+
+def disk_multiply_two_step(a: Element, b: Element, hbar) -> Element:
+    """disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar),
+    with the zero product of two zero operands."""
+    from exactstar.algebra import multiply
+    from exactstar.cone import ConeModel, disk_lift, disk_reduce
+
+    src = a if a.terms else b
+    if not src.terms:
+        return Element.zero()
+    n = len(next(iter(src.terms))[0])
+    return disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar)
 
 
 # ---------------------------------------------------------------------------

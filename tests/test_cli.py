@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -521,6 +522,7 @@ def test_zero_denominator_is_usage_error(tmp_path, entry):
     res = run(*_zero_denominator_args(tmp_path, entry))
     assert res.exit_code == 2, (res.output, res.exception)
     assert "Traceback" not in res.output
+    assert "zero denominator in '1/0'" in res.stderr and "Fraction(" not in res.stderr
 
 
 def _bad_multiindex_args(tmp_path, entry, P):
@@ -1043,8 +1045,12 @@ def test_seminorm_radius_past_majorant_terms(transcript_files):
     res = run(*(CONE + "seminorm {s} --m-max 3 --radius 1/2").format(**transcript_files).split())
     assert res.exit_code == 0, res.output
     rows = json.loads(res.output)["rows"]
-    tails = [r["bracket_hi"] for r in rows if r["gamma"] == json.dumps({"radius": "1/2"})]
-    assert [hi == "inf" for hi in tails] == [False, False, False, True]
+    tails = [r for r in rows if r["gamma"] == json.dumps({"radius": "1/2"})]
+    assert [r["bracket_hi"] == "inf" for r in tails] == [False, False, False, True]
+    # the truncated row has a lower bound and no value; the others print one
+    assert [r["seminorm_float"] == "" for r in tails] == [False, False, False, True]
+    assert all(0 < float(r["seminorm_float"]) < math.inf for r in tails[:3])
+    assert Fraction(tails[3]["bracket_lo"]) > 0
 
 
 @pytest.mark.parametrize("command", ["eval", "gns inner"])

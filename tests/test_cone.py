@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactstar.algebra import DimensionError, DomainError, Element, InfiniteFanError, multiply
+from exactstar.algebra import (
+    DimensionError,
+    DomainError,
+    Element,
+    InfiniteFanError,
+    accumulate_product,
+    multiply,
+)
 from exactstar.cone import (
     ConeModel,
     DiskModel,
@@ -36,8 +43,15 @@ from exactstar.scalars import (
     pochhammer,
 )
 from exactstar.seminorms import HTable, HVal, OmegaWeights, omega_h
+from exactstar.su1n import apply_pullback, as_matrix
 
-from oracles import random_cone_element, random_disk_element, random_gr, seeded
+from oracles import (
+    disk_multiply_two_step,
+    random_cone_element,
+    random_disk_element,
+    random_gr,
+    seeded,
+)
 
 H = Fraction(1, 2)
 Z1 = MultiIndex((0,))
@@ -217,6 +231,16 @@ def test_weights_and_constants_match_wick_route():
             for target in triples:
                 assert cone_rowsum(t, target) == row.get((t, target), 0), (t, target)
                 assert model.col_sum(t, target) == col.get((t, target), 0), (t, target)
+
+
+def test_pair_table_order_n3():
+    # the ordered comparison above, at n = 3 where Kp runs over three entries
+    triples = _triples(3, 1)
+    for t1 in triples:
+        for t2 in triples:
+            pairs = tilde_structure_constants(t1, t2)
+            assert list(pairs.items()) == list(_tilde_pairs_reference(t1, t2).items())
+            assert pairs == oracle_structure_constants(t1, t2, Fraction(5, 7))
 
 
 def test_rowsum_gamma_total_bound():
@@ -461,6 +485,53 @@ def test_disk_model_multiply_matches_disk_multiply(n, hbar):
                if alpha == max(P.degree(), Q.degree())]
     assert sorted(dm.indices_up_to(2)) == sorted((P, Q) for P, Q, _ in minimal)
     assert all(dm.index_rank((P, Q)) == alpha for P, Q, alpha in minimal)
+
+
+def _cancelling_pair(n):
+    # (f_u + f_v)(f_v - f_u) with u = (e_0, 0) and v = (0, e_0): the pointwise
+    # leading terms of f_u f_v and f_v f_u cancel upstairs
+    u = (MultiIndex.unit(n, 0), MultiIndex.zero(n))
+    v = (u[1], u[0])
+    return Element({u: 1, v: 1}), Element({u: -1, v: 1})
+
+
+@pytest.mark.parametrize("hbar", [H, Fraction(3), Fraction(-5, 7), Fraction(3, 11)], ids=str)
+@pytest.mark.parametrize("n, level", [(1, 5), (2, 2)])
+def test_disk_multiply_matches_two_step_route(n, level, hbar):
+    rng = seeded(67 + n)
+    pairs = [(random_disk_element(rng, n, level), random_disk_element(rng, n, level))
+             for _ in range(4)]
+    x, y = _cancelling_pair(n)
+    up = accumulate_product(ConeModel(n, hbar).pair_product, disk_lift(x).terms.items(),
+                            disk_lift(y).terms.items())
+    assert any(re == im == 0 for re, im, _ in up.values())
+    for a, b in pairs + [(x, y)]:
+        assert disk_multiply(a, b, hbar) == disk_multiply_two_step(a, b, hbar)
+
+
+def test_disk_multiply_zero_operands_and_disallowed_hbar():
+    zero, a = Element.zero(), random_disk_element(seeded(71), 1, 2)
+    assert disk_multiply(zero, zero, Fraction(-1, 2)).is_zero()
+    for x, y in ((a, zero), (zero, a), (a, a)):
+        with pytest.raises(DomainError, match="hbar -1/2 is not an allowed value"):
+            disk_multiply(x, y, Fraction(-1, 2))
+    with pytest.raises(DomainError, match="hbar -1/2 is not an allowed value"):
+        disk_reduce(disk_lift(a), Fraction(-1, 2))
+
+
+def test_products_hold_no_zero_coefficient():
+    rng = seeded(73)
+    cone, dm = ConeModel(1, H), DiskModel(1, H)
+    boost = as_matrix([[Fraction(5, 4), Fraction(3, 4)], [Fraction(3, 4), Fraction(5, 4)]])
+    a, b = _cancelling_pair(1)
+    products = [multiply(dm, a, b), disk_multiply(a, b, H),
+                multiply(cone, disk_lift(a), disk_lift(b)),
+                apply_pullback(boost, y_minus_one(1, H))]
+    for _ in range(3):
+        x, y = random_cone_element(rng, 1, 3), random_cone_element(rng, 1, 3)
+        products += [multiply(cone, x, y), apply_pullback(boost, x)]
+    for p in products:
+        assert p.terms and all(not c.is_zero() for c in p.terms.values())
 
 
 def test_disk_involution_is_antihomomorphism():

@@ -604,12 +604,17 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     out = []
     for k in range(top + 1):
         num = rising[k] * binomial(top, k) * factorial(k) * lift
+        if not num:
+            continue
         den = lower * v ** (top - k)
         for K in multi_indices_of_degree(n, k):
-            IK, JK = I + K, J + K
-            cK = Fraction(num * IK.factorial() * JK.factorial(), den * K.factorial())
-            if cK:
-                out.append(((IK, JK), cK))
+            # (I+K)! (J+K)! / K! as one integer: each (i+k)!/k! is exact
+            w = 1
+            for i, j, kk in zip(I, J, K):
+                w *= factorial(i + kk) // factorial(kk) * factorial(j + kk)
+            out.append(((_multi_index([i + kk for i, kk in zip(I, K)]),
+                         _multi_index([j + kk for j, kk in zip(J, K)])),
+                        Fraction(num * w, den)))
     return tuple(out)
 
 
@@ -660,6 +665,46 @@ def disk_multiply(a: Element, b: Element, hbar) -> Element:
     model = ConeModel(len(next(iter(src.terms))[0]), hbar)
     up = accumulate_product(model.pair_product, _lifted(a), _lifted(b))
     return settled_element(_reduce_sum(((t, z) for t, z in up.items() if z[0] or z[1]), hbar))
+
+
+def disk_column(a: Element, b: Element, hbar) -> dict:
+    """accumulate() dict, keyed by Q, of the holomorphic column of a . b:
+    the entries (0, Q) of disk_multiply(a, b, hbar), entries possibly zero.
+
+    A pair (P, Q, alpha) . (R, S, beta) reaches I = P + R - Kp with Kp <= P
+    meet S, and a reduction row sends (I, J, gamma) to (I + K, J + K).  So a
+    column entry needs I = 0 and K = 0, which forces R = 0 and Kp = P <= S:
+    only those pairs are multiplied, only the I = 0 constants of their
+    tables are read, and each upstairs (0, J, gamma) takes only the K = 0
+    entry of its reduction rows."""
+    src = a if a.terms else b
+    if not src.terms:
+        return {}
+    hbar = allowed_hbar(hbar)
+    n = len(next(iter(src.terms))[0])
+    pair_product = ConeModel(n, hbar).pair_product
+    zero = MultiIndex.zero(n)
+    right = [(t2, gaussian_parts(c)) for t2, c in _lifted(b) if t2[0] == zero]
+    up: dict = {}
+    for t1, ca in _lifted(a):
+        P = t1[0]
+        x, y, d = gaussian_parts(ca)
+        for t2, (u, v, e) in right:
+            if any(p > s for p, s in zip(P, t2[1])):
+                continue
+            factor = (x * u - y * v, x * v + y * u, d * e)
+            for (I, J, gamma), const in pair_product(t1, t2).items():
+                if I == zero:
+                    accumulate(up, (J, gamma), factor, const)
+    out: dict = {}
+    for (J, gamma), z in up.items():
+        if z[0] or z[1]:
+            key = (zero, J)
+            for idx, rc in _reduce_cached((zero, J, gamma), hbar):
+                if idx == key:
+                    accumulate(out, J, z, rc)
+                    break
+    return out
 
 
 def eval_disk(a: Element, v, hbar) -> GaussianRational:

@@ -8,26 +8,29 @@ of the representation, and truncated coherent vectors.
 
 Two independent implementations of the action are kept side by side: one
 multiplies in the algebra and projects, the other applies a closed-form
-coefficient rule.  Tests require exact agreement.
+coefficient rule.  Tests require exact agreement.  The product route, and
+the vacuum expectation in positivity_check, multiply through the cone pair
+tables and reduction rows, restricted to the holomorphic column
+(cone.disk_column); neither reaches a closed form of this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .algebra import DomainError, Element
-from .cone import disk_multiply, eval_disk
+from .cone import disk_column, disk_multiply, eval_disk
 from .scalars import (
     GR_ZERO,
     GaussianRational,
     MultiIndex,
     accumulate,
-    binomial,
     factorial,
     gaussian_parts,
-    multi_binomial,
     rising_numerator,
     settle,
+    _multi_index,
 )
 
 
@@ -189,12 +192,13 @@ def gns_norm_squared(psi: GnsVector, hbar) -> Fraction:
 
 def gns_rep_via_product(a: Element, psi: GnsVector, hbar) -> GnsVector:
     """Action of a disk element on a vector, by definition: multiply in the
-    algebra against the embedded vector, then project."""
+    algebra against the embedded vector, then project.  disk_column computes
+    only the projected column of the product."""
     hbar = _require_positive(hbar)
     if a.is_zero() or psi.is_zero():
         return GnsVector.zero()
     n = len(next(iter(psi.terms)))
-    return gns_project(disk_multiply(a, iota(psi, n), hbar))
+    return GnsVector(settle(disk_column(a, iota(psi, n), hbar)))
 
 
 def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
@@ -217,17 +221,22 @@ def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
         r = alpha - q.degree()
         lower = p.factorial() * factorial(r) * v**r
         for s, sd, (z, w, f) in vec:
-            diff = s.minus(p)
-            if diff is None:
-                continue
-            target = q + diff
-            gamma = alpha + sd - pd
-            jdeg = gamma - r
-            num = (multi_binomial(target, q) * binomial(gamma, sd) * factorial(jdeg)
-                   * rising_numerator(u + jdeg * v, v, r))
-            # c cs over the denominator e f lower gamma!, normalised only by settle()
-            den = e * f * lower * factorial(gamma)
-            accumulate(acc, target, (x * z - y * w, x * w + y * z, den), num)
+            # s >= p, the target q + s - p and C(target, q), in one pass
+            target, choose = [], 1
+            for pi, qi, si in zip(p, q, s):
+                if si < pi:
+                    break
+                ti = qi + si - pi
+                target.append(ti)
+                choose *= comb(ti, qi)
+            else:
+                gamma = alpha + sd - pd
+                jdeg = gamma - r
+                num = (choose * comb(gamma, sd) * factorial(jdeg)
+                       * rising_numerator(u + jdeg * v, v, r))
+                # c cs over the denominator e f lower gamma!, normalised only by settle()
+                den = e * f * lower * factorial(gamma)
+                accumulate(acc, _multi_index(target), (x * z - y * w, x * w + y * z, den), num)
     return GnsVector(settle(acc))
 
 
@@ -283,13 +292,11 @@ def positivity_check(a: Element, hbar) -> Fraction:
     hbar = _require_positive(hbar)
     if a.is_zero():
         return Fraction(0)
-    prod = disk_multiply(disk_involution(a), a, hbar)
     n = len(next(iter(a.terms))[0])
-    zero = MultiIndex.zero(n)
-    val = prod.coeff((zero, zero))
-    if val.im != 0:
+    re, im, den = disk_column(disk_involution(a), a, hbar).get(MultiIndex.zero(n), (0, 0, 1))
+    if im:
         raise DomainError("vacuum expectation of a*a must be real")
-    return val.re
+    return Fraction(re, den)
 
 
 def state_kernel_part(a: Element) -> Element:

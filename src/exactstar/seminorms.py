@@ -140,6 +140,9 @@ class Bracket:
         return lo, ExtendedNonNeg.of(hi)
 
     def midpoint_float(self) -> float:
+        """Float of the midpoint; inf for a divergent bracket, and for a
+        truncated one (hi infinite, not divergent) the lower end lo, which
+        is only a lower bound of the value."""
         if self.hi.infinite:
             return math.inf if self.is_divergent() else _float_or_inf(self.lo)
         return _float_or_inf((self.lo + self.hi.value) / 2)
@@ -351,7 +354,9 @@ class HVal:
         return ""
 
     def __repr__(self) -> str:
-        return f"HVal({self.kind}, ~{self.to_float():.6g})"
+        # a truncated bracket's float is its lower end, not an estimate
+        lower = self.kind == "bracket" and self.br.hi.infinite and not self.br.is_divergent()
+        return f"HVal({self.kind}, {'>=' if lower else '~'}{self.to_float():.6g})"
 
 
 class HTable:

@@ -3,9 +3,11 @@
 Most of it is deliberately written without touching the library's own
 product or recursion code paths: sympy differentiation for the flat star
 product, sympy polynomial expansion for the symmetry pullback, and the
-decimal module for high-precision constants.  The exception is the two-step
-disk product, which keeps the route that disk_multiply fuses: a settled
-upstairs product on the cone, then the reduction of that element.
+decimal module for high-precision constants.  The exceptions are the
+two-step disk product, which keeps the route that disk_multiply fuses (a
+settled upstairs product on the cone, then the reduction of that element),
+and the vacuum expectation read off the whole disk product, the route that
+positivity_check restricts to one column.
 """
 
 from __future__ import annotations
@@ -75,6 +77,19 @@ def disk_multiply_two_step(a: Element, b: Element, hbar) -> Element:
         return Element.zero()
     n = len(next(iter(src.terms))[0])
     return disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar)
+
+
+def vacuum_expectation_full_product(a: Element, hbar) -> GaussianRational:
+    """The (0, 0) coefficient of the whole product disk_multiply(a*, a, hbar):
+    the vacuum expectation of a* a that positivity_check reads off the
+    holomorphic column alone."""
+    from exactstar.cone import disk_multiply
+    from exactstar.gns import disk_involution
+
+    if not a.terms:
+        return GaussianRational.of(0)
+    zero = MultiIndex.zero(len(next(iter(a.terms))[0]))
+    return disk_multiply(disk_involution(a), a, hbar).coeff((zero, zero))
 
 
 # ---------------------------------------------------------------------------

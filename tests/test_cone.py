@@ -19,6 +19,7 @@ from exactstar.cone import (
     cone_rowsum_gamma_total,
     cone_y,
     disk_coefficient_extraction,
+    disk_column,
     disk_lift,
     disk_multiply,
     disk_reduce,
@@ -507,6 +508,39 @@ def test_disk_multiply_matches_two_step_route(n, level, hbar):
     assert any(re == im == 0 for re, im, _ in up.values())
     for a, b in pairs + [(x, y)]:
         assert disk_multiply(a, b, hbar) == disk_multiply_two_step(a, b, hbar)
+
+
+def test_disk_column_multiplies_only_column_pairs(monkeypatch):
+    """A pair (P, Q) . (R, S) reaches the holomorphic column only when R = 0
+    and P <= S, and a column target needs only the K = 0 reduction entry:
+    disk_column asks for no other pair table, and leaves the reduction rows
+    of every other disk target uncomputed."""
+    from exactstar import cone
+
+    rng = seeded(79)
+    a, b = random_disk_element(rng, 2, 2, nterms=8), random_disk_element(rng, 2, 2, nterms=8)
+    zero = MultiIndex.zero(2)
+    lifted_a, lifted_b = disk_lift(a).terms, disk_lift(b).terms
+    want = {(t1, t2) for t1 in lifted_a for t2 in lifted_b
+            if t2[0] == zero and t1[0] <= t2[1]}
+    assert 0 < len(want) < len(lifted_a) * len(lifted_b)
+    seen, reduced = [], []
+    pair_product, reduce_rows = ConeModel.pair_product, cone._reduce_cached
+
+    def recording_pairs(model, left, right):
+        seen.append((left, right))
+        return pair_product(model, left, right)
+
+    def recording_rows(t, hbar):
+        reduced.append(t)
+        return reduce_rows(t, hbar)
+
+    monkeypatch.setattr(ConeModel, "pair_product", recording_pairs)
+    monkeypatch.setattr(cone, "_reduce_cached", recording_rows)
+    column = disk_column(a, b, H)
+    assert len(seen) == len(want) and set(seen) == want
+    assert reduced and all(t[0] == zero for t in reduced)
+    assert set(column) <= {t[1] for t in reduced}
 
 
 def test_disk_multiply_zero_operands_and_disallowed_hbar():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactstar.algebra import DomainError, Element
-from exactstar.cone import DiskModel, disk_multiply
+from exactstar.cone import DiskModel, disk_column, disk_multiply
 from exactstar.gns import (
     GnsVector,
     check_adjoint,
@@ -26,9 +26,15 @@ from exactstar.gns import (
     positivity_check,
     state_kernel_part,
 )
-from exactstar.scalars import GaussianRational, MultiIndex, pochhammer, factorial
+from exactstar.scalars import GaussianRational, MultiIndex, pochhammer, factorial, settle
 
-from oracles import random_disk_element, random_gr, random_vector, seeded
+from oracles import (
+    random_disk_element,
+    random_gr,
+    random_vector,
+    seeded,
+    vacuum_expectation_full_product,
+)
 
 H = Fraction(1, 2)
 GR = GaussianRational.of
@@ -139,6 +145,61 @@ def test_closed_route_runs_without_the_product_route(monkeypatch):
     monkeypatch.setattr(gns, "disk_multiply", disabled)
     monkeypatch.setattr(cone, "_reduce_cached", disabled)
     assert [gns_rep(a, psi, hbar) for a, psi, hbar in cases] == want
+
+
+@pytest.mark.parametrize(
+    "hbar", [H, Fraction(3), Fraction(5, 7), Fraction(3, 11), Fraction(-5, 7)], ids=str)
+@pytest.mark.parametrize("n, level", [(1, 5), (2, 2)])
+def test_disk_column_is_the_projected_product(n, level, hbar):
+    """The holomorphic column of a . b, computed alone, is the projection of
+    the whole product, for general right factors and for embedded vectors."""
+    rng = seeded(149 + n)
+    pairs = [(random_disk_element(rng, n, level), random_disk_element(rng, n, level))
+             for _ in range(4)]
+    pairs += [(random_disk_element(rng, n, level), iota(random_vector(rng, n, level), n))
+              for _ in range(2)]
+    x = pairs[0][0]
+    pairs.append((disk_involution(x), x))
+    for a, b in pairs:
+        column = GnsVector(settle(disk_column(a, b, hbar)))
+        assert column == gns_project(disk_multiply(a, b, hbar))
+    assert disk_column(Element.zero(), Element.zero(), hbar) == {}
+    with pytest.raises(DomainError, match="not an allowed value"):
+        disk_column(x, x, Fraction(-1, 2))
+
+
+def test_positivity_matches_full_product():
+    rng = seeded(151)
+    for n, level in ((1, 4), (2, 2)):
+        for hbar in (H, Fraction(3), Fraction(5, 7)):
+            for _ in range(4):
+                a = random_disk_element(rng, n, level)
+                want = vacuum_expectation_full_product(a, hbar)
+                assert want.im == 0
+                assert positivity_check(a, hbar) == want.re
+
+
+def test_product_route_runs_without_the_closed_forms(monkeypatch):
+    """gns_rep_via_product and positivity_check must not fall back on the
+    closed-form action or weights: with those disabled they still give the
+    same values.  These are the names gns binds, so patching them in gns
+    reaches every call."""
+    from exactstar import gns
+
+    rng = seeded(157)
+    cases = [(random_disk_element(rng, n, 2), random_vector(rng, n, 2), hbar)
+             for n in (1, 2) for hbar in (H, Fraction(5, 7))]
+    want = [(gns_rep_via_product(a, psi, hbar), positivity_check(a, hbar))
+            for a, psi, hbar in cases]
+
+    def disabled(*args, **kw):
+        raise AssertionError("the product route reached a closed form")
+
+    for name in ("gns_rep", "inner_weight", "_weight_parts", "rising_numerator"):
+        monkeypatch.setattr(gns, name, disabled)
+    got = [(gns.gns_rep_via_product(a, psi, hbar), gns.positivity_check(a, hbar))
+           for a, psi, hbar in cases]
+    assert got == want
 
 
 def test_representation_property():

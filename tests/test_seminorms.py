@@ -190,6 +190,18 @@ def test_unresolved_comparison_is_typed(monkeypatch):
         check_triangle_inequality(model, from_pairs([(0, 1)]), from_pairs([(1, 1)]), 2, 0, 0)
 
 
+def test_truncated_bracket_reads_as_lower_bound():
+    # the partial sum of a truncated bracket is its lower end, and its repr
+    # says so; finite and divergent values keep the ~ mark
+    table = HTable(get_model("laurent:factorial"), from_pairs([(0, 1), (1, 1)]))
+    cell = table.h(3, 0, 0)
+    assert cell.kind == "bracket" and cell.br.hi.infinite and not cell.br.is_divergent()
+    assert cell.to_float() == cell.br.midpoint_float() == float(cell.br.lo)
+    assert repr(cell) == "HVal(bracket, >=963.281)"
+    assert repr(table.h(2, 0, 0)) == "HVal(bracket, ~13.4809)"
+    assert repr(HVal.infinite()) == "HVal(bracket, ~inf)"
+
+
 def test_h_poly_pinned_values():
     m = get_model("poly:monomial")
     ta = HTable(m, from_pairs([(0, 1), (1, 2)]))  # 1 + 2z

@@ -42,8 +42,9 @@ class InfiniteFanError(DomainError):
 class UnresolvedError(RuntimeError):
     """A certified comparison that did not resolve: its two sides stayed
     inside one enclosure down to the finest tolerance tried, so neither
-    answer is claimed.  Raised by seminorms.rootsum_sign and
-    check_triangle_inequality; the CLI reports it with exit code 3."""
+    answer is claimed.  Raised by seminorms.rootsum_sign, which the root-sum
+    comparisons of the seminorm recursion and of check_product_inequality
+    use; the CLI reports it with exit code 3."""
 
 
 class BaseModel:
@@ -313,6 +314,13 @@ def get_model(spec: str, hbar: Fraction | None = None, epsilon: Fraction | None 
     """
     parts = spec.split(":")
     family = parts[0]
+
+    def size(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise DomainError(f"unknown model {spec!r}") from None
+
     if family in ("cone", "disk") and len(parts) == 1:
         from .cone import ConeModel, DiskModel
 
@@ -337,13 +345,13 @@ def get_model(spec: str, hbar: Fraction | None = None, epsilon: Fraction | None 
         if len(parts) == 2 and parts[1] == "Z":
             return models.GroupModel("Z", epsilon=eps)
         if len(parts) == 3 and parts[1] == "Zd":
-            return models.GroupModel("Zd", int(parts[2]), epsilon=eps)
+            return models.GroupModel("Zd", size(parts[2]), epsilon=eps)
         if len(parts) == 3 and parts[1] == "free":
-            return models.GroupModel("free", int(parts[2]), epsilon=eps)
+            return models.GroupModel("free", size(parts[2]), epsilon=eps)
     if family == "wick" and len(parts) == 2:
         if hbar is None:
             raise DomainError("wick model needs --hbar")
-        return models.WickFlatModel(int(parts[1]), hbar)
+        return models.WickFlatModel(size(parts[1]), hbar)
     raise DomainError(f"unknown model {spec!r}")
 
 

@@ -7,9 +7,10 @@ sort order and JSON keys are sorted, so identical inputs give
 byte-identical files.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error (a size
-flag or a file's term count above its cap included), 3 domain error
-(disallowed parameter, unsupported operation, an index or point of the wrong
-dimension) or a certified comparison that did not resolve.
+flag, a file's term count or an index's rank above its cap included),
+3 domain error (disallowed parameter, unsupported operation, an index or
+point of the wrong dimension) or a certified comparison that did not
+resolve.
 
 Every CLI process imports this module, so it loads only the layers each
 command runs: cone, gns, seminorms and the check suites are imported inside
@@ -61,12 +62,21 @@ DEFAULT_HBAR = Fraction(1, 2)
 # An element or vector file holds at most TERMS_CAP terms: every cone element
 # at n = 1 up to level 16 (1,785 triples) fits, and a product of two files at
 # the cap already makes 16.8 million pair products.
+# No index in a file has a rank (model.index_rank; a vector index's degree)
+# above RANK_CAP.  The cone recursion fans grow like level^5 at n = 2: on a
+# two-term cone element at --n 2, seminorm --m-max 2 took 0.42-0.47 s at
+# level 12, 0.74 s at 14 and 1.0 s at 16, and the product of a two-term cone
+# or disk element with itself 0.13-0.20 s at 12 (one run each, CLI start
+# included, Python 3.11.7 on a shared 2-vCPU Xeon VM).  At the cap the
+# slowest seminorm is wick:2's (5-7 s); the free groups take about 1 s at
+# any rank, spent in their SHELL_BUDGET.
 GAMMA_MAX_CAP = 16
 DEPTH_CAP = 16
 CHECK_LEVEL_CAP = 4
 N_CAP = 2
 M_MAX_CAP = 16
 TERMS_CAP = 4096
+RANK_CAP = 12
 
 
 class UsageError(Exception):
@@ -244,8 +254,15 @@ def _load_json(path: str, parse):
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _check_rank(path: str, rank: int, what: str) -> None:
+    if rank > RANK_CAP:
+        raise UsageError(f"{path}: an index of {what} {rank}, at most {RANK_CAP} allowed")
+
+
 def read_element(model, path: str) -> Element:
-    return _load_json(path, lambda data: element_from_json(model, data))
+    a = _load_json(path, lambda data: element_from_json(model, data))
+    _check_rank(path, max(map(model.index_rank, a.terms), default=0), "rank")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +361,7 @@ def _read_vector(path: str, n: int):
     psi = _load_json(path, gns_vector_from_json)
     if any(len(q) != n for q in psi.terms):
         raise DimensionError(f"{path}: vector indices must have length {n}")
+    _check_rank(path, max((q.degree() for q in psi.terms), default=0), "degree")
     return psi
 
 
@@ -478,8 +496,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact star products, seminorm tables and representation checks.",
         epilog=f"Caps: --n {N_CAP}, --gamma-max {GAMMA_MAX_CAP}, --depth {DEPTH_CAP}, "
                f"--m-max {M_MAX_CAP}, --cap {GAMMA_MAX_CAP}, --level {CHECK_LEVEL_CAP}, "
-               f"{TERMS_CAP} terms per file.  Exit codes: 0 success, 1 a check failed, "
-               "2 usage or parse error, 3 domain error or unresolved comparison.")
+               f"{TERMS_CAP} terms and index rank {RANK_CAP} per file.  Exit codes: "
+               "0 success, 1 a check failed, 2 usage or parse error, 3 domain error or "
+               "unresolved comparison.")
     for flag, text in [("--model", "Model name, see `algebra list`."),
                        ("--hbar", "Deformation parameter p/q."),
                        ("--n", "Number of disk variables."),

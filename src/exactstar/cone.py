@@ -129,8 +129,9 @@ def _wick_terms(t1: Triple, t2: Triple, a: int, b: int) -> dict:
 def occupancy_count(t1: Triple, t2: Triple, target: Triple) -> int:
     """How many (k, K) cells of the e-basis double sum hit the target index.
 
-    Brute-force witness for the closed-form occupancy in _tilde_coefficient:
-    the count is always 0 or 1, which the test suite asserts."""
+    Brute-force witness for the closed-form occupancy of the per-target
+    reference _tilde_coefficient in tests/oracles.py: the count is always 0
+    or 1, which the test suite asserts."""
     (P, Q, alpha), (R, S, beta) = t1, t2
     I, J, gamma = target
     count = 0
@@ -146,38 +147,17 @@ def occupancy_count(t1: Triple, t2: Triple, target: Triple) -> int:
     return count
 
 
-def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
-    """One closed-form constant, derived from the target alone: the
-    per-target reference that _tilde_pairs and cone_rowsum unroll."""
-    (P, Q, alpha), (R, S, beta) = t1, t2
-    I, J, gamma = target
-    Kp = (P + R).minus(I)
-    if Kp is None or (Q + S).minus(J) != Kp:
-        return Fraction(0)
-    # the only (k, K) cell of the e-basis double sum that can hit the target
-    # is (kp, Kp); it lies in the summation range or the constant vanishes
-    kp = alpha + beta - gamma - Kp.degree()
-    if not (0 <= kp <= min(alpha - P.degree(), beta - S.degree()) and Kp <= P.meet(S)):
-        return Fraction(0)
-    num = (
-        multi_binomial(I, R)
-        * multi_binomial(J, Q)
-        * binomial(gamma - I.degree(), beta - R.degree())
-        * binomial(gamma - J.degree(), alpha - Q.degree())
-    )
-    return Fraction(-num if kp % 2 else num, factorial(kp) * Kp.factorial())
-
-
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _tilde_pairs(t1: Triple, t2: Triple) -> dict:
     """The nonzero closed-form constants, keyed in (Kp, gamma) order.
 
     Each Kp <= P.meet(S) fixes the target multiindices, so the Kp and
-    C(I, R) C(J, Q) that _tilde_coefficient would re-derive per target are
-    computed once here.  Its range test 0 <= kp <= min(alpha-|P|, beta-|S|)
-    is the level loop's range: the loop stops at kp = 0, and the two level
-    binomials vanish exactly when kp exceeds alpha-|P| or beta-|S|, so it
-    starts where kp is that minimum.  With gamma = alpha+beta-|Kp|-kp
+    C(I, R) C(J, Q) that the per-target reference (_tilde_coefficient in
+    tests/oracles.py) re-derives are computed once here.  Its range test
+    0 <= kp <= min(alpha-|P|, beta-|S|) is the level loop's range: the loop
+    stops at kp = 0, and the two level binomials vanish exactly when kp
+    exceeds alpha-|P| or beta-|S|, so it starts where kp is that minimum.
+    With gamma = alpha+beta-|Kp|-kp
     the level binomials read C(beta-|R| + alpha-|P| - kp, beta-|R|) and
     C(alpha-|Q| + beta-|S| - kp, alpha-|Q|), which do not depend on Kp; and
     C(I, R) C(J, Q) >= 1, since I - R = P - Kp and J - Q = S - Kp.  So every
@@ -246,7 +226,7 @@ def cone_rowsum(t: Triple, out_t: Triple) -> Fraction:
     """Sum of |C| over the right partners mapping t into out_t.
 
     Each Kp <= P fixes the partner multiindices (R, S) = (I, J) + Kp - (P, Q);
-    the closed form of _tilde_coefficient then reads
+    the closed form of _tilde_coefficient (tests/oracles.py) then reads
     C(I,R) C(J,Q) C(gamma-|I|, beta-|R|) C(gamma-|J|, alpha-|Q|) / (kp! Kp!)
     with kp = alpha + beta - gamma - |Kp|.  The Kp-free factor vanishes
     unless Q <= J and alpha - |Q| <= gamma - |J|, which give alpha <= gamma,
@@ -273,16 +253,6 @@ def cone_rowsum(t: Triple, out_t: Triple) -> Fraction:
             inner += binomial(gi, beta - rd) * (top // factorial(alpha + beta - gamma - kd))
         total += multi_binomial(I, R) * inner * (pf // Kp.factorial())
     return Fraction(outer * total, top * pf)
-
-
-def cone_rowsum_gamma_total(t: Triple, gamma: int) -> Fraction:
-    """Row sums of t against every target at one level, added up."""
-    n = len(t[0])
-    total = Fraction(0)
-    for I in multi_indices_up_to_degree(n, gamma):
-        for J in multi_indices_up_to_degree(n, gamma):
-            total += cone_rowsum(t, (I, J, gamma))
-    return total
 
 
 class ConeModel(BaseModel):
@@ -618,11 +588,6 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     return tuple(out)
 
 
-def reduce_class(t: Triple, hbar) -> Element:
-    """Disk-basis expansion of the class of f_t modulo the y = 1 ideal."""
-    return disk_reduce(Element.basis(t), hbar)
-
-
 def _lifted(a: Element) -> Iterator[tuple]:
     """(minimal-level triple, coefficient) of each disk pair of a."""
     for (P, Q), c in a.terms.items():
@@ -722,29 +687,6 @@ def eval_disk(a: Element, v, hbar) -> GaussianRational:
         val = _gr_power_multi(v, P) * _gr_power_multi(vc, Q)
         scal = pochhammer(nu, alpha) * _pref(P, Q, alpha) / (1 - norm2) ** alpha
         out = out + coeff * val * scal
-    return out
-
-
-def disk_coefficient_extraction(a: Element, R, S, hbar) -> GaussianRational:
-    """One disk coefficient of the class of an upstairs element.
-
-    Second route past the reduction expansion: a double sum over the support
-    and the shared lowering multiindex, with a Pochhammer-ratio weight."""
-    hbar = allowed_hbar(hbar)
-    R, S = MultiIndex(R), MultiIndex(S)
-    nu = 1 / (2 * hbar)
-    M = max(R.degree(), S.degree())
-    mdeg = min(R.degree(), S.degree())
-    out = GaussianRational.of(0)
-    for (P0, Q0, alpha), coeff in a.terms.items():
-        I = R.minus(P0)
-        if I is None or S.minus(Q0) != I or alpha < M:
-            continue
-        weight = Fraction(
-            I.factorial() * factorial(M - mdeg),
-            factorial(alpha - mdeg + I.degree()) * factorial(alpha - M),
-        ) * (pochhammer(nu, alpha) / pochhammer(nu, M))
-        out = out + coeff * (multi_binomial(R, I) * multi_binomial(S, I) * weight)
     return out
 
 

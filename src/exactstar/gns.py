@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import DomainError, Element
-from .cone import disk_column, disk_multiply, eval_disk
+from .cone import disk_column, disk_multiply
 from .scalars import (
     GR_ZERO,
     GaussianRational,
@@ -264,19 +264,6 @@ def coherent_vector(w, cap: int) -> GnsVector:
     return GnsVector(out)
 
 
-def check_reproducing(w, psi: GnsVector, hbar) -> dict:
-    """Pairing with the coherent vector evaluates the embedding at w."""
-    hbar = _require_positive(hbar)
-    if psi.is_zero():
-        return {"holds": True, "cap": 0}
-    cap = max(q.degree() for q in psi.terms)
-    ew = coherent_vector(w, cap)
-    lhs = gns_inner(ew, psi, hbar)
-    n = len(next(iter(psi.terms)))
-    rhs = eval_disk(iota(psi, n), w, hbar)
-    return {"holds": lhs == rhs, "cap": cap, "value": lhs}
-
-
 def disk_involution(a: Element) -> Element:
     """Adjoint on disk coefficients: swap the index pair and conjugate."""
     return Element(
@@ -316,20 +303,6 @@ def check_kernel_absorbed(a: Element, j: Element, hbar) -> bool:
     if a.is_zero() or j.is_zero():
         return True
     return gns_project(disk_multiply(a, j, hbar)).is_zero()
-
-
-def check_adjoint(a: Element, psi: GnsVector, phi: GnsVector, hbar) -> bool:
-    """<pi(a) psi, phi> = <psi, pi(a*) phi>, exactly."""
-    lhs = gns_inner(gns_rep(a, psi, hbar), phi, hbar)
-    rhs = gns_inner(psi, gns_rep(disk_involution(a), phi, hbar), hbar)
-    return lhs == rhs
-
-
-def check_cauchy_schwarz(psi: GnsVector, phi: GnsVector, hbar) -> bool:
-    pairing = gns_inner(psi, phi, hbar)
-    return pairing.abs_squared() <= gns_norm_squared(
-        psi, hbar
-    ) * gns_norm_squared(phi, hbar)
 
 
 def check_representation(a: Element, b: Element, psi: GnsVector, hbar) -> bool:

@@ -37,7 +37,6 @@ from .seminorms import (
     HTable,
     HVal,
     hval_product,
-    rootsum_bracket,
     truncated_sum,
 )
 
@@ -171,11 +170,6 @@ class LaurentModel(BaseModel):
 
     _col = _row
 
-    def rowsum(self, n: int, k: int) -> Fraction:
-        """The recursion weight; constant 1 on the plain basis (the divergence
-        witness), |k|!/(|n|!|k-n|!) on the factorial basis."""
-        return self.row_sum(n, k)
-
     def index_rank(self, idx) -> int:
         return abs(idx)
 
@@ -249,12 +243,6 @@ class LaurentModel(BaseModel):
         return HVal.bracket(
             Bracket.enclosure(partial, partial + tail, cutoff, TAG_MAJORANT)
         )
-
-
-def laurent_rowsum(model: LaurentModel, n: int, k: int) -> Fraction:
-    if not isinstance(model, LaurentModel):
-        raise DomainError("laurent_rowsum needs a Laurent model")
-    return model.rowsum(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +547,6 @@ class GroupModel(BaseModel):
         other = self.mul(k, self.inv(h))
         return self._ratio(self.length(k), self.length(other), self.length(h))
 
-    def rowsum_bracket(self, g, k, tol: Fraction = DEFAULT_TOL) -> Bracket:
-        w = self.row_sum(g, k)
-        if isinstance(w, Fraction):
-            return Bracket.exact(w)
-        return rootsum_bracket(w, tol)
-
     # -- indices ------------------------------------------------------------
     def validate_index(self, idx):
         if self.kind == "Z":
@@ -729,18 +711,6 @@ class GroupModel(BaseModel):
                     hi = partial.hi + tail
                     return HVal.bracket(Bracket(partial.lo, hi, s, TAG_MAJORANT))
             s += 1
-
-
-def group_rowsum(model: GroupModel, g, k, tol: Fraction = DEFAULT_TOL) -> Bracket:
-    if not isinstance(model, GroupModel):
-        raise DomainError("group_rowsum needs a group model")
-    return model.rowsum_bracket(g, k, tol)
-
-
-def word_length(model: GroupModel, g) -> int:
-    if not isinstance(model, GroupModel):
-        raise DomainError("word_length needs a group model")
-    return model.length(model.validate_index(g))
 
 
 # ---------------------------------------------------------------------------

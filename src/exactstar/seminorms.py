@@ -529,30 +529,6 @@ def seminorm(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = 
     return present(m, ell, gamma, v, tol)
 
 
-def seminorm_max_ell(model, a: Element, m: int, gamma: Index, tol: Fraction = DEFAULT_TOL) -> SeminormResult:
-    """Maximum of h over all branch words at level m, root taken once."""
-    table = HTable(model, a, tol)
-    best: SeminormResult | None = None
-    for ell in range(1 << m):
-        cur = present(m, ell, gamma, table.h(m, ell, gamma), tol)
-        if best is None or _bracket_greater(cur.h_bracket, best.h_bracket):
-            best = cur
-    assert best is not None
-    return best
-
-
-def _bracket_greater(x: Bracket, y: Bracket) -> bool:
-    if x.is_divergent() != y.is_divergent():
-        return x.is_divergent()
-    if x.lo != y.lo:
-        return x.lo > y.lo
-    if x.hi.infinite != y.hi.infinite:
-        return x.hi.infinite
-    if not x.hi.infinite:
-        return x.hi.value > y.hi.value
-    return False
-
-
 # ---------------------------------------------------------------------------
 # product-continuity inequality, exact squared form
 
@@ -627,74 +603,6 @@ def hval_product(x: HVal, y: HVal) -> HVal:
     return HVal.root(x._as_rootsum() * y._as_rootsum())
 
 
-def check_triangle_inequality(
-    model,
-    a: Element,
-    b: Element,
-    m: int,
-    ell: int,
-    gamma: Index,
-    tol: Fraction = Fraction(1, 10**30),
-) -> bool:
-    """(h(a+b))^(1/2^m) <= h(a)^(1/2^m) + h(b)^(1/2^m) by certified enclosures.
-
-    Refines the interval evaluation until the comparison resolves; exact
-    equality cases (zero summands, equal supports) resolve structurally.
-    Raises UnresolvedError when six refinements leave the sides overlapping,
-    or when a side needed for the comparison is a truncated bracket."""
-    table_ab = HTable(model, a + b, tol)
-    ha = HTable(model, a, tol).h(m, ell, gamma)
-    hb = HTable(model, b, tol).h(m, ell, gamma)
-    hab = table_ab.h(m, ell, gamma)
-    if hab.is_zero():
-        return True
-    if ha.is_infinite() or hb.is_infinite():
-        return True
-    if hab.is_infinite():
-        return False
-    neg = RootSum.rational(Fraction(-1))
-    if m == 0 and all(v.kind in ("exact", "sqrt", "root") for v in (hab, ha, hb)):
-        d = hab._as_rootsum() + ha._as_rootsum() * neg + hb._as_rootsum() * neg
-        return rootsum_sign(d) <= 0
-    qab, qa, qb = hab.exact_rational(), ha.exact_rational(), hb.exact_rational()
-    if None not in (qab, qa, qb):
-        x, y, z = qab, qa, qb
-        if m == 0:
-            return x <= y + z
-        if x <= y + z:
-            # t^(1/2^m) is subadditive, so this already settles it
-            return True
-        if m == 1:
-            # sqrt(x) <= sqrt(y) + sqrt(z): square once, isolate the cross term
-            return (x - y - z) ** 2 <= 4 * y * z
-        if m == 2:
-            # fourth roots: two exact squarings through sums of square roots,
-            # so equality cases (proportional summands) resolve structurally
-            d1 = (
-                RootSum.sqrt_rational(x)
-                + RootSum.sqrt_rational(y) * neg
-                + RootSum.sqrt_rational(z) * neg
-            )
-            if rootsum_sign(d1) <= 0:
-                return True
-            d2 = d1 * d1 + RootSum.sqrt_rational(y * z) * RootSum.rational(Fraction(-4))
-            return rootsum_sign(d2) <= 0
-    cur = tol
-    for _ in range(6):
-        la, ra = ha.to_bracket(cur).root_interval(m, cur)
-        lb_, rb_ = hb.to_bracket(cur).root_interval(m, cur)
-        lab, rab = hab.to_bracket(cur).root_interval(m, cur)
-        if not rab.infinite and rab.value <= la + lb_:
-            return True
-        if not (ra.infinite or rb_.infinite) and lab > ra.value + rb_.value:
-            return False
-        if rab.infinite or ra.infinite or rb_.infinite:
-            # a truncated side has no upper bound at any tol
-            raise UnresolvedError("triangle comparison did not resolve; a side has no upper bound")
-        cur = cur * cur
-    raise UnresolvedError("triangle comparison did not resolve; sides too close")
-
-
 # ---------------------------------------------------------------------------
 # omega-weighted seminorms
 
@@ -710,7 +618,6 @@ class OmegaWeights:
       geometric_factorial  R^rank / rank!
     """
 
-    description: str
     kind: str
     table: tuple = ()
     ratio: Fraction | None = None
@@ -721,29 +628,22 @@ class OmegaWeights:
 
     @staticmethod
     def coefficient(idx: Index) -> "OmegaWeights":
-        return OmegaWeights(f"coefficient functional at {idx}", "coefficient", ((idx, Fraction(1)),))
+        return OmegaWeights("coefficient", ((idx, Fraction(1)),))
 
     @staticmethod
     def from_table(weights: dict) -> "OmegaWeights":
         items = tuple((i, Fraction(w)) for i, w in weights.items())
         if any(w < 0 for _, w in items):
             raise ValueError("weights must be nonnegative")
-        return OmegaWeights("table weights", "table", items)
+        return OmegaWeights("table", items)
 
     @staticmethod
     def point(radius: Fraction) -> "OmegaWeights":
-        radius = Fraction(radius)
-        return OmegaWeights(f"point evaluation, radius {radius}", "geometric", (), radius)
+        return OmegaWeights("geometric", (), Fraction(radius))
 
     @staticmethod
     def point_factorial(radius: Fraction) -> "OmegaWeights":
-        radius = Fraction(radius)
-        return OmegaWeights(
-            f"point evaluation with factorial basis scaling, radius {radius}",
-            "geometric_factorial",
-            (),
-            radius,
-        )
+        return OmegaWeights("geometric_factorial", (), Fraction(radius))
 
     def weight(self, rank: int, idx: Index) -> Fraction:
         if self.kind in ("table", "coefficient"):
@@ -873,162 +773,3 @@ def _majorant_tail(bound, omega: OmegaWeights, k: int) -> Fraction | None:
         tail += term_bound(k)
         k += 1
     return tail + term_bound(k) / (1 - theta)
-
-
-def check_omega_product_inequality(
-    model,
-    a: Element,
-    b: Element,
-    m: int,
-    ell: int,
-    omega: OmegaWeights,
-    depth: int,
-    tol: Fraction = DEFAULT_TOL,
-) -> bool:
-    """Squared form: (omega_h(a*b, m, ell))^2 <= omega_h(a, m+1, ell) * omega_h(b, m+1, 2^m+ell)."""
-    ab = multiply(model, a, b)
-    lhs = omega_h(model, ab, m, ell, omega, depth, tol)
-    ra = omega_h(model, a, m + 1, ell, omega, depth, tol)
-    rb = omega_h(model, b, m + 1, (1 << m) + ell, omega, depth, tol)
-    if ra.is_divergent() or rb.is_divergent():
-        return True
-    lhs_sq_hi = lhs.hi * lhs.hi
-    if lhs_sq_hi.infinite:
-        raise DomainError("left side lacks a certified upper bound")
-    return lhs_sq_hi.value <= ra.lo * rb.lo or _exact_omega_compare(lhs, ra, rb)
-
-
-def _exact_omega_compare(lhs: Bracket, ra: Bracket, rb: Bracket) -> bool:
-    if not (lhs.is_exact() and ra.is_exact() and rb.is_exact()):
-        return False
-    return lhs.lo**2 <= ra.lo * rb.lo
-
-
-# ---------------------------------------------------------------------------
-# growth classification and the l1-vs-sup comparison constant
-
-
-def comparison_constant(epsilon: Fraction, depth: int, tol: Fraction = DEFAULT_TOL) -> Bracket:
-    """Bracket for sum_{n>=1} 1/(n!)^epsilon, truncated at n = depth.
-
-    Tail: for n > N, (n!)^epsilon >= ((N+1)!)^epsilon * ((N+2)^epsilon)^(n-N-1),
-    a geometric comparison."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    two_eps = 2 * epsilon
-    if two_eps.denominator != 1:
-        raise DomainError("epsilon must be a half-integer for exact comparisons")
-    from .scalars import factorial
-
-    def term_bracket(n: int) -> tuple[Fraction, Fraction]:
-        sq = Fraction(1, factorial(n) ** two_eps.numerator)  # (1/(n!)^eps)^2
-        if epsilon.denominator == 1:
-            q = Fraction(1, factorial(n) ** epsilon.numerator)
-            return q, q
-        return sqrt_bracket(sq, tol * tol)
-
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for n in range(1, depth + 1):
-        tl, th = term_bracket(n)
-        lo += tl
-        hi += th
-    _, t_next_hi = term_bracket(depth + 1)
-    ratio_lo, ratio_hi = (
-        (Fraction(1, depth + 2), Fraction(1, depth + 2))
-        if epsilon.denominator == 1
-        else sqrt_bracket(Fraction(1, depth + 2), tol * tol)
-    )
-    tail = t_next_hi / (1 - ratio_hi)
-    return Bracket(lo, ExtendedNonNeg.of(hi + tail), depth, TAG_GEOMETRIC)
-
-
-def growth_classify(
-    seq: dict,
-    rank: Callable[[Index], int],
-    eps_list: Iterable[Fraction],
-    bound: dict | None = None,
-    comparison_depth: int = 20,
-    tol: Fraction = DEFAULT_TOL,
-) -> dict:
-    """Sub-factorial growth report for a coefficient sample.
-
-    For each epsilon: the exact sample supremum of |a_N|/(rank(N)!)^epsilon
-    (compared in squared form, so epsilon may be a half-integer), plus a
-    certification verdict when a closed-form bound on the full sequence is
-    supplied:
-
-      bound = {"kind": "exponential", "base": B}   |a_k| <= B^k for all k
-      bound = {"kind": "factorial"}                |a_k| = k!
-
-    Exponential bounds are certified sub-factorial for every epsilon > 0 by
-    locating the peak of B^k/(k!)^epsilon; factorial sequences are rejected
-    for epsilon < 1 (the ratio (k!)^(1-epsilon) is unbounded) and bounded by
-    1 for epsilon >= 1."""
-    from .scalars import GaussianRational, factorial
-
-    entries = []
-    for epsilon in eps_list:
-        epsilon = Fraction(epsilon)
-        if epsilon <= 0:
-            raise DomainError("epsilon must be positive")
-        two_eps = 2 * epsilon
-        if two_eps.denominator != 1:
-            raise DomainError("epsilon must be a half-integer for exact comparisons")
-        e2 = two_eps.numerator
-
-        best_sq = Fraction(0)
-        best_idx = None
-        for idx, coeff in seq.items():
-            coeff = GaussianRational.coerce(coeff)
-            r = rank(idx)
-            val_sq = coeff.abs_squared() / Fraction(factorial(r) ** e2)
-            if val_sq > best_sq:
-                best_sq, best_idx = val_sq, idx
-        slo, shi = sqrt_bracket(best_sq, tol) if best_sq != 0 else (Fraction(0), Fraction(0))
-        entry = {
-            "epsilon": epsilon,
-            "sample_sup": Bracket.enclosure(slo, shi),
-            "sample_argmax": best_idx,
-            "bound_kind": None if bound is None else bound.get("kind"),
-            "subfactorial": None,
-            "certified_sup": None,
-        }
-
-        if bound is not None and bound.get("kind") == "exponential":
-            base = Fraction(bound["base"])
-            if base < 0:
-                raise DomainError("exponential base must be nonnegative")
-            # terms B^k/(k!)^eps decrease once (k+1)^eps >= B, i.e. (k+1)^(2 eps) >= B^2
-            k_star = 0
-            while Fraction(k_star + 1) ** e2 < base**2:
-                k_star += 1
-            peak_sq = max(
-                (base ** (2 * k)) / Fraction(factorial(k) ** e2) for k in range(k_star + 1)
-            )
-            plo, phi = sqrt_bracket(peak_sq, tol)
-            entry["subfactorial"] = True
-            entry["certified_sup"] = Bracket.enclosure(plo, phi)
-            entry["peak_rank"] = k_star
-        elif bound is not None and bound.get("kind") == "factorial":
-            if epsilon < 1:
-                # (k!)^(1-eps) exceeds any bound; witness the rank where its
-                # square passes 4 (exponent 2 - 2 eps is a positive integer)
-                exp_int = 2 - e2
-                k = 0
-                while factorial(k) ** exp_int <= 4:
-                    k += 1
-                entry["subfactorial"] = False
-                entry["witness_rank"] = k
-            else:
-                entry["subfactorial"] = True
-                entry["certified_sup"] = Bracket.exact(1)
-        entries.append(entry)
-
-    comparisons = {
-        str(Fraction(e)): comparison_constant(Fraction(e), comparison_depth, tol) for e in eps_list
-    }
-    return {"entries": entries, "comparison_constants": comparisons}

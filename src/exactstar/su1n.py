@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import add
 
 from .algebra import DomainError, Element, from_pairs, multiply, settled_element
-from .cone import ConeModel, eval_upstairs, make_triple, y_minus_one
+from .cone import ConeModel, make_triple, y_minus_one
 from .scalars import (
     CACHE_ENTRIES,
     GR_I,
@@ -30,7 +30,6 @@ from .scalars import (
     factorial,
     gaussian_parts,
     multi_indices_up_to_degree,
-    rational_sqrt,
 )
 
 # Sign relating commutators against momentum elements to the infinitesimal
@@ -60,13 +59,6 @@ def eta_matrix(n: int) -> tuple:
             for b in range(n + 1)
         )
         for a in range(n + 1)
-    )
-
-
-def identity_matrix(size: int) -> tuple:
-    return tuple(
-        tuple(GR_ONE if a == b else GR_ZERO for b in range(size))
-        for a in range(size)
     )
 
 
@@ -122,16 +114,6 @@ def lie_bracket(xi, zeta) -> tuple:
     return mat_sub(mat_mul(xi, zeta), mat_mul(zeta, xi))
 
 
-def matrix_to_json(A) -> list:
-    return [[v.to_json() for v in row] for row in as_matrix(A)]
-
-
-def matrix_from_json(data) -> tuple:
-    return as_matrix(
-        [[GaussianRational.from_json(v) for v in row] for row in data]
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact membership checks
 
@@ -183,10 +165,6 @@ def lie_element_violations(xi) -> list[str]:
     if not tr.is_zero():
         out.append(f"trace xi = {tr.to_json()}, expected 0")
     return out
-
-
-def is_lie_element(xi) -> bool:
-    return not lie_element_violations(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +287,6 @@ def pullback_matrix(U, gamma: int) -> dict:
     if gamma < 0:
         raise DomainError("level must be nonnegative")
     return _flat(_pullback_cached(as_matrix(U), gamma))
-
-
-def compose_pullbacks(first: dict, second: dict) -> dict:
-    """Matrix of applying `first` then `second` (both on one slice)."""
-    by_src: dict = {}
-    for (src, tgt), val in second.items():
-        by_src.setdefault(src, []).append((tgt, val))
-    out: dict = {}
-    for (src, mid), v1 in first.items():
-        for tgt, v2 in by_src.get(mid, ()):
-            key = (src, tgt)
-            acc = out.get(key)
-            val = v1 * v2
-            out[key] = val if acc is None else acc + val
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def pullback_entry_bound_holds(U, gamma: int) -> bool:
@@ -495,60 +458,3 @@ def check_derivation_identity(xi, a: Element, hbar) -> dict:
     )
     diff = lhs - rhs
     return {"holds": diff.is_zero(), "witness": diff}
-
-
-# ---------------------------------------------------------------------------
-# rescaling between deformation parameters
-
-
-def _default_scale_points(n: int) -> list[tuple]:
-    pts = [(1,) + (0,) * n]
-    pts.append((1,) + (Fraction(1, 2),) + (0,) * (n - 1))
-    pts.append((2,) + (Fraction(1, 3),) * n)
-    return pts
-
-
-def phi_rescale(a: Element, hbar, hbar_prime, t_sqrt=None, points=None) -> dict:
-    """Compare evaluation at parameter hbar' with evaluation at hbar after
-    scaling the argument by sqrt(hbar / hbar').
-
-    The identification only exists over the rationals when the scale ratio
-    is a perfect square; otherwise the check reports "skipped" rather than
-    approximating.  Structure constants do not depend on the parameter, so
-    products are preserved automatically.
-    """
-    hbar, hbar_prime = Fraction(hbar), Fraction(hbar_prime)
-    if hbar == 0 or hbar_prime == 0:
-        raise DomainError("parameters must be nonzero")
-    ratio = hbar / hbar_prime
-    if t_sqrt is None:
-        t_sqrt = rational_sqrt(ratio)
-        if t_sqrt is None:
-            return {
-                "status": "skipped",
-                "reason": f"scale ratio {ratio} is not a rational square",
-            }
-    else:
-        t_sqrt = Fraction(t_sqrt)
-        if t_sqrt * t_sqrt != ratio:
-            raise DomainError("t_sqrt^2 must equal hbar / hbar'")
-    if a.is_zero():
-        return {"status": "ok", "holds": True, "points_checked": 0,
-                "scale_sqrt": str(t_sqrt)}
-    n = len(next(iter(a.terms))[0])
-    if points is None:
-        points = _default_scale_points(n)
-    holds = True
-    for w in points:
-        scaled = tuple(GaussianRational.coerce(c) * t_sqrt for c in w)
-        lhs = eval_upstairs(a, w, hbar_prime)
-        rhs = eval_upstairs(a, scaled, hbar)
-        if lhs != rhs:
-            holds = False
-            break
-    return {
-        "status": "ok",
-        "holds": holds,
-        "points_checked": len(points),
-        "scale_sqrt": str(t_sqrt),
-    }

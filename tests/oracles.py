@@ -3,7 +3,12 @@
 Most of it is deliberately written without touching the library's own
 product or recursion code paths: sympy differentiation for the flat star
 product, sympy polynomial expansion for the symmetry pullback, and the
-decimal module for high-precision constants.  The exceptions are the
+decimal module for high-precision constants.  Two second routes of the cone
+and disk identities live here too, each built from binomials and factorials
+alone: _tilde_coefficient derives one closed-form structure constant from
+its target (the reference that cone._tilde_pairs and cone_rowsum unroll),
+and disk_coefficient_extraction reads one disk coefficient of an upstairs
+element without the reduction rows of disk_reduce.  The exceptions are the
 two-step disk product, which keeps the route that disk_multiply fuses (a
 settled upstairs product on the cone, then the reduction of that element),
 and the vacuum expectation read off the whole disk product, the route that
@@ -19,11 +24,16 @@ from fractions import Fraction
 import sympy
 
 from exactstar.algebra import Element
+from exactstar.cone import Triple, allowed_hbar
 from exactstar.scalars import (
     GaussianRational,
     MultiIndex,
+    binomial,
+    factorial,
+    multi_binomial,
     multi_indices_up_to_degree,
     multi_range,
+    pochhammer,
 )
 
 
@@ -60,6 +70,55 @@ def random_vector(rng, n: int, level: int, nterms: int = 3):
 
     idx = list(multi_indices_up_to_degree(n, level))
     return GnsVector({rng.choice(idx): random_gr(rng) for _ in range(nterms)})
+
+
+# ---------------------------------------------------------------------------
+# cone constants one target at a time, disk coefficients by extraction
+
+
+def _tilde_coefficient(t1: Triple, t2: Triple, target: Triple) -> Fraction:
+    """One closed-form constant, derived from the target alone: the
+    per-target reference that _tilde_pairs and cone_rowsum unroll."""
+    (P, Q, alpha), (R, S, beta) = t1, t2
+    I, J, gamma = target
+    Kp = (P + R).minus(I)
+    if Kp is None or (Q + S).minus(J) != Kp:
+        return Fraction(0)
+    # the only (k, K) cell of the e-basis double sum that can hit the target
+    # is (kp, Kp); it lies in the summation range or the constant vanishes
+    kp = alpha + beta - gamma - Kp.degree()
+    if not (0 <= kp <= min(alpha - P.degree(), beta - S.degree()) and Kp <= P.meet(S)):
+        return Fraction(0)
+    num = (
+        multi_binomial(I, R)
+        * multi_binomial(J, Q)
+        * binomial(gamma - I.degree(), beta - R.degree())
+        * binomial(gamma - J.degree(), alpha - Q.degree())
+    )
+    return Fraction(-num if kp % 2 else num, factorial(kp) * Kp.factorial())
+
+
+def disk_coefficient_extraction(a: Element, R, S, hbar) -> GaussianRational:
+    """One disk coefficient of the class of an upstairs element.
+
+    Second route past the reduction expansion: a double sum over the support
+    and the shared lowering multiindex, with a Pochhammer-ratio weight."""
+    hbar = allowed_hbar(hbar)
+    R, S = MultiIndex(R), MultiIndex(S)
+    nu = 1 / (2 * hbar)
+    M = max(R.degree(), S.degree())
+    mdeg = min(R.degree(), S.degree())
+    out = GaussianRational.of(0)
+    for (P0, Q0, alpha), coeff in a.terms.items():
+        I = R.minus(P0)
+        if I is None or S.minus(Q0) != I or alpha < M:
+            continue
+        weight = Fraction(
+            I.factorial() * factorial(M - mdeg),
+            factorial(alpha - mdeg + I.degree()) * factorial(alpha - M),
+        ) * (pochhammer(nu, alpha) / pochhammer(nu, M))
+        out = out + coeff * (multi_binomial(R, I) * multi_binomial(S, I) * weight)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +197,6 @@ def pullback_sympy(U_rows, gamma: int, I, J):
 
     U_rows: matrix entries as (re, im) Fraction pairs.  Returns a map
     (K, L) -> GaussianRational matching the library's normalization."""
-    from exactstar.scalars import factorial
-
     size = len(U_rows)
     n = size - 1
     zs = sympy.symbols(f"z0:{size}")

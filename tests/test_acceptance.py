@@ -12,7 +12,6 @@ from fractions import Fraction
 from exactstar.algebra import Element, from_pairs, multiply
 from exactstar.cone import (
     ConeModel,
-    cone_rowsum_gamma_total,
     cone_y,
     disk_lift,
     disk_multiply,
@@ -25,12 +24,7 @@ from exactstar.cone import (
     tilde_structure_constants,
     vanishing_ideal_witness,
 )
-from exactstar.gns import (
-    check_reproducing,
-    gns_rep,
-    gns_rep_via_product,
-    positivity_check,
-)
+from exactstar.gns import gns_rep, gns_rep_via_product, positivity_check
 from exactstar.models import get_model
 from exactstar.scalars import (
     GaussianRational,
@@ -43,13 +37,18 @@ from exactstar.seminorms import (
     HTable,
     OmegaWeights,
     check_product_inequality,
-    comparison_constant,
-    growth_classify,
     omega_h,
-    seminorm_max_ell,
 )
 from exactstar import su1n
 
+from laws import (
+    check_reproducing,
+    comparison_constant,
+    cone_rowsum_gamma_total,
+    growth_classify,
+    phi_rescale,
+    seminorm_max_ell,
+)
 from oracles import (
     e_minus_one_decimal,
     random_cone_element,
@@ -400,7 +399,7 @@ def test_parameter_rescaling():
     points = INTERIOR_POINTS[:3]
     for _ in range(10):
         a = random_cone_element(rng, 1, 3)
-        out = su1n.phi_rescale(a, Fraction(1, 2), Fraction(1, 8), points=points)
+        out = phi_rescale(a, Fraction(1, 2), Fraction(1, 8), points=points)
         checks += 1
         if not (out["status"] == "ok" and out["holds"]
                 and Fraction(out["scale_sqrt"]) == 2

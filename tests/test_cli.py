@@ -485,6 +485,46 @@ def test_domain_error_exit(tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("spec", [
+    "nope", "poly", "cone:1", "group:Q", "group:Zd", "group:Zd:", "group:Zd:x", "group:free:x",
+    "group:free:1.5", "wick:x", "wick:",
+])
+def test_malformed_model_spec_is_domain_error(tmp_path, spec):
+    a = poly_file(tmp_path, "a.json", [(1, 1)])
+    res = run("--model", spec, "--hbar", "1/2", "product", a, a)
+    assert res.exit_code == 3, (res.output, res.exception)
+    assert res.stderr == f"error: unknown model {spec!r}\n"
+
+
+@pytest.mark.parametrize("command", ["product", "seminorm", "gns inner"])
+def test_index_rank_capped(tmp_path, command):
+    import time
+
+    from exactstar.cli import RANK_CAP
+
+    def args(rank):
+        if command == "product":
+            a = write_json(tmp_path / f"c{rank}.json", {"model": "cone", "terms": [
+                {"index": {"P": [0], "Q": [0], "alpha": rank}, "re": "1", "im": "0"}]})
+            return ["--model", "cone", "--hbar", "1/2", "product", a, a]
+        if command == "seminorm":
+            return ["--model", "poly:monomial", "seminorm",
+                    poly_file(tmp_path, f"p{rank}.json", [(rank, 1)]), "--m-max", "2"]
+        psi = write_json(tmp_path / f"v{rank}.json", {"terms": [{"index": [rank, 0], "re": "1"}]})
+        return ["--n", "2", "gns", "inner", psi, psi]
+
+    assert run(*args(RANK_CAP)).exit_code == 0
+    what = "degree" if command == "gns inner" else "rank"
+    # a cone level of 10^6 and a monomial index of 10^9 ran past 15 s unchecked
+    for rank in (RANK_CAP + 1, 10**6 if command == "product" else 10**9):
+        start = time.perf_counter()
+        res = run(*args(rank))
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 2, (res.output, res.exception)
+        assert f"an index of {what} {rank}, at most {RANK_CAP} allowed" in res.stderr
+        assert "Traceback" not in res.output
+
+
 def test_malformed_element_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -807,15 +847,15 @@ def test_eval_point_dimension(tmp_path, model, point):
 
 @pytest.mark.parametrize("kind", ["element", "vector"])
 def test_terms_capped(tmp_path, kind):
-    from exactstar.cli import TERMS_CAP
+    from exactstar.cli import RANK_CAP, TERMS_CAP
 
+    # a repeated index sums, so every term can stay within RANK_CAP
     def write(name, count):
         if kind == "element":
             return write_json(tmp_path / name, {"terms": [
-                {"index": k, "re": "1", "im": "0"} for k in range(count)]})
-        # two variables keep the degrees, and so the vacuum weights, small
+                {"index": k % (RANK_CAP + 1), "re": "1", "im": "0"} for k in range(count)]})
         return write_json(tmp_path / name, {"terms": [
-            {"index": [k % 64, k // 64], "re": "1", "im": "0"} for k in range(count)]})
+            {"index": [k % 7, k // 7 % 6], "re": "1", "im": "0"} for k in range(count)]})
 
     def args(path):
         if kind == "element":
@@ -1055,14 +1095,14 @@ def test_seminorm_radius_past_majorant_terms(transcript_files):
 
 @pytest.mark.parametrize("command", ["eval", "gns inner"])
 def test_too_long_to_print_is_domain_error(tmp_path, command):
-    # z^5000 at 10 and the vacuum norm of e_[1200] at hbar = 1/2 have more digits
-    # than str() of an int may print
+    # z^12 at 10^400 and the vacuum norm of e_[12] at hbar = 10^-400 have more
+    # digits than str() of an int may print, at an index within RANK_CAP
     if command == "eval":
-        a = poly_file(tmp_path, "z.json", [(5000, 1)])
-        args = ["--model", "poly:monomial", "eval", a, "--point", "10"]
+        a = poly_file(tmp_path, "z.json", [(12, 1)])
+        args = ["--model", "poly:monomial", "eval", a, "--point", "1" + "0" * 400]
     else:
-        psi = write_json(tmp_path / "psi.json", {"terms": [{"index": [1200], "re": "1"}]})
-        args = ["--hbar", "1/2", "gns", "inner", psi, psi]
+        psi = write_json(tmp_path / "psi.json", {"terms": [{"index": [12], "re": "1"}]})
+        args = ["--hbar", "1/1" + "0" * 400, "gns", "inner", psi, psi]
     res = run(*args)
     assert res.exit_code == 3, (res.output, res.exception)
     assert res.stdout == ""
@@ -1126,7 +1166,8 @@ def test_flag_out_of_range_names_the_flag(transcript_files, flag, args):
 
 @pytest.mark.parametrize("args, listed", [
     ([], ["algebra", "product", "seminorm", "eval", "gns", "check", "--n N",
-          "--gamma-max 16", "--depth 16", "--m-max 16", "--level 4", "4096 terms"]),
+          "--gamma-max 16", "--depth 16", "--m-max 16", "--level 4", "4096 terms",
+          "index rank 12"]),
     (["gns"], ["inner", "rep", "coherent", "positivity"]),
     (["gns", "coherent"], ["--point", "--cap", "at most 16"]),
     (["check"], ["--level", "at most 4", "laurent-divergence"]),

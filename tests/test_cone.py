@@ -14,11 +14,8 @@ from exactstar.algebra import (
 from exactstar.cone import (
     ConeModel,
     DiskModel,
-    _tilde_coefficient,
     cone_rowsum,
-    cone_rowsum_gamma_total,
     cone_y,
-    disk_coefficient_extraction,
     disk_column,
     disk_lift,
     disk_multiply,
@@ -29,7 +26,6 @@ from exactstar.cone import (
     ideal_level_dimension,
     occupancy_count,
     oracle_structure_constants,
-    reduce_class,
     tilde_structure_constants,
     vanishing_ideal_witness,
     y_minus_one,
@@ -46,7 +42,10 @@ from exactstar.scalars import (
 from exactstar.seminorms import HTable, HVal, OmegaWeights, omega_h
 from exactstar.su1n import apply_pullback, as_matrix
 
+from laws import cone_rowsum_gamma_total
 from oracles import (
+    _tilde_coefficient,
+    disk_coefficient_extraction,
     disk_multiply_two_step,
     random_cone_element,
     random_disk_element,
@@ -398,16 +397,16 @@ def test_quotient_eval_consistency():
 
 
 def test_reduce_class_pins():
-    got = reduce_class((Z1, Z1, 1), H)
+    got = disk_reduce(Element.basis((Z1, Z1, 1)), H)
     assert got == Element(
         {(Z1, Z1): GaussianRational.of(1), (E1, E1): GaussianRational.of(1)}
     )
-    got = reduce_class((Z1, Z1, 1), Fraction(1))
+    got = disk_reduce(Element.basis((Z1, Z1, 1)), Fraction(1))
     assert got == Element(
         {(Z1, Z1): GaussianRational.of(Fraction(1, 2)), (E1, E1): GaussianRational.of(1)}
     )
     # level-zero classes drop the level marker and stay put
-    assert reduce_class((E1, Z1, 1), H).coeff((E1, Z1)) != GaussianRational.of(0)
+    assert disk_reduce(Element.basis((E1, Z1, 1)), H).coeff((E1, Z1)) != GaussianRational.of(0)
 
 
 def test_ideal_dimension_pins():
@@ -601,6 +600,23 @@ def test_disk_coefficient_extraction_skips_the_reduction_rows(monkeypatch):
 
     monkeypatch.setattr(cone, "_reduce_cached", disabled)
     assert [disk_coefficient_extraction(a, R, S, Fraction(5, 7)) for R, S in indices] == want
+
+
+def test_tilde_coefficient_skips_the_pair_tables(monkeypatch):
+    """The per-target reference must not read the tables it is compared with."""
+    from exactstar import cone
+
+    pairs = [(t1, t2) for t1 in _triples(2, 2) for t2 in _triples(2, 2)]
+    want = {pair: tilde_structure_constants(*pair) for pair in pairs}
+
+    def disabled(*args, **kw):
+        raise AssertionError("the per-target reference reached the pair tables")
+
+    monkeypatch.setattr(cone, "_tilde_pairs", disabled)
+    monkeypatch.setattr(cone, "tilde_structure_constants", disabled)
+    for (t1, t2), table in want.items():
+        assert table and all(_tilde_coefficient(t1, t2, t) == c for t, c in table.items())
+        assert _tilde_pairs_reference(t1, t2) == table
 
 
 def test_disk_has_no_finite_fans():

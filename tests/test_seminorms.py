@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactstar.algebra import DomainError, from_pairs
+from exactstar.algebra import DEFAULT_TOL, DomainError, Element, Index, from_pairs, multiply
 from exactstar.models import get_model
 from exactstar.scalars import ExtendedNonNeg, GaussianRational, RootSum
 from exactstar.seminorms import (
@@ -12,19 +12,15 @@ from exactstar.seminorms import (
     HVal,
     OmegaWeights,
     UnresolvedError,
-    check_omega_product_inequality,
     check_product_inequality,
-    check_triangle_inequality,
-    comparison_constant,
-    growth_classify,
     hval_product,
     omega_h,
     rootsum_bracket,
     rootsum_sign,
     seminorm,
-    seminorm_max_ell,
 )
 
+from laws import comparison_constant, growth_classify, seminorm_max_ell
 from oracles import e_minus_one_decimal, random_gr, seeded
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -177,6 +173,74 @@ def test_infinite_cell_stays_the_divergent_bracket(op):
     assert v.to_bracket() == Bracket.divergent()
     assert v.exact_string() == "inf"
     assert v.to_float() == float("inf")
+
+
+def check_triangle_inequality(
+    model,
+    a: Element,
+    b: Element,
+    m: int,
+    ell: int,
+    gamma: Index,
+    tol: Fraction = Fraction(1, 10**30),
+) -> bool:
+    """(h(a+b))^(1/2^m) <= h(a)^(1/2^m) + h(b)^(1/2^m) by certified enclosures.
+
+    Refines the interval evaluation until the comparison resolves; exact
+    equality cases (zero summands, equal supports) resolve structurally.
+    Raises UnresolvedError when six refinements leave the sides overlapping,
+    or when a side needed for the comparison is a truncated bracket."""
+    table_ab = HTable(model, a + b, tol)
+    ha = HTable(model, a, tol).h(m, ell, gamma)
+    hb = HTable(model, b, tol).h(m, ell, gamma)
+    hab = table_ab.h(m, ell, gamma)
+    if hab.is_zero():
+        return True
+    if ha.is_infinite() or hb.is_infinite():
+        return True
+    if hab.is_infinite():
+        return False
+    neg = RootSum.rational(Fraction(-1))
+    if m == 0 and all(v.kind in ("exact", "sqrt", "root") for v in (hab, ha, hb)):
+        d = hab._as_rootsum() + ha._as_rootsum() * neg + hb._as_rootsum() * neg
+        return rootsum_sign(d) <= 0
+    qab, qa, qb = hab.exact_rational(), ha.exact_rational(), hb.exact_rational()
+    if None not in (qab, qa, qb):
+        x, y, z = qab, qa, qb
+        if m == 0:
+            return x <= y + z
+        if x <= y + z:
+            # t^(1/2^m) is subadditive, so this already settles it
+            return True
+        if m == 1:
+            # sqrt(x) <= sqrt(y) + sqrt(z): square once, isolate the cross term
+            return (x - y - z) ** 2 <= 4 * y * z
+        if m == 2:
+            # fourth roots: two exact squarings through sums of square roots,
+            # so equality cases (proportional summands) resolve structurally
+            d1 = (
+                RootSum.sqrt_rational(x)
+                + RootSum.sqrt_rational(y) * neg
+                + RootSum.sqrt_rational(z) * neg
+            )
+            if rootsum_sign(d1) <= 0:
+                return True
+            d2 = d1 * d1 + RootSum.sqrt_rational(y * z) * RootSum.rational(Fraction(-4))
+            return rootsum_sign(d2) <= 0
+    cur = tol
+    for _ in range(6):
+        la, ra = ha.to_bracket(cur).root_interval(m, cur)
+        lb_, rb_ = hb.to_bracket(cur).root_interval(m, cur)
+        lab, rab = hab.to_bracket(cur).root_interval(m, cur)
+        if not rab.infinite and rab.value <= la + lb_:
+            return True
+        if not (ra.infinite or rb_.infinite) and lab > ra.value + rb_.value:
+            return False
+        if rab.infinite or ra.infinite or rb_.infinite:
+            # a truncated side has no upper bound at any tol
+            raise UnresolvedError("triangle comparison did not resolve; a side has no upper bound")
+        cur = cur * cur
+    raise UnresolvedError("triangle comparison did not resolve; sides too close")
 
 
 def test_unresolved_comparison_is_typed(monkeypatch):
@@ -475,6 +539,35 @@ def test_omega_table_weights_validate():
     assert w.weight(0, 0) == 1
     assert w.weight(3, 3) == 2
     assert w.weight(1, 1) == 0
+
+
+def check_omega_product_inequality(
+    model,
+    a: Element,
+    b: Element,
+    m: int,
+    ell: int,
+    omega: OmegaWeights,
+    depth: int,
+    tol: Fraction = DEFAULT_TOL,
+) -> bool:
+    """Squared form: (omega_h(a*b, m, ell))^2 <= omega_h(a, m+1, ell) * omega_h(b, m+1, 2^m+ell)."""
+    ab = multiply(model, a, b)
+    lhs = omega_h(model, ab, m, ell, omega, depth, tol)
+    ra = omega_h(model, a, m + 1, ell, omega, depth, tol)
+    rb = omega_h(model, b, m + 1, (1 << m) + ell, omega, depth, tol)
+    if ra.is_divergent() or rb.is_divergent():
+        return True
+    lhs_sq_hi = lhs.hi * lhs.hi
+    if lhs_sq_hi.infinite:
+        raise DomainError("left side lacks a certified upper bound")
+    return lhs_sq_hi.value <= ra.lo * rb.lo or _exact_omega_compare(lhs, ra, rb)
+
+
+def _exact_omega_compare(lhs: Bracket, ra: Bracket, rb: Bracket) -> bool:
+    if not (lhs.is_exact() and ra.is_exact() and rb.is_exact()):
+        return False
+    return lhs.lo**2 <= ra.lo * rb.lo
 
 
 def test_omega_product_inequality():

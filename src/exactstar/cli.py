@@ -478,15 +478,20 @@ def _readable(path: str) -> str:
 def _joined(argv: list[str]) -> list[str]:
     """argv with each `--option value` written `--option=value`: every option
     but --help takes a value, and one that starts with '-' (--hbar -5/7,
-    --point -i) stays a value."""
+    --point -i) stays a value.  A value of exactly '--' is a UsageError:
+    argparse would strip it and hand the option an empty list."""
     out, rest = [], iter(argv)
     for arg in rest:
         if arg == "--":
             return out + [arg, *rest]
-        value = None
         if arg.startswith("--") and "=" not in arg and arg != "--help":
             value = next(rest, None)
-        out.append(arg if value is None else f"{arg}={value}")
+            if value is not None:
+                arg = f"{arg}={value}"
+        option, _, value = arg.partition("=")
+        if option.startswith("--") and value == "--":
+            raise UsageError(f"argument {option}: expected a value, not '--'")
+        out.append(arg)
     return out
 
 
@@ -560,7 +565,11 @@ def main(argv: list[str] | None = None) -> None:
     failed), 2 (a usage error) or 3 (`error: <message>` for a DomainError, an
     InfiniteFanError included, or an UnresolvedError)."""
     parser = _parser()
-    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    try:
+        argv = _joined(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        parser.error(str(exc))
+    args = parser.parse_args(argv)
     try:
         _configure(args)
     except UsageError as exc:

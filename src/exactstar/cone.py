@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import le
 from typing import Iterable, Iterator
 
 from .algebra import (
@@ -602,8 +603,9 @@ def disk_lift(a: Element) -> Element:
 def _reduce_sum(upstairs: Iterable[tuple], hbar: Fraction) -> dict:
     """accumulate() dict of the disk class of sum_t z_t f_t, from (t, z_t)
     pairs with z_t given as integers (re_num, im_num, den); entries may be
-    zero.  The one reduction step of disk_reduce, disk_multiply and
-    DiskModel's pair table."""
+    zero.  The whole reduction step of disk_reduce, disk_multiply and
+    DiskModel's pair table; disk_rows reads the same cached rows only as far
+    as its bound."""
     acc: dict = {}
     for t, parts in upstairs:
         for idx, rc in _reduce_cached(t, hbar):
@@ -632,43 +634,48 @@ def disk_multiply(a: Element, b: Element, hbar) -> Element:
     return settled_element(_reduce_sum(((t, z) for t, z in up.items() if z[0] or z[1]), hbar))
 
 
-def disk_column(a: Element, b: Element, hbar) -> dict:
-    """accumulate() dict, keyed by Q, of the holomorphic column of a . b:
-    the entries (0, Q) of disk_multiply(a, b, hbar), entries possibly zero.
+def disk_rows(a: Element, b: Element, hbar, bound) -> dict:
+    """accumulate() dict, keyed by (P, Q), of the entries of
+    disk_multiply(a, b, hbar) with P <= bound componentwise, entries
+    possibly zero.  Bound 0 is the holomorphic column.
 
     A pair (P, Q, alpha) . (R, S, beta) reaches I = P + R - Kp with Kp <= P
     meet S, and a reduction row sends (I, J, gamma) to (I + K, J + K).  So a
-    column entry needs I = 0 and K = 0, which forces R = 0 and Kp = P <= S:
-    only those pairs are multiplied, only the I = 0 constants of their
-    tables are read, and each upstairs (0, J, gamma) takes only the K = 0
-    entry of its reduction rows."""
+    row below the bound needs I <= bound, and the least I of a pair is
+    R + (P - S)+: only pairs with that below the bound are multiplied, only
+    their constants with I <= bound are kept, and each upstairs triple reads
+    its reduction rows, which run in increasing |K|, only until |I + K|
+    exceeds |bound|."""
     src = a if a.terms else b
     if not src.terms:
         return {}
     hbar = allowed_hbar(hbar)
     n = len(next(iter(src.terms))[0])
     pair_product = ConeModel(n, hbar).pair_product
-    zero = MultiIndex.zero(n)
-    right = [(t2, gaussian_parts(c)) for t2, c in _lifted(b) if t2[0] == zero]
+    bound = MultiIndex(bound)
+    room = bound.degree()
+    # R + (P - S)+ <= bound is R <= bound and P <= S + bound - R
+    right = [(t2, [s + m - r for r, s, m in zip(t2[0], t2[1], bound)], gaussian_parts(c))
+             for t2, c in _lifted(b) if all(map(le, t2[0], bound))]
     up: dict = {}
     for t1, ca in _lifted(a):
         P = t1[0]
         x, y, d = gaussian_parts(ca)
-        for t2, (u, v, e) in right:
-            if any(p > s for p, s in zip(P, t2[1])):
+        for t2, cap, (u, v, e) in right:
+            if not all(map(le, P, cap)):
                 continue
             factor = (x * u - y * v, x * v + y * u, d * e)
-            for (I, J, gamma), const in pair_product(t1, t2).items():
-                if I == zero:
-                    accumulate(up, (J, gamma), factor, const)
+            for t, const in pair_product(t1, t2).items():
+                if all(map(le, t[0], bound)):
+                    accumulate(up, t, factor, const)
     out: dict = {}
-    for (J, gamma), z in up.items():
+    for t, z in up.items():
         if z[0] or z[1]:
-            key = (zero, J)
-            for idx, rc in _reduce_cached((zero, J, gamma), hbar):
-                if idx == key:
-                    accumulate(out, J, z, rc)
+            for idx, rc in _reduce_cached(t, hbar):
+                if sum(idx[0]) > room:
                     break
+                if all(map(le, idx[0], bound)):
+                    accumulate(out, idx, z, rc)
     return out
 
 

@@ -11,7 +11,9 @@ multiplies in the algebra and projects, the other applies a closed-form
 coefficient rule.  Tests require exact agreement.  The product route, and
 the vacuum expectation in positivity_check, multiply through the cone pair
 tables and reduction rows, restricted to the holomorphic column
-(cone.disk_column); neither reaches a closed form of this module.
+(cone.disk_rows at bound 0); neither reaches a closed form of this module.
+check_representation multiplies a . b only in the rows that the closed-form
+action reads, and the kernel check only in the column.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import DomainError, Element
-from .cone import disk_column, disk_multiply
+from .algebra import DomainError, Element, settled_element
+from .cone import disk_rows
 from .scalars import (
     GR_ZERO,
     GaussianRational,
@@ -128,21 +130,19 @@ def iota(psi: GnsVector, n: int | None = None) -> Element:
     return Element({(zero, q): c for q, c in psi.terms.items()})
 
 
-def gns_project(a: Element) -> GnsVector:
-    """Component of a disk element visible to the vacuum state: the part
-    of the basis expansion with empty first index."""
-    out = {}
-    for (p, q), c in a.terms.items():
-        if p.degree() == 0:
-            out[q] = c
-    return GnsVector(out)
-
-
 def _require_positive(hbar) -> Fraction:
     hbar = Fraction(hbar)
     if hbar <= 0:
         raise DomainError("representation needs hbar > 0")
     return hbar
+
+
+def _check_dimension(a: Element, psi: GnsVector) -> None:
+    """DomainError unless psi's indices have the length n of a's."""
+    if a.terms and psi.terms:
+        n, m = len(next(iter(a.terms))[0]), len(next(iter(psi.terms)))
+        if m != n:
+            raise DomainError(f"vector indices have length {m}, the element has n = {n}")
 
 
 def _weight_parts(q: MultiIndex, nu: Fraction) -> tuple[int, int]:
@@ -192,13 +192,15 @@ def gns_norm_squared(psi: GnsVector, hbar) -> Fraction:
 
 def gns_rep_via_product(a: Element, psi: GnsVector, hbar) -> GnsVector:
     """Action of a disk element on a vector, by definition: multiply in the
-    algebra against the embedded vector, then project.  disk_column computes
-    only the projected column of the product."""
+    algebra against the embedded vector, then project.  disk_rows at bound 0
+    computes only the projected column of the product."""
     hbar = _require_positive(hbar)
+    _check_dimension(a, psi)
     if a.is_zero() or psi.is_zero():
         return GnsVector.zero()
     n = len(next(iter(psi.terms)))
-    return GnsVector(settle(disk_column(a, iota(psi, n), hbar)))
+    column = disk_rows(a, iota(psi, n), hbar, MultiIndex.zero(n))
+    return GnsVector(settle({q: z for (_, q), z in column.items()}))
 
 
 def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
@@ -208,6 +210,7 @@ def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
     test enforces that.
     """
     hbar = _require_positive(hbar)
+    _check_dimension(a, psi)
     nu = 1 / (2 * hbar)
     u, v = nu.numerator, nu.denominator
     vec = [(s, s.degree(), gaussian_parts(cs)) for s, cs in psi.terms.items()]
@@ -279,8 +282,8 @@ def positivity_check(a: Element, hbar) -> Fraction:
     hbar = _require_positive(hbar)
     if a.is_zero():
         return Fraction(0)
-    n = len(next(iter(a.terms))[0])
-    re, im, den = disk_column(disk_involution(a), a, hbar).get(MultiIndex.zero(n), (0, 0, 1))
+    zero = MultiIndex.zero(len(next(iter(a.terms))[0]))
+    re, im, den = disk_rows(disk_involution(a), a, hbar, zero).get((zero, zero), (0, 0, 1))
     if im:
         raise DomainError("vacuum expectation of a*a must be real")
     return Fraction(re, den)
@@ -302,13 +305,23 @@ def check_kernel_absorbed(a: Element, j: Element, hbar) -> bool:
         raise DomainError("j must lie in the vacuum null space")
     if a.is_zero() or j.is_zero():
         return True
-    return gns_project(disk_multiply(a, j, hbar)).is_zero()
+    zero = MultiIndex.zero(len(next(iter(j.terms))[0]))
+    return not any(re or im for re, im, _ in disk_rows(a, j, hbar, zero).values())
 
 
 def check_representation(a: Element, b: Element, psi: GnsVector, hbar) -> bool:
-    """pi(a . b) psi = pi(a) pi(b) psi with the closed-form action."""
+    """pi(a . b) psi = pi(a) pi(b) psi with the closed-form action.
+
+    gns_rep reads only the terms (P, Q) of a . b with P <= s for some s in
+    psi, so a . b is multiplied only in its rows P below the componentwise
+    max of psi's indices (cone.disk_rows); at n = 1 those are exactly the
+    rows read."""
     hbar = _require_positive(hbar)
-    prod = disk_multiply(a, b, hbar)
-    lhs = gns_rep(prod, psi, hbar)
+    _check_dimension(a, psi)
+    _check_dimension(b, psi)
+    if psi.is_zero():
+        return True
+    bound = [max(column) for column in zip(*psi.terms)]
+    lhs = gns_rep(settled_element(disk_rows(a, b, hbar, bound)), psi, hbar)
     rhs = gns_rep(a, gns_rep(b, psi, hbar), hbar)
     return lhs == rhs

@@ -523,12 +523,6 @@ def _float_or_inf(q: Fraction) -> float:
         return math.inf
 
 
-def seminorm(model, a: Element, m: int, ell: int, gamma: Index, tol: Fraction = DEFAULT_TOL) -> SeminormResult:
-    """2^m-th root of h, float at presentation, exact backing retained."""
-    v = HTable(model, a, tol).h(m, ell, gamma)
-    return present(m, ell, gamma, v, tol)
-
-
 # ---------------------------------------------------------------------------
 # product-continuity inequality, exact squared form
 

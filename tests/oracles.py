@@ -138,6 +138,16 @@ def disk_multiply_two_step(a: Element, b: Element, hbar) -> Element:
     return disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar)
 
 
+def gns_project(a: Element):
+    """Component of a disk element visible to the vacuum state: the part
+    of the basis expansion with empty first index, as a GnsVector.  The
+    projection that the product routes of exactstar.gns compute without
+    the rest of the product."""
+    from exactstar.gns import GnsVector
+
+    return GnsVector({q: c for (p, q), c in a.terms.items() if p.degree() == 0})
+
+
 def vacuum_expectation_full_product(a: Element, hbar) -> GaussianRational:
     """The (0, 0) coefficient of the whole product disk_multiply(a*, a, hbar):
     the vacuum expectation of a* a that positivity_check reads off the

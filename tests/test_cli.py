@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactstar.algebra import Element, element_from_json, element_to_json, from_pairs, multiply
 from exactstar.cli import UsageError, main, parse_point_coordinate
@@ -647,6 +647,60 @@ def test_negative_integer_flag_is_usage_error(tmp_path, flag, args):
     assert "Traceback" not in res.output
 
 
+def _dash_value_commands(tmp_path):
+    """option -> a valid command line that gives that option the value VALUE."""
+    a = _cone_file(tmp_path)
+    dm = DiskModel(1, Fraction(1, 2))
+    x = write_json(tmp_path / "x.json",
+                   element_to_json(dm, Element.basis((MultiIndex((1,)), MultiIndex((0,))))))
+    psi = write_json(tmp_path / "psi.json", gns_vector_to_json(GnsVector.basis(MultiIndex((1,)))))
+    cone = ["--model", "cone", "--hbar", "1/2"]
+    commands = {flag: [flag, "VALUE", "algebra", "list"]
+                for flag in ("--model", "--hbar", "--n", "--epsilon", "--gamma-max", "--depth",
+                             "--tolerance", "--output", "--config")}
+    commands.update({
+        "--out": [*cone, "product", a, a, "--out", "VALUE"],
+        "--m-max": [*cone, "seminorm", a, "--m-max", "VALUE"],
+        "--ell": [*cone, "seminorm", a, "--ell", "VALUE"],
+        "--radius": [*cone, "seminorm", a, "--radius", "VALUE"],
+        "--point": [*cone, "eval", a, "--point", "VALUE"],
+        "--route": ["gns", "rep", x, psi, "--route", "VALUE"],
+        "--cap": ["gns", "coherent", "--point", "1/2", "--cap", "VALUE"],
+        "--level": ["check", "ideal", "--level", "VALUE"],
+    })
+    return commands
+
+
+def _value_options(parser):
+    """Every option of parser and its subcommands that takes one value."""
+    import argparse
+
+    for action in parser._actions:
+        if action.option_strings and action.nargs is None:
+            yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _value_options(sub)
+
+
+def test_dash_value_is_usage_error(tmp_path):
+    # argparse strips a value of exactly '--' and hands the option [], which
+    # crashed --point, --m-max and --cap; every option names it, exit 2
+    from exactstar.cli import _parser
+
+    commands = _dash_value_commands(tmp_path)
+    assert set(commands) == set(_value_options(_parser()))
+    for flag, argv in commands.items():
+        at = argv.index("VALUE")
+        assert argv[at - 1] == flag
+        for form in ([*argv[:at - 1], f"{flag}=--", *argv[at + 1:]],
+                     [*argv[:at], "--", *argv[at + 1:]]):
+            res = run(*form)
+            assert res.exit_code == 2, (form, res.output, res.exception)
+            assert f"argument {flag}: expected a value, not '--'" in res.output, res.output
+            assert "Traceback" not in res.output
+
+
 def test_seminorm_too_long_to_print_is_domain_error(tmp_path):
     a = _cone_file(tmp_path)
     limit = sys.get_int_max_str_digits()
@@ -893,6 +947,8 @@ _COORDINATE = st.one_of(
 @settings(max_examples=300, deadline=None, database=None)
 @given(target=st.sampled_from(["cone", "disk", "poly:monomial", "coherent"]),
        point=st.lists(_COORDINATE, min_size=1, max_size=4).map(",".join))
+@example(target="cone", point="--")
+@example(target="coherent", point="--")
 def test_point_parsing_fuzz(fuzz_files, target, point):
     # every --point string gives a value, a usage error (2) or a domain error (3)
     if target == "coherent":

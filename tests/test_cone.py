@@ -16,10 +16,10 @@ from exactstar.cone import (
     DiskModel,
     cone_rowsum,
     cone_y,
-    disk_column,
     disk_lift,
     disk_multiply,
     disk_reduce,
+    disk_rows,
     eval_disk,
     eval_pair,
     eval_upstairs,
@@ -510,19 +510,16 @@ def test_disk_multiply_matches_two_step_route(n, level, hbar):
 
 
 def test_disk_column_multiplies_only_column_pairs(monkeypatch):
-    """A pair (P, Q) . (R, S) reaches the holomorphic column only when R = 0
-    and P <= S, and a column target needs only the K = 0 reduction entry:
-    disk_column asks for no other pair table, and leaves the reduction rows
-    of every other disk target uncomputed."""
+    """A pair (P, Q) . (R, S) reaches a row I <= bound only when
+    R + (P - S)+ <= bound, and only upstairs triples with I <= bound reach
+    those rows: disk_rows asks for no other pair table, and leaves the
+    reduction rows of every other upstairs triple uncomputed.  At bound 0,
+    the holomorphic column, that is R = 0 and P <= S."""
     from exactstar import cone
 
     rng = seeded(79)
     a, b = random_disk_element(rng, 2, 2, nterms=8), random_disk_element(rng, 2, 2, nterms=8)
-    zero = MultiIndex.zero(2)
     lifted_a, lifted_b = disk_lift(a).terms, disk_lift(b).terms
-    want = {(t1, t2) for t1 in lifted_a for t2 in lifted_b
-            if t2[0] == zero and t1[0] <= t2[1]}
-    assert 0 < len(want) < len(lifted_a) * len(lifted_b)
     seen, reduced = [], []
     pair_product, reduce_rows = ConeModel.pair_product, cone._reduce_cached
 
@@ -536,10 +533,16 @@ def test_disk_column_multiplies_only_column_pairs(monkeypatch):
 
     monkeypatch.setattr(ConeModel, "pair_product", recording_pairs)
     monkeypatch.setattr(cone, "_reduce_cached", recording_rows)
-    column = disk_column(a, b, H)
-    assert len(seen) == len(want) and set(seen) == want
-    assert reduced and all(t[0] == zero for t in reduced)
-    assert set(column) <= {t[1] for t in reduced}
+    for bound in map(MultiIndex, [(0, 0), (1, 0), (0, 2), (1, 1)]):
+        want = {(t1, t2) for t1 in lifted_a for t2 in lifted_b
+                if MultiIndex([r + max(p - s, 0) for p, r, s in zip(t1[0], t2[0], t2[1])]) <= bound}
+        assert 0 < len(want) < len(lifted_a) * len(lifted_b)
+        seen.clear()
+        reduced.clear()
+        rows = disk_rows(a, b, H, bound)
+        assert len(seen) == len(want) and set(seen) == want
+        assert reduced and all(t[0] <= bound for t in reduced)
+        assert rows and all(P <= bound for P, _ in rows)
 
 
 def test_disk_multiply_zero_operands_and_disallowed_hbar():

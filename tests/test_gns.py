@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactstar.algebra import DomainError, Element
-from exactstar.cone import DiskModel, disk_column, disk_multiply
+from exactstar.algebra import DomainError, Element, settled_element
+from exactstar.cone import DiskModel, disk_multiply, disk_rows
 from exactstar.gns import (
     GnsVector,
     check_kernel_absorbed,
@@ -13,7 +13,6 @@ from exactstar.gns import (
     disk_involution,
     gns_inner,
     gns_norm_squared,
-    gns_project,
     gns_rep,
     gns_rep_via_product,
     gns_vector_from_json,
@@ -27,6 +26,7 @@ from exactstar.scalars import GaussianRational, MultiIndex, pochhammer, factoria
 
 from laws import check_reproducing
 from oracles import (
+    gns_project,
     random_disk_element,
     random_gr,
     random_vector,
@@ -140,7 +140,7 @@ def test_closed_route_runs_without_the_product_route(monkeypatch):
         raise AssertionError("the closed-form action reached the product route")
 
     monkeypatch.setattr(cone, "disk_multiply", disabled)
-    monkeypatch.setattr(gns, "disk_multiply", disabled)
+    monkeypatch.setattr(gns, "disk_rows", disabled)
     monkeypatch.setattr(cone, "_reduce_cached", disabled)
     assert [gns_rep(a, psi, hbar) for a, psi, hbar in cases] == want
 
@@ -149,8 +149,11 @@ def test_closed_route_runs_without_the_product_route(monkeypatch):
     "hbar", [H, Fraction(3), Fraction(5, 7), Fraction(3, 11), Fraction(-5, 7)], ids=str)
 @pytest.mark.parametrize("n, level", [(1, 5), (2, 2)])
 def test_disk_column_is_the_projected_product(n, level, hbar):
-    """The holomorphic column of a . b, computed alone, is the projection of
-    the whole product, for general right factors and for embedded vectors."""
+    """The rows P <= bound of a . b, computed alone by disk_rows, are those
+    of the whole product, for general right factors and for embedded
+    vectors.  Bound 0 is the holomorphic column; the others are a random
+    bound, the componentwise max of a vector's support and a bound past
+    every row of the product."""
     rng = seeded(149 + n)
     pairs = [(random_disk_element(rng, n, level), random_disk_element(rng, n, level))
              for _ in range(4)]
@@ -158,12 +161,20 @@ def test_disk_column_is_the_projected_product(n, level, hbar):
               for _ in range(2)]
     x = pairs[0][0]
     pairs.append((disk_involution(x), x))
+    support = random_vector(rng, n, level).terms
+    bounds = [MultiIndex.zero(n), MultiIndex([rng.randint(0, level) for _ in range(n)]),
+              MultiIndex([max(column) for column in zip(*support)]),
+              MultiIndex([2 * level + 1] * n)]
     for a, b in pairs:
-        column = GnsVector(settle(disk_column(a, b, hbar)))
-        assert column == gns_project(disk_multiply(a, b, hbar))
-    assert disk_column(Element.zero(), Element.zero(), hbar) == {}
+        whole = disk_multiply(a, b, hbar)
+        for bound in bounds:
+            rows = settled_element(disk_rows(a, b, hbar, bound))
+            assert rows == Element({k: c for k, c in whole.terms.items() if k[0] <= bound})
+        column = {q: z for (_, q), z in disk_rows(a, b, hbar, bounds[0]).items()}
+        assert GnsVector(settle(column)) == gns_project(whole)
+    assert disk_rows(Element.zero(), Element.zero(), hbar, bounds[0]) == {}
     with pytest.raises(DomainError, match="not an allowed value"):
-        disk_column(x, x, Fraction(-1, 2))
+        disk_rows(x, x, Fraction(-1, 2), bounds[0])
 
 
 def test_positivity_matches_full_product():
@@ -222,6 +233,59 @@ def check_cauchy_schwarz(psi: GnsVector, phi: GnsVector, hbar) -> bool:
     return pairing.abs_squared() <= gns_norm_squared(
         psi, hbar
     ) * gns_norm_squared(phi, hbar)
+
+
+def test_representation_check_skips_the_whole_product(monkeypatch):
+    """check_representation multiplies a . b only in the rows that gns_rep
+    reads: with the whole product disabled the seeded cases still hold, and
+    scaling one reduction entry of a row it reads breaks the law."""
+    from exactstar import cone, gns
+
+    rng = seeded(163)
+    cases = [(random_disk_element(rng, n, 2), random_disk_element(rng, n, 2),
+              random_vector(rng, n, 2), hbar) for n in (1, 2) for hbar in (H, Fraction(5, 7))]
+
+    def disabled(*args, **kw):
+        raise AssertionError("the representation check built the whole product")
+
+    monkeypatch.setattr(cone, "disk_multiply", disabled)
+    monkeypatch.setattr(gns, "disk_multiply", disabled, raising=False)
+    reduced, rows = [], cone._reduce_cached
+
+    def recording(t, hbar):
+        reduced.append(t)
+        return rows(t, hbar)
+
+    monkeypatch.setattr(cone, "_reduce_cached", recording)
+    assert all(check_representation(*case) for case in cases)
+
+    a, b, psi, hbar = cases[0]
+    bound = MultiIndex([max(column) for column in zip(*psi.terms)])
+    reduced.clear()
+    assert check_representation(a, b, psi, hbar)
+    target = reduced[0]
+    (first, rc), *rest = rows(target, hbar)
+    assert first[0] <= bound
+
+    def scaled(t, hbar):
+        return ((first, 2 * rc), *rest) if t == target else rows(t, hbar)
+
+    monkeypatch.setattr(cone, "_reduce_cached", scaled)
+    assert not check_representation(a, b, psi, hbar)
+    assert check_representation(a, b, GnsVector.zero(), hbar)
+    with pytest.raises(DomainError):
+        check_representation(a, b, psi, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("route", [gns_rep, gns_rep_via_product,
+                                   lambda a, psi, hbar: check_representation(a, a, psi, hbar)],
+                         ids=["gns_rep", "gns_rep_via_product", "check_representation"])
+def test_action_rejects_a_dimension_mismatch(route):
+    """An element at n = 2 against a vector with 1-entry indices is a domain
+    error, not a truncated or empty action."""
+    a = random_disk_element(seeded(167), 2, 2)
+    with pytest.raises(DomainError, match="vector indices have length 1, the element has n = 2"):
+        route(a, GnsVector({(0,): 1, (2,): GR(1, 1)}), H)
 
 
 def test_adjoint_relation():
@@ -290,6 +354,12 @@ def test_kernel_split_and_absorption():
     assert state_kernel_part(a - k).is_zero()
     j = state_kernel_part(random_disk_element(rng, 1, 2))
     if not j.is_zero():
+        assert check_kernel_absorbed(a, j, H)
+    for n in (1, 2):
+        a = random_disk_element(rng, n, 3)
+        j = state_kernel_part(random_disk_element(rng, n, 3, nterms=6))
+        assert not j.is_zero()
+        assert gns_project(disk_multiply(a, j, H)).is_zero()
         assert check_kernel_absorbed(a, j, H)
     with pytest.raises(DomainError):
         check_kernel_absorbed(a, Element.basis((Z1, Z1)), H)

@@ -15,9 +15,9 @@ from exactstar.seminorms import (
     check_product_inequality,
     hval_product,
     omega_h,
+    present,
     rootsum_bracket,
     rootsum_sign,
-    seminorm,
 )
 
 from laws import comparison_constant, growth_classify, seminorm_max_ell
@@ -454,13 +454,14 @@ def test_triangle_equality_proportional():
 def test_seminorm_presentation():
     model = get_model("poly:monomial")
     a = from_pairs([(0, 1), (1, 2)])
-    r = seminorm(model, a, 1, 0, 1)
+    r = present(1, 0, 1, HTable(model, a).h(1, 0, 1), DEFAULT_TOL)
     assert r.h_bracket.is_exact() and r.h_bracket.lo == 5
     assert r.root_lo**2 <= 5 <= r.root_hi.value**2
     assert abs(r.value_float - 5**0.5) < 1e-9
     assert not r.divergent
 
-    div = seminorm(get_model("laurent:plain"), from_pairs([(0, 1), (2, 1)]), 2, 0, 0)
+    plain, b = get_model("laurent:plain"), from_pairs([(0, 1), (2, 1)])
+    div = present(2, 0, 0, HTable(plain, b).h(2, 0, 0), DEFAULT_TOL)
     assert div.divergent and div.value_float == float("inf")
 
 

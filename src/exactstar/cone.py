@@ -619,17 +619,27 @@ def disk_reduce(a: Element, hbar) -> Element:
     return settled_element(_reduce_sum(((t, gaussian_parts(c)) for t, c in a.terms.items()), hbar))
 
 
+def _dimension(a: Element, b: Element) -> int | None:
+    """The n of two disk operands, None when both are zero; DimensionError
+    when their indices have different lengths."""
+    na = len(next(iter(a.terms))[0]) if a.terms else None
+    nb = len(next(iter(b.terms))[0]) if b.terms else None
+    if na is not None and nb is not None and na != nb:
+        raise DimensionError(f"disk operands have n = {na} and n = {nb}")
+    return nb if na is None else na
+
+
 def disk_multiply(a: Element, b: Element, hbar) -> Element:
     """Quotient product: lift at minimal levels, multiply upstairs, reduce.
 
     The upstairs product stays the integer accumulator of multiply, built
     from ConeModel.pair_product; its nonzero entries go through the
     reduction rows unnormalised, and only the disk result is settled."""
-    src = a if a.terms else b
-    if not src.terms:
+    n = _dimension(a, b)
+    if n is None:
         return Element.zero()
     hbar = allowed_hbar(hbar)
-    model = ConeModel(len(next(iter(src.terms))[0]), hbar)
+    model = ConeModel(n, hbar)
     up = accumulate_product(model.pair_product, _lifted(a), _lifted(b))
     return settled_element(_reduce_sum(((t, z) for t, z in up.items() if z[0] or z[1]), hbar))
 
@@ -646,13 +656,14 @@ def disk_rows(a: Element, b: Element, hbar, bound) -> dict:
     their constants with I <= bound are kept, and each upstairs triple reads
     its reduction rows, which run in increasing |K|, only until |I + K|
     exceeds |bound|."""
-    src = a if a.terms else b
-    if not src.terms:
+    n = _dimension(a, b)
+    if n is None:
         return {}
     hbar = allowed_hbar(hbar)
-    n = len(next(iter(src.terms))[0])
     pair_product = ConeModel(n, hbar).pair_product
     bound = MultiIndex(bound)
+    if len(bound) != n:
+        raise DimensionError(f"the bound has length {len(bound)}, the operands n = {n}")
     room = bound.degree()
     # R + (P - S)+ <= bound is R <= bound and P <= S + bound - R
     right = [(t2, [s + m - r for r, s, m in zip(t2[0], t2[1], bound)], gaussian_parts(c))
@@ -677,6 +688,11 @@ def disk_rows(a: Element, b: Element, hbar, bound) -> dict:
                 if all(map(le, idx[0], bound)):
                     accumulate(out, idx, z, rc)
     return out
+
+
+def disk_involution(a: Element) -> Element:
+    """Adjoint on disk coefficients: swap the index pair and conjugate."""
+    return Element({(Q, P): c.conjugate() for (P, Q), c in a.terms.items()})
 
 
 def eval_disk(a: Element, v, hbar) -> GaussianRational:
@@ -770,8 +786,7 @@ class DiskModel(BaseModel):
             raise DomainError('disk index JSON must be {"P": [..], "Q": [..]}')
         return self.validate_index((MultiIndex(data["P"]), MultiIndex(data["Q"])))
 
-    def involution(self, a: Element) -> Element:
-        return Element({(Q, P): c.conjugate() for (P, Q), c in a.terms.items()})
+    involution = staticmethod(disk_involution)
 
     def evaluate(self, a: Element, v) -> GaussianRational:
         check_point_dimension(v, self.n, "a disk point")

@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import DomainError, Element, settled_element
-from .cone import disk_rows
+from .algebra import DimensionError, DomainError, Element, settled_element
+from .cone import disk_involution, disk_rows
 from .scalars import (
     GR_ZERO,
     GaussianRational,
@@ -138,11 +138,11 @@ def _require_positive(hbar) -> Fraction:
 
 
 def _check_dimension(a: Element, psi: GnsVector) -> None:
-    """DomainError unless psi's indices have the length n of a's."""
+    """DimensionError unless psi's indices have the length n of a's."""
     if a.terms and psi.terms:
         n, m = len(next(iter(a.terms))[0]), len(next(iter(psi.terms)))
         if m != n:
-            raise DomainError(f"vector indices have length {m}, the element has n = {n}")
+            raise DimensionError(f"vector indices have length {m}, the element has n = {n}")
 
 
 def _weight_parts(q: MultiIndex, nu: Fraction) -> tuple[int, int]:
@@ -265,13 +265,6 @@ def coherent_vector(w, cap: int) -> GnsVector:
         scale = Fraction(factorial(d)) / (1 - norm) ** d
         out[q] = mono * scale
     return GnsVector(out)
-
-
-def disk_involution(a: Element) -> Element:
-    """Adjoint on disk coefficients: swap the index pair and conjugate."""
-    return Element(
-        {(q, p): c.conjugate() for (p, q), c in a.terms.items()}
-    )
 
 
 def positivity_check(a: Element, hbar) -> Fraction:

@@ -279,10 +279,6 @@ class MatrixModel(BaseModel):
             return Fraction(1, factorial(j))
         return Fraction(1, j * j)
 
-    def trace_weight(self, i: int) -> Fraction:
-        # coefficient of E_ii when unrescaling the basis vector at (i, i)
-        return self.pair_weight(i)
-
     def validate_index(self, idx):
         if not (isinstance(idx, tuple) and len(idx) == 2):
             raise DomainError(f"matrix index must be a pair, got {idx!r}")
@@ -328,13 +324,6 @@ class MatrixModel(BaseModel):
 
     def involution(self, a: Element) -> Element:
         return Element({(j, i): c.conjugate() for (i, j), c in a.terms.items()})
-
-    def trace(self, a: Element) -> GaussianRational:
-        out = GaussianRational.of(0)
-        for (i, j), c in a.terms.items():
-            if i == j:
-                out = out + c * self.trace_weight(i)
-        return out
 
     def weight_series(self, tol: Fraction = DEFAULT_TOL) -> HVal:
         """sum_{j>=1} pair_weight(j), the depth-2 constant-branch factor,
@@ -605,10 +594,6 @@ class GroupModel(BaseModel):
         return self.validate_index(tuple(tuple(p) for p in data))
 
     # -- algebra maps -------------------------------------------------------
-    def antipode(self, a: Element) -> Element:
-        """Linear extension of g -> g^{-1} in the rescaled basis."""
-        return Element({self.inv(g): c for g, c in a.terms.items()})
-
     def involution(self, a: Element) -> Element:
         return Element({self.inv(g): c.conjugate() for g, c in a.terms.items()})
 
@@ -821,17 +806,6 @@ class WickFlatModel(BaseModel):
 
     def involution(self, a: Element) -> Element:
         return Element({(J, I): c.conjugate() for (I, J), c in a.terms.items()})
-
-    def z_element(self, i: int) -> Element:
-        """The coordinate function z_i as an element."""
-        e = MultiIndex.unit(self.n, i)
-        z = MultiIndex.zero(self.n)
-        return Element({(e, z): GaussianRational.coerce(self.two_h)})
-
-    def zbar_element(self, i: int) -> Element:
-        e = MultiIndex.unit(self.n, i)
-        z = MultiIndex.zero(self.n)
-        return Element({(z, e): GaussianRational.coerce(self.two_h)})
 
     def evaluate(self, a: Element, point: tuple) -> GaussianRational:
         w = tuple(GaussianRational.coerce(p) for p in point)

@@ -96,16 +96,6 @@ class Bracket:
     def is_zero(self) -> bool:
         return self.is_exact() and self.lo == 0
 
-    def width(self) -> ExtendedNonNeg:
-        if self.hi.infinite:
-            return ExtendedNonNeg.infinity()
-        return ExtendedNonNeg.of(self.hi.value - self.lo)
-
-    def contains(self, q: Fraction) -> bool:
-        if q < self.lo:
-            return False
-        return self.hi.infinite or q <= self.hi.value
-
     def __add__(self, other: "Bracket") -> "Bracket":
         return Bracket(
             self.lo + other.lo,
@@ -623,13 +613,6 @@ class OmegaWeights:
     @staticmethod
     def coefficient(idx: Index) -> "OmegaWeights":
         return OmegaWeights("coefficient", ((idx, Fraction(1)),))
-
-    @staticmethod
-    def from_table(weights: dict) -> "OmegaWeights":
-        items = tuple((i, Fraction(w)) for i, w in weights.items())
-        if any(w < 0 for _, w in items):
-            raise ValueError("weights must be nonnegative")
-        return OmegaWeights("table", items)
 
     @staticmethod
     def point(radius: Fraction) -> "OmegaWeights":

@@ -5,7 +5,8 @@ certified enclosures, and reports the verdict; the assertions stay in the
 tests.  The laws: the branch-word maximum of the seminorm recursion, the
 sub-factorial growth classes with the l1-vs-sup comparison constant, the
 level totals of the cone row sums, the reproducing property of coherent
-vectors, and the hbar rescaling of evaluation.
+vectors, and the hbar rescaling of evaluation.  The coordinate functions of
+the flat Wick model, in which its commutation law is stated, live here too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from exactstar.gns import GnsVector, _require_positive, coherent_vector, gns_inn
 from exactstar.scalars import (
     ExtendedNonNeg,
     GaussianRational,
+    MultiIndex,
     factorial,
     multi_indices_up_to_degree,
     rational_sqrt,
@@ -175,6 +177,23 @@ def growth_classify(
         str(Fraction(e)): comparison_constant(Fraction(e), comparison_depth, tol) for e in eps_list
     }
     return {"entries": entries, "comparison_constants": comparisons}
+
+
+# ---------------------------------------------------------------------------
+# flat Wick: the coordinate functions, [z_k, zbar_l] = 2 hbar delta_kl
+
+
+def wick_z(model, i: int) -> Element:
+    """The coordinate function z_i as an element."""
+    e = MultiIndex.unit(model.n, i)
+    z = MultiIndex.zero(model.n)
+    return Element({(e, z): GaussianRational.coerce(model.two_h)})
+
+
+def wick_zbar(model, i: int) -> Element:
+    e = MultiIndex.unit(model.n, i)
+    z = MultiIndex.zero(model.n)
+    return Element({(z, e): GaussianRational.coerce(model.two_h)})
 
 
 # ---------------------------------------------------------------------------

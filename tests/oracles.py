@@ -152,8 +152,7 @@ def vacuum_expectation_full_product(a: Element, hbar) -> GaussianRational:
     """The (0, 0) coefficient of the whole product disk_multiply(a*, a, hbar):
     the vacuum expectation of a* a that positivity_check reads off the
     holomorphic column alone."""
-    from exactstar.cone import disk_multiply
-    from exactstar.gns import disk_involution
+    from exactstar.cone import disk_involution, disk_multiply
 
     if not a.terms:
         return GaussianRational.of(0)

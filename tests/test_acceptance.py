@@ -423,8 +423,8 @@ def test_growth_bookkeeping():
     if not (br.lo <= lo and hi <= br.hi.value):
         failures.append("bracket misses the series limit")
     checks += 1
-    if not br.width().value < Fraction(1, 10 ** 10):
-        failures.append(f"width {br.width().value} too large")
+    if not br.hi.value - br.lo < Fraction(1, 10 ** 10):
+        failures.append(f"width {br.hi.value - br.lo} too large")
 
     exp_seq = {k: Fraction(2) ** k for k in range(7)}
     out = growth_classify(exp_seq, lambda k: k, [Fraction(1, 2), Fraction(1)],

@@ -25,6 +25,8 @@ from exactstar.gns import GnsVector, gns_vector_from_json, gns_vector_to_json
 from exactstar.models import get_model
 from exactstar.scalars import GaussianRational, MultiIndex
 
+from laws import wick_z, wick_zbar
+
 GR = GaussianRational.of
 
 
@@ -116,8 +118,8 @@ def test_product_disk_round_trip(tmp_path):
 
 def test_product_out_file_round_trip(tmp_path):
     m = get_model("wick:1", hbar=Fraction(1, 2))
-    z = write_json(tmp_path / "z.json", element_to_json(m, m.z_element(0)))
-    zb = write_json(tmp_path / "zb.json", element_to_json(m, m.zbar_element(0)))
+    z = write_json(tmp_path / "z.json", element_to_json(m, wick_z(m, 0)))
+    zb = write_json(tmp_path / "zb.json", element_to_json(m, wick_zbar(m, 0)))
     p1 = tmp_path / "p1.json"
     p2 = tmp_path / "p2.json"
     args = ("--model", "wick:1", "--hbar", "1/2")

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactstar.algebra import DomainError, Element, settled_element
-from exactstar.cone import DiskModel, disk_multiply, disk_rows
+from exactstar.algebra import DimensionError, DomainError, Element, settled_element
+from exactstar.cone import DiskModel, disk_involution, disk_multiply, disk_rows
 from exactstar.gns import (
     GnsVector,
     check_kernel_absorbed,
     check_representation,
     coherent_vector,
-    disk_involution,
     gns_inner,
     gns_norm_squared,
     gns_rep,
@@ -288,6 +287,26 @@ def test_action_rejects_a_dimension_mismatch(route):
         route(a, GnsVector({(0,): 1, (2,): GR(1, 1)}), H)
 
 
+@pytest.mark.parametrize("route", [disk_multiply, lambda a, b, hbar: disk_rows(a, b, hbar, (0, 0)),
+                                   check_kernel_absorbed],
+                         ids=["disk_multiply", "disk_rows", "check_kernel_absorbed"])
+def test_disk_products_reject_mixed_dimensions(route):
+    """Operands at n = 1 and n = 2 are a dimension error, not a truncated
+    product, an empty row set or a passing kernel check."""
+    a = Element.basis((MultiIndex((1,)), Z1))
+    j = Element.basis((MultiIndex((1, 0)), MultiIndex((0, 1))))
+    with pytest.raises(DimensionError, match="disk operands have n = 1 and n = 2"):
+        route(a, j, H)
+    with pytest.raises(DimensionError, match="disk operands have n = 2 and n = 1"):
+        route(j, a, H)
+
+
+def test_disk_rows_rejects_a_bound_of_another_length():
+    a = Element.basis((MultiIndex((1,)), Z1))
+    with pytest.raises(DimensionError, match="the bound has length 2, the operands n = 1"):
+        disk_rows(a, a, H, (0, 0))
+
+
 def test_adjoint_relation():
     rng = seeded(107)
     for n in (1, 2):
@@ -368,6 +387,7 @@ def test_kernel_split_and_absorption():
 def test_involution_basics():
     rng = seeded(137)
     a = random_disk_element(rng, 1, 2)
+    assert DiskModel.involution is disk_involution
     assert disk_involution(disk_involution(a)) == a
     # both a*a and aa* pair positively, though the two values differ in general
     assert positivity_check(a, H) >= 0

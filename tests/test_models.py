@@ -8,6 +8,7 @@ from exactstar.models import get_model
 from exactstar.scalars import GaussianRational, MultiIndex, factorial
 from exactstar.seminorms import HTable, rootsum_bracket
 
+from laws import wick_z, wick_zbar
 from oracles import e_minus_one_decimal, random_gr, seeded
 
 
@@ -188,11 +189,21 @@ def test_matrix_tilde_worked_value():
     assert br.lo <= pi_hi and pi_lo <= br.hi.value
 
 
+def _matrix_trace(model, a: Element) -> GaussianRational:
+    # the coefficient of E_ii when unrescaling the basis vector at (i, i) is
+    # the pair weight at i
+    out = GaussianRational.of(0)
+    for (i, j), c in a.terms.items():
+        if i == j:
+            out = out + c * model.pair_weight(i)
+    return out
+
+
 def test_matrix_trace():
     a = from_pairs([((1, 1), 1), ((2, 2), Fraction(3, 2)), ((3, 3), 2), ((1, 2), 5)])
-    assert get_model("matrix:plain").trace(a) == GaussianRational.of(Fraction(9, 2))
-    assert get_model("matrix:hat").trace(a) == GaussianRational.of(Fraction(25, 12))
-    assert get_model("matrix:tilde").trace(a) == GaussianRational.of(Fraction(115, 72))
+    assert _matrix_trace(get_model("matrix:plain"), a) == GaussianRational.of(Fraction(9, 2))
+    assert _matrix_trace(get_model("matrix:hat"), a) == GaussianRational.of(Fraction(25, 12))
+    assert _matrix_trace(get_model("matrix:tilde"), a) == GaussianRational.of(Fraction(115, 72))
 
 
 def test_matrix_trace_of_commutator_vanishes():
@@ -200,7 +211,7 @@ def test_matrix_trace_of_commutator_vanishes():
     a = from_pairs([((1, 2), 1), ((2, 3), GaussianRational.of(0, 1))])
     b = from_pairs([((2, 1), 2), ((3, 2), 1)])
     comm = multiply(m, a, b) - multiply(m, b, a)
-    assert m.trace(comm).is_zero()
+    assert _matrix_trace(m, comm).is_zero()
 
 
 # -- group algebras --------------------------------------------------------
@@ -255,23 +266,28 @@ def test_free_word_reduction():
         f.validate_index(((5, 1),))
 
 
+def _antipode(model, a: Element) -> Element:
+    """Linear extension of g -> g^{-1} in the rescaled basis."""
+    return Element({model.inv(g): c for g, c in a.terms.items()})
+
+
 def test_group_inverse_antipode_involution():
     f = get_model("group:free:2")
     w = ((0, 2), (1, -1))
     assert f.mul(w, f.inv(w)) == ()
     a = from_pairs([(w, GaussianRational.of(1, 2)), ((), 3)])
-    assert f.antipode(f.antipode(a)) == a
+    assert _antipode(f, _antipode(f, a)) == a
     assert f.involution(f.involution(a)) == a
     # the two maps differ exactly by coefficient conjugation
-    assert f.involution(a) == f.antipode(a.map_coeffs(lambda c: c.conjugate()))
+    assert f.involution(a) == _antipode(f, a.map_coeffs(lambda c: c.conjugate()))
 
 
 @given(g=st.integers(-6, 6), k=st.integers(-6, 6))
 def test_group_z_antipode_is_homomorphism(g, k):
     z = get_model("group:Z")
     a, b = Element.basis(g), Element.basis(k)
-    lhs = z.antipode(multiply(z, a, b))
-    rhs = multiply(z, z.antipode(a), z.antipode(b))
+    lhs = _antipode(z, multiply(z, a, b))
+    rhs = multiply(z, _antipode(z, a), _antipode(z, b))
     assert lhs == rhs
 
 
@@ -350,7 +366,7 @@ def test_wick_pair_product_matches_derivative_oracle():
 def test_wick_commutation_relation():
     for hbar in (Fraction(1, 2), Fraction(1), Fraction(3)):
         m = get_model("wick:2", hbar=hbar)
-        z0, zb0, zb1 = m.z_element(0), m.zbar_element(0), m.zbar_element(1)
+        z0, zb0, zb1 = wick_z(m, 0), wick_zbar(m, 0), wick_zbar(m, 1)
         comm = multiply(m, z0, zb0) - multiply(m, zb0, z0)
         assert comm == m.unit().scale(2 * hbar)
         cross = multiply(m, z0, zb1) - multiply(m, zb1, z0)
@@ -374,11 +390,11 @@ def test_wick_associativity(data):
 def test_wick_evaluate_coordinates():
     m = get_model("wick:2", hbar=Fraction(1, 2))
     w = (GaussianRational.of(Fraction(1, 3), 1), GaussianRational.of(2))
-    assert m.evaluate(m.z_element(0), w) == w[0]
-    assert m.evaluate(m.zbar_element(1), w) == w[1].conjugate()
+    assert m.evaluate(wick_z(m, 0), w) == w[0]
+    assert m.evaluate(wick_zbar(m, 1), w) == w[1].conjugate()
     # evaluation is multiplicative only up to hbar corrections; the
     # commutator evaluates to the central constant
-    z0, zb0 = m.z_element(0), m.zbar_element(0)
+    z0, zb0 = wick_z(m, 0), wick_zbar(m, 0)
     comm = multiply(m, z0, zb0) - multiply(m, zb0, z0)
     assert m.evaluate(comm, w) == GaussianRational.of(1)
 
@@ -579,6 +595,23 @@ def test_depth2_specials_unchanged():
         for ell, gamma in cells:
             digest.update(repr(table.h(2, ell, gamma).to_bracket()).encode() + b"\n")
     assert digest.hexdigest()[:16] == "1cd71d88f1b659b4"
+
+
+def test_wick_depth2_cells_unchanged():
+    """Flat Wick cells at m = 2, every branch word, pinned bit for bit: the
+    sha256 of their bracket reprs, recorded before any change to the Wick fan."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for spec in ("wick:1", "wick:2"):
+        for hbar in (Fraction(1, 2), Fraction(3)):
+            m = get_model(spec, hbar=hbar)
+            e, z = MultiIndex.unit(m.n, 0), MultiIndex.zero(m.n)
+            table = HTable(m, from_pairs([((e, z), 1), ((z, e), Fraction(1, 2)), ((e, e), 1)]))
+            for gamma in ((z, z), (e, z), (e, e)):
+                for ell in range(4):
+                    digest.update(repr(table.h(2, ell, gamma).to_bracket()).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "c69a0537f532ddea"
 
 
 def test_kernel_outputs_unchanged():

@@ -73,6 +73,10 @@ class BaseModel:
     def _pair(self, left: Index, right: Index) -> dict:
         raise NotImplementedError
 
+    def check_operands(self, a: Element, b: Element) -> None:
+        """DimensionError when a product's operands do not fit the model;
+        multiply asks once per call, before any pair is read."""
+
     # -- recursion weights --------------------------------------------------
     def row_sum(self, alpha: Index, gamma: Index):
         key = (alpha, gamma)
@@ -260,6 +264,7 @@ def settled_element(acc: dict) -> Element:
 
 def multiply(model: BaseModel, a: Element, b: Element) -> Element:
     """Product through the model's structure constants (exact)."""
+    model.check_operands(a, b)
     return settled_element(accumulate_product(model.pair_product, a.terms.items(), b.terms.items()))
 
 

@@ -40,7 +40,6 @@ from .scalars import (
     factorial,
     gaussian_parts,
     is_allowed_hbar,
-    multi_binomial,
     multi_indices_of_degree,
     multi_indices_of_degree_within,
     multi_indices_up_to_degree,
@@ -223,6 +222,12 @@ def oracle_structure_constants(t1: Triple, t2: Triple, hbar) -> dict:
 # recursion weights: both fans are finite on the cone
 
 
+def _partial_matchings(a: int, b: int) -> int:
+    """sum_j C(a, j) C(b, j) j!: the partial matchings between an a-set and
+    a b-set."""
+    return sum(comb(a, j) * comb(b, j) * factorial(j) for j in range(min(a, b) + 1))
+
+
 def cone_rowsum(t: Triple, out_t: Triple) -> Fraction:
     """Sum of |C| over the right partners mapping t into out_t.
 
@@ -231,29 +236,36 @@ def cone_rowsum(t: Triple, out_t: Triple) -> Fraction:
     C(I,R) C(J,Q) C(gamma-|I|, beta-|R|) C(gamma-|J|, alpha-|Q|) / (kp! Kp!)
     with kp = alpha + beta - gamma - |Kp|.  The Kp-free factor vanishes
     unless Q <= J and alpha - |Q| <= gamma - |J|, which give alpha <= gamma,
-    S >= Kp and kp <= beta - |S| (so beta >= |S| once kp >= 0).  The sum
-    runs over integers on the common denominator (alpha-|P|)! P!."""
+    S >= Kp and kp <= beta - |S| (so beta >= |S| once kp >= 0).  With
+    s = alpha - |P|, beta - |R| = kp + (gamma-|I|) - s for every Kp, so the
+    level sum is sum_kp C(gamma-|I|, kp + gamma-|I| - s) s!/kp! =
+    M(gamma-|I|, s) over the denominator s!, and the sum over Kp of
+    C(I, R) P!/Kp! splits into M(i, p) per entry, M = _partial_matchings:
+    row sum = C(J,Q) C(gamma-|J|, alpha-|Q|) M(gamma-|I|, s) prod M(i, p)
+    / (s! P!).  Mixed lengths raise DimensionError."""
     P, Q, alpha = t
     I, J, gamma = out_t
-    outer = multi_binomial(J, Q) * binomial(gamma - J.degree(), alpha - Q.degree())
+    if not len(P) == len(Q) == len(I) == len(J):
+        ns = sorted({len(P), len(Q), len(I), len(J)})
+        raise DimensionError(f"cone indices have n = {ns[0]} and n = {ns[-1]}")
+    aq, gj = alpha - sum(Q), gamma - sum(J)
+    if not 0 <= aq <= gj:
+        return Fraction(0)
+    outer = comb(gj, aq)
+    for j, q in zip(J, Q):
+        outer *= comb(j, q)
     if not outer:
         return Fraction(0)
-    pd = P.degree()
-    top = factorial(alpha - pd)
-    pf = P.factorial()
-    gi = gamma - I.degree()
-    total = 0
-    for Kp in multi_range(P):
-        R = (I + Kp).minus(P)
-        if R is None:
-            continue
-        kd, rd = Kp.degree(), R.degree()
-        inner = 0
-        # kp >= 0 and kp <= alpha - |P|; below |R| the first binomial vanishes
-        for beta in range(max(rd, gamma + kd - alpha), gamma + kd - pd + 1):
-            inner += binomial(gi, beta - rd) * (top // factorial(alpha + beta - gamma - kd))
-        total += multi_binomial(I, R) * inner * (pf // Kp.factorial())
-    return Fraction(outer * total, top * pf)
+    slack = alpha - sum(P)
+    top = factorial(slack)
+    gi = gamma - sum(I)
+    if gi < 0:
+        return Fraction(0)
+    num, pf = outer * _partial_matchings(gi, slack), top
+    for i, p in zip(I, P):
+        num *= _partial_matchings(i, p)
+        pf *= factorial(p)
+    return Fraction(num, pf)
 
 
 class ConeModel(BaseModel):
@@ -279,14 +291,20 @@ class ConeModel(BaseModel):
     def _pair(self, left, right):
         return _tilde_pairs(left, right)
 
+    def check_operands(self, a: Element, b: Element) -> None:
+        n = _dimension(a, b, self.name)
+        if n is not None and n != self.n:
+            raise DimensionError(f"{self.name} operands have n = {n}, the model n = {self.n}")
+
     def _row(self, alpha_idx, gamma_idx):
         return cone_rowsum(alpha_idx, gamma_idx)
 
-    def _col(self, beta_idx, gamma_idx):
-        # transpose symmetry: C^{(I,J,g)}_{t1,t2} = C^{(J,I,g)}_{t2^T,t1^T}, with
-        # (P,Q,a)^T = (Q,P,a), turns the left-partner sum into a row sum
+    def col_sum(self, beta_idx, gamma_idx):
+        """The row sum at the transposed pair, read through the row memo:
+        C^{(I,J,g)}_{t1,t2} = C^{(J,I,g)}_{t2^T,t1^T} with (P,Q,a)^T = (Q,P,a)
+        turns the left-partner sum into a right-partner one."""
         (R, S, beta), (I, J, gamma) = beta_idx, gamma_idx
-        return cone_rowsum((S, R, beta), (J, I, gamma))
+        return self.row_sum((S, R, beta), (J, I, gamma))
 
     def row_parents(self, gamma_idx):
         """Exactly the (P, Q, alpha) with row_sum != 0: alpha <= gamma,
@@ -619,13 +637,13 @@ def disk_reduce(a: Element, hbar) -> Element:
     return settled_element(_reduce_sum(((t, gaussian_parts(c)) for t, c in a.terms.items()), hbar))
 
 
-def _dimension(a: Element, b: Element) -> int | None:
-    """The n of two disk operands, None when both are zero; DimensionError
-    when their indices have different lengths."""
+def _dimension(a: Element, b: Element, kind: str = "disk") -> int | None:
+    """The n of two cone or disk operands, read from their first indices;
+    None when both are zero, DimensionError when the lengths differ."""
     na = len(next(iter(a.terms))[0]) if a.terms else None
     nb = len(next(iter(b.terms))[0]) if b.terms else None
     if na is not None and nb is not None and na != nb:
-        raise DimensionError(f"disk operands have n = {na} and n = {nb}")
+        raise DimensionError(f"{kind} operands have n = {na} and n = {nb}")
     return nb if na is None else na
 
 
@@ -730,6 +748,8 @@ class DiskModel(BaseModel):
         self.n = n
         self.hbar = allowed_hbar(hbar)
         self.name = "disk"
+
+    check_operands = ConeModel.check_operands
 
     def _pair(self, left, right):
         (P, Q), (R, S) = left, right

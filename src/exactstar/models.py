@@ -212,16 +212,6 @@ class LaurentModel(BaseModel):
         L = max(ranks)
         k1 = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
 
-        def term_bound(s: int) -> Fraction:
-            # both signs of n at |n| = s; h1(n) <= k1 (s+1)^L, weight
-            # <= |gamma|!/(s! (s-lk)!)
-            return 2 * k1 * k1 * Fraction(s + 1) ** (2 * L) * Fraction(
-                factorial(lk), factorial(s) * factorial(s - lk)
-            )
-
-        def ratio_bound(s: int) -> Fraction:
-            return Fraction(s + 2, s + 1) ** (2 * L) / Fraction((s + 1) * (s + 1 - lk))
-
         def window(indices) -> Fraction:
             # depth-1 values on a finite support are exact, so the step is a Fraction
             weighted = ((n, self.row_sum(n, gamma)) for n in indices)
@@ -229,20 +219,42 @@ class LaurentModel(BaseModel):
 
         smin = max(L, lk) + 1
         cutoff = smin
-        while ratio_bound(cutoff + 1) >= Fraction(1, 2):
+        while _ratio_at_least_half(L, lk, cutoff + 1):
             cutoff += 1
         partial = window(range(-cutoff, cutoff + 1))
-        tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
+        tail = _factorial_tail(k1, L, lk, cutoff + 1)
         while tail > table.tol * (partial + tail) and cutoff < smin + 300:
             # Fraction sums are exact, so adding the 8 new indices gives the
             # same partial as summing the widened window again
             grown = [*range(-cutoff - 4, -cutoff), *range(cutoff + 1, cutoff + 5)]
             cutoff += 4
             partial += window(grown)
-            tail = term_bound(cutoff + 1) / (1 - ratio_bound(cutoff + 1))
+            tail = _factorial_tail(k1, L, lk, cutoff + 1)
         return HVal.bracket(
             Bracket.enclosure(partial, partial + tail, cutoff, TAG_MAJORANT)
         )
+
+
+# The depth-2 tail of laurent:factorial past a window |n| < s, for an element
+# of squared coefficient sum k1 and rank L, at a target of rank lk <= s.  The
+# two terms at |n| = s are at most term(s) = 2 k1^2 (s+1)^(2L) lk!/(s! (s-lk)!)
+# (h1(n) <= k1 (s+1)^L, weight <= lk!/(s! (s-lk)!)), and consecutive terms
+# shrink by at most ratio(s) = (s+2)^(2L) / ((s+1)^(2L+1) (s+1-lk)).
+
+
+def _ratio_at_least_half(L: int, lk: int, s: int) -> bool:
+    """ratio(s) >= 1/2, cleared of its positive denominator."""
+    return 2 * (s + 2) ** (2 * L) >= (s + 1) ** (2 * L + 1) * (s + 1 - lk)
+
+
+def _factorial_tail(k1: Fraction, L: int, lk: int, s: int) -> Fraction:
+    """term(s) / (1 - ratio(s)), the geometric majorant of the terms from
+    |n| = s on, as one integer numerator over one integer denominator."""
+    b = s + 1
+    d = b ** (2 * L + 1) * (b - lk)
+    num = 2 * k1.numerator ** 2 * b ** (2 * L) * factorial(lk) * d
+    den = k1.denominator ** 2 * factorial(s) * factorial(s - lk) * (d - (s + 2) ** (2 * L))
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

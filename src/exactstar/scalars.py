@@ -352,16 +352,6 @@ def _multi_index(entries: Iterable[int]) -> MultiIndex:
     return tuple.__new__(MultiIndex, entries)
 
 
-def multi_binomial(upper: MultiIndex, lower: MultiIndex) -> int:
-    """Product of componentwise binomial coefficients; 0 unless lower <= upper."""
-    out = 1
-    for a, b in zip(upper, lower, strict=True):
-        out *= binomial(a, b)
-        if out == 0:
-            return 0
-    return out
-
-
 def multi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
     """Iterate all K with 0 <= K <= bound componentwise (lexicographic)."""
     n = len(bound)

@@ -412,22 +412,31 @@ class HTable:
         num, den = 0, 1
         acc: HVal | None = None
         for p, w in weighted_parents:
-            if _weight_is_zero(w):
+            if acc is None and type(w) is Fraction:
+                wn = w.numerator
+                if not wn:
+                    continue
+                hv = self.h(m - 1, parent_ell, p)
+                kind = hv.kind
+                if kind == "exact":
+                    v = hv.q
+                    vn = v.numerator
+                    if vn:
+                        vd = v.denominator
+                        num, den = _add_ratio(num, den, vn * vn * wn, vd * vd * w.denominator)
+                    continue
+                if kind == "sqrt":
+                    sq = hv.sq
+                    if sq.numerator:
+                        num, den = _add_ratio(num, den, sq.numerator * wn,
+                                              sq.denominator * w.denominator)
+                    continue
+            elif _weight_is_zero(w):
                 continue
-            hv = self.h(m - 1, parent_ell, p)
+            else:
+                hv = self.h(m - 1, parent_ell, p)
             if hv.is_zero():
                 continue
-            if acc is None and isinstance(w, Fraction):
-                if hv.kind == "sqrt":
-                    sq = hv.sq
-                    num, den = _add_ratio(num, den, sq.numerator * w.numerator,
-                                          sq.denominator * w.denominator)
-                    continue
-                if hv.kind == "exact":
-                    v = hv.q
-                    num, den = _add_ratio(num, den, v.numerator * v.numerator * w.numerator,
-                                          v.denominator * v.denominator * w.denominator)
-                    continue
             if acc is None:
                 acc = HVal.exact(Fraction(num, den))
             acc = acc.plus(hv.squared().times(w))

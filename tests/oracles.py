@@ -30,11 +30,20 @@ from exactstar.scalars import (
     MultiIndex,
     binomial,
     factorial,
-    multi_binomial,
     multi_indices_up_to_degree,
     multi_range,
     pochhammer,
 )
+
+
+def multi_binomial(upper: MultiIndex, lower: MultiIndex) -> int:
+    """Product of componentwise binomial coefficients; 0 unless lower <= upper."""
+    out = 1
+    for a, b in zip(upper, lower, strict=True):
+        out *= binomial(a, b)
+        if out == 0:
+            return 0
+    return out
 
 
 def seeded(seed: int) -> random.Random:
@@ -249,6 +258,21 @@ def pullback_sympy(U_rows, gamma: int, I, J):
 
 # ---------------------------------------------------------------------------
 # constants
+
+
+def laurent_term_bound(k1: Fraction, L: int, lk: int, s: int) -> Fraction:
+    """Bound on the two depth-2 terms of laurent:factorial at |n| = s, for an
+    element of rank L and squared coefficient sum k1 at a target of rank lk:
+    h1(n) <= k1 (s+1)^L and the weight is at most lk!/(s! (s-lk)!).  The
+    Fraction expression that models._factorial_tail clears to integers."""
+    return 2 * k1 * k1 * Fraction(s + 1) ** (2 * L) * Fraction(
+        factorial(lk), factorial(s) * factorial(s - lk))
+
+
+def laurent_ratio_bound(L: int, lk: int, s: int) -> Fraction:
+    """Bound on the ratio of consecutive depth-2 terms past |n| = s; the
+    Fraction expression behind models._ratio_at_least_half."""
+    return Fraction(s + 2, s + 1) ** (2 * L) / Fraction((s + 1) * (s + 1 - lk))
 
 
 def e_minus_one_decimal(places: int = 50) -> tuple[Fraction, Fraction]:

@@ -158,7 +158,7 @@ def test_closed_form_fans_match_nonzero_weights():
         for g in model.indices_up_to(level):
             every = list(model.indices_up_to(g[2]))
             assert list(model.row_parents(g)) == [p for p in every if model._row(p, g) != 0]
-            assert list(model.col_parents(g)) == [p for p in every if model._col(p, g) != 0]
+            assert list(model.col_parents(g)) == [p for p in every if model.col_sum(p, g) != 0]
 
 
 def test_constant_transpose_mirror():
@@ -179,21 +179,75 @@ def test_rowsum_zero_above_level_and_at_least_one():
 
 
 def test_rowsum_matches_brute_force():
-    from exactstar.scalars import multi_indices_up_to_degree
+    # both weights against sums of |C| over every partner (R, S, beta) with
+    # beta <= gamma, read off the pair tables (a constant needs
+    # gamma >= max(alpha, beta))
+    E2, F2 = MultiIndex((1, 0)), MultiIndex((0, 1))
+    Z2 = MultiIndex((0, 0))
+    cases = (
+        (1, [(Z1, Z1, 1), (E1, Z1, 1), (E1, E1, 2)]),
+        (2, [(Z2, Z2, 1), (E2, F2, 1), (E2 + F2, F2, 2), (F2 + F2, E2, 2)]),
+    )
+    for n, ts in cases:
+        model = ConeModel(n, H)
+        targets = list(model.indices_up_to(2))
+        for t in ts:
+            for out in targets:
+                brute_row = brute_col = Fraction(0)
+                for partner in model.indices_up_to(out[2]):
+                    brute_row += abs(tilde_structure_constants(t, partner).get(out, 0))
+                    brute_col += abs(tilde_structure_constants(partner, t).get(out, 0))
+                assert cone_rowsum(t, out) == brute_row, (t, out)
+                assert model.col_sum(t, out) == brute_col, (t, out)
 
-    targets = [(I, J, g) for g in range(3) for I in (Z1, E1) for J in (Z1, E1)
-               if I.degree() <= g and J.degree() <= g]
+
+def test_cone_col_weights_read_the_row_memo():
+    # col_sum is row_sum at the transposed pair, so filling a table on both
+    # branch bits stores every weight in the row memo and none in _col_memo
     model = ConeModel(1, H)
-    for t in [(Z1, Z1, 1), (E1, Z1, 1), (E1, E1, 2)]:
-        for out in targets:
-            brute_row = brute_col = Fraction(0)
-            for beta in range(out[2] + 1):
-                for R in multi_indices_up_to_degree(1, beta):
-                    for S in multi_indices_up_to_degree(1, beta):
-                        brute_row += abs(tilde_structure_constants(t, (R, S, beta)).get(out, 0))
-                        brute_col += abs(tilde_structure_constants((R, S, beta), t).get(out, 0))
-            assert cone_rowsum(t, out) == brute_row
-            assert model.col_sum(t, out) == brute_col
+    a = random_cone_element(seeded(17), 1, 2)
+    table = HTable(model, a)
+    for t in model.indices_up_to(2):
+        for m in (1, 2):
+            for ell in range(1 << m):
+                table.h(m, ell, t)
+    assert model._col_memo == {}
+    assert model._fan_memo and model._row_memo
+    t, g = (E1, Z1, 1), (E1 + E1, E1, 2)
+    assert model.col_sum(t, g) == model.row_sum((Z1, E1, 1), (E1, E1 + E1, 2)) > 0
+
+
+def test_cone_operands_of_another_dimension():
+    # a cone product or weight with operands of another n raises instead of
+    # returning an n = 1 triple from the n = 2 model
+    a = Element.basis((E1, Z1, 1))
+    b = Element.basis((MultiIndex((1, 0)), MultiIndex((0, 1)), 1))
+    for n in (1, 2):
+        with pytest.raises(DimensionError, match="cone operands have n = 1 and n = 2"):
+            multiply(ConeModel(n, H), a, b)
+        with pytest.raises(DimensionError, match="cone operands have n = 2 and n = 1"):
+            multiply(ConeModel(n, H), b, a)
+    with pytest.raises(DimensionError, match="cone operands have n = 1, the model n = 2"):
+        multiply(ConeModel(2, H), a, a)
+    with pytest.raises(DimensionError, match="cone operands have n = 1, the model n = 2"):
+        multiply(ConeModel(2, H), Element.zero(), a)
+    assert multiply(ConeModel(2, H), Element.zero(), Element.zero()) == Element.zero()
+    # the disk model's product, built from the same pair tables
+    x = Element.basis((E1, Z1))
+    with pytest.raises(DimensionError, match="disk operands have n = 1, the model n = 2"):
+        multiply(DiskModel(2, H), x, x)
+    with pytest.raises(DimensionError, match="disk operands have n = 1 and n = 2"):
+        multiply(DiskModel(1, H), x, Element.basis((MultiIndex((1, 0)), MultiIndex((0, 1)))))
+    t1, t2 = next(iter(a.terms)), next(iter(b.terms))
+    model = ConeModel(2, H)
+    with pytest.raises(DimensionError, match="cone indices have n = 1 and n = 2"):
+        cone_rowsum(t1, t2)
+    with pytest.raises(DimensionError, match="cone indices have n = 1 and n = 2"):
+        model.col_sum(t1, t2)
+    with pytest.raises(DimensionError, match="cone indices have n = 1 and n = 2"):
+        HTable(model, a).h(1, 0, t2)
+    with pytest.raises(DimensionError, match="cone indices have n = 1 and n = 2"):
+        cone_rowsum((E1, MultiIndex((0, 0)), 1), (E1, Z1, 1))
 
 
 def _tilde_pairs_reference(t1, t2):

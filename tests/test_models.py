@@ -9,7 +9,13 @@ from exactstar.scalars import GaussianRational, MultiIndex, factorial
 from exactstar.seminorms import HTable, rootsum_bracket
 
 from laws import wick_z, wick_zbar
-from oracles import e_minus_one_decimal, random_gr, seeded
+from oracles import (
+    e_minus_one_decimal,
+    laurent_ratio_bound,
+    laurent_term_bound,
+    random_gr,
+    seeded,
+)
 
 
 def _pi_sq_over_six_window():
@@ -520,11 +526,10 @@ def _reference_h2_factorial(model, table, ell, gamma):
     k1 = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
 
     def term_bound(s):
-        return 2 * k1 * k1 * Fraction(s + 1) ** (2 * L) * Fraction(
-            factorial(lk), factorial(s) * factorial(s - lk))
+        return laurent_term_bound(k1, L, lk, s)
 
     def ratio_bound(s):
-        return Fraction(s + 2, s + 1) ** (2 * L) / Fraction((s + 1) * (s + 1 - lk))
+        return laurent_ratio_bound(L, lk, s)
 
     def window(cutoff):
         total = Fraction(0)
@@ -565,6 +570,29 @@ def test_laurent_incremental_window_matches_from_scratch():
                     widened += got.depth > max(max(abs(j) for j in a.terms), abs(gamma)) + 5
     # the cases above must reach the widening loop, not only the first window
     assert widened
+
+
+def test_factorial_tail_matches_fraction_bounds():
+    # the integer tail and ratio test of LaurentModel._h2_factorial against
+    # the Fraction expressions they replace, wherever those are defined
+    # (s >= |gamma|, ratio != 1)
+    from exactstar.models import _factorial_tail, _ratio_at_least_half
+
+    half = Fraction(1, 2)
+    tails = 0
+    for k1 in (Fraction(1), Fraction(3, 7), Fraction(250, 3), Fraction(1, 10**12)):
+        for L in range(7):
+            for lk in range(9):
+                for s in range(lk, 41):
+                    ratio = laurent_ratio_bound(L, lk, s)
+                    assert _ratio_at_least_half(L, lk, s) == (ratio >= half), (L, lk, s)
+                    if ratio == 1:
+                        continue
+                    got = _factorial_tail(k1, L, lk, s)
+                    assert type(got) is Fraction
+                    assert got == laurent_term_bound(k1, L, lk, s) / (1 - ratio), (k1, L, lk, s)
+                    tails += ratio < half
+    assert tails > 1000
 
 
 def test_depth2_specials_unchanged():

@@ -20,7 +20,6 @@ from exactstar.scalars import (
     format_rational,
     gaussian_parts,
     is_allowed_hbar,
-    multi_binomial,
     multi_indices_of_degree,
     multi_indices_of_degree_within,
     multi_indices_up_to_degree,
@@ -31,6 +30,8 @@ from exactstar.scalars import (
     sqrt_bracket,
     square_free_split,
 )
+
+from oracles import multi_binomial
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 

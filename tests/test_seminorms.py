@@ -771,3 +771,62 @@ def test_truncated_sum_matches_fraction_loop():
         assert positive
         if model.name.startswith("group"):
             assert any(isinstance(w, RootSum) and not w.is_rational() for _, w in weighted)
+
+
+class _RecordingTable(HTable):
+    """HTable that records the cells its recursion asks for."""
+
+    def h(self, m, ell, gamma):
+        self.read.append((m, gamma))
+        return super().h(m, ell, gamma)
+
+
+def test_step_tests_a_zero_weight_before_reading_its_cell():
+    # the m = 1 support fan passes zero weights: step skips each one without
+    # asking HTable.h for its parent cell, on the integer path and after a
+    # RootSum weight has moved the sum to HVal arithmetic
+    gi = GaussianRational.of(1, 1)
+    a = from_pairs([(k, gi if k % 2 else k + 1) for k in range(6)])
+    table = _RecordingTable(get_model("poly:factorial"), a)
+    table.read = []
+    root2 = RootSum.sqrt_rational(Fraction(2))
+    weighted = [(0, Fraction(0)), (1, Fraction(2)), (2, 0), (3, root2),
+                (4, Fraction(0)), (5, RootSum.rational(0))]
+    got = table.step(1, 0, weighted)
+    assert table.read == [(0, 1), (0, 3)]
+    want = HVal.exact(4).plus(HVal.exact(2).times(root2))
+    assert (got.kind, got.rs) == (want.kind, want.rs) == ("root", want.rs)
+
+
+def test_tracer_counts_every_cone_cell():
+    # perfbench's Tracer counts seminorms.h_cells by wrapping HTable.h, so a
+    # recursion step that filled a cell past HTable.h would undercount
+    import importlib.util
+    from pathlib import Path
+
+    from exactstar.cone import ConeModel
+
+    from oracles import random_cone_element
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+
+    model = ConeModel(1, Fraction(1, 2))
+    rng = seeded(29)
+    a, b = random_cone_element(rng, 1, 1, 3), random_cone_element(rng, 1, 1, 3)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        ab = multiply(model, a, b)
+        tables = tuple(HTable(model, x) for x in (ab, a, b))
+        for m in range(2):
+            for ell in range(1 << m):
+                for t in sorted(ab.terms, key=model.index_sort_key):
+                    check_product_inequality(model, a, b, m, ell, t, DEFAULT_TOL, tables)
+    finally:
+        tracer.uninstall()
+    cells = sum(len(table._cells) for table in tables)
+    assert cells > 20
+    assert tracer.counts["seminorms.h_cells"] == cells

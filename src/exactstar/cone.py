@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 from operator import le
 from typing import Iterable, Iterator
 
@@ -36,11 +36,10 @@ from .scalars import (
     GaussianRational,
     MultiIndex,
     accumulate,
-    binomial,
     factorial,
+    factorials_through,
     gaussian_parts,
     is_allowed_hbar,
-    multi_indices_of_degree,
     multi_indices_of_degree_within,
     multi_indices_up_to_degree,
     multi_range,
@@ -161,33 +160,44 @@ def _tilde_pairs(t1: Triple, t2: Triple) -> dict:
     the level binomials read C(beta-|R| + alpha-|P| - kp, beta-|R|) and
     C(alpha-|Q| + beta-|S| - kp, alpha-|Q|), which do not depend on Kp; and
     C(I, R) C(J, Q) >= 1, since I - R = P - Kp and J - Q = S - Kp.  So every
-    constant met is nonzero, and the whole table is integer arithmetic up to
-    one Fraction per constant."""
+    constant met is nonzero.
+
+    The table is one pass per Kp in integers: math.comb for the binomials,
+    one factorial lookup (factorials_through(alpha): kp and every entry of
+    Kp are at most alpha) for kp! and Kp!.  A constant is stored as an int
+    when the division comes out even and as a Fraction only when it does
+    not; accumulate() reads either."""
     (P, Q, alpha), (R, S, beta) = t1, t2
-    pd, qd, rd, sd = sum(P), sum(Q), sum(R), sum(S)
-    a_slack, b_slack = alpha - pd, beta - sd
+    a_slack, b_slack = alpha - sum(P), beta - sum(S)
+    r_slack, q_slack = beta - sum(R), alpha - sum(Q)
+    fact = factorials_through(alpha)
     # (gamma + |Kp|, signed level factor, kp!) from the lowest level up
     levels = []
     for kp in range(min(a_slack, b_slack), -1, -1):
-        lv = comb(beta - rd + a_slack - kp, beta - rd) * comb(alpha - qd + b_slack - kp, alpha - qd)
-        levels.append((alpha + beta - kp, -lv if kp & 1 else lv, factorial(kp)))
+        lv = comb(r_slack + a_slack - kp, r_slack) * comb(q_slack + b_slack - kp, q_slack)
+        levels.append((alpha + beta - kp, -lv if kp & 1 else lv, fact(kp)))
     out = {}
     for Kp in product(*[range(min(p, s) + 1) for p, s in zip(P, S)]):
         pair = kf = 1
+        I, J = [], []
         for p, q, r, s, k in zip(P, Q, R, S, Kp):
-            pair *= comb(p + r - k, r) * comb(q + s - k, q)
-            kf *= factorial(k)
-        kd = sum(Kp)
-        I = _multi_index([p + r - k for p, r, k in zip(P, R, Kp)])
-        J = _multi_index([q + s - k for q, s, k in zip(Q, S, Kp)])
+            i, j = p + r - k, q + s - k
+            pair *= comb(i, r) * comb(j, q)
+            kf *= fact(k)
+            I.append(i)
+            J.append(j)
+        I, J, kd = _multi_index(I), _multi_index(J), sum(Kp)
         for top, lv, kpf in levels:
-            out[(I, J, top - kd)] = Fraction(pair * lv, kpf * kf)
+            num, den = pair * lv, kpf * kf
+            whole, rest = divmod(num, den)
+            out[(I, J, top - kd)] = Fraction(num, den) if rest else whole
     return out
 
 
 def tilde_structure_constants(t1: Triple, t2: Triple) -> dict:
-    """Closed-form structure constants of the f-basis product; hbar-free."""
-    return dict(_tilde_pairs(t1, t2))
+    """Closed-form structure constants of the f-basis product; hbar-free.
+    The Fraction view of the pair table, whose integral constants are ints."""
+    return {t: Fraction(c) for t, c in _tilde_pairs(t1, t2).items()}
 
 
 def _f_scale(t: Triple, a: int, b: int) -> tuple[int, int]:
@@ -411,12 +421,13 @@ def check_point_dimension(point, length: int, what: str) -> None:
         raise DimensionError(f"{what} has {length} coordinates, got {len(point)}")
 
 
-def _check_cone_point(w):
-    w = tuple(GaussianRational.coerce(c) for c in w)
-    y = cone_y(w)
-    if y <= 0:
-        raise DomainError(f"point outside the cone: y = {y}")
-    return w, y
+def _coordinates(a: Element, point, extra: int, what: str) -> tuple:
+    """The point as Gaussian rationals; DimensionError unless it has n + extra
+    coordinates, n the dimension of a (any point fits the zero element)."""
+    point = tuple(GaussianRational.coerce(c) for c in point)
+    if a.terms:
+        check_point_dimension(point, len(next(iter(a.terms))[0]) + extra, what)
+    return point
 
 
 def _gr_power_multi(ws, I: MultiIndex) -> GaussianRational:
@@ -448,7 +459,10 @@ def eval_upstairs(a: Element, w, hbar) -> GaussianRational:
     hbar = Fraction(hbar)
     if hbar == 0:
         raise DomainError("hbar must be nonzero")
-    w, y = _check_cone_point(w)
+    w = _coordinates(a, w, 1, "a cone point")
+    y = cone_y(w)
+    if y <= 0:
+        raise DomainError(f"point outside the cone: y = {y}")
     two_h = 2 * hbar
     w0 = w[0]
     ws = w[1:]
@@ -473,8 +487,8 @@ def eval_pair(a: Element, u, v, hbar) -> GaussianRational:
     hbar = Fraction(hbar)
     if hbar == 0:
         raise DomainError("hbar must be nonzero")
-    u = tuple(GaussianRational.coerce(c) for c in u)
-    v = tuple(GaussianRational.coerce(c) for c in v)
+    u = _coordinates(a, u, 1, "a cone point")
+    v = _coordinates(a, v, 1, "a cone point")
     yhat = u[0] * v[0].conjugate()
     for ui, vi in zip(u[1:], v[1:], strict=True):
         yhat = yhat - ui * vi.conjugate()
@@ -573,37 +587,54 @@ def ideal_level_dimension(n: int, hbar, level_cap: int) -> int:
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
+    """The reduction rows of f_t: ((I + K, J + K), constant) for every K with
+    |K| <= gamma - max(|I|, |J|), in increasing |K| (disk_rows stops on it).
+
+    The constant of a K of degree k is (nu)_gamma / (nu)_(mx+k) C(top, k)
+    k!/K! _pref(I, J, gamma) / _pref(I+K, J+K, mx+k), with nu = 1/(2 hbar),
+    mx = max(|I|, |J|) and top = gamma - mx.  The rows
+    are one pass per K in integers: a K-free numerator and denominator per
+    degree k, then (I+K)! (J+K)! / K! from one factorial lookup
+    (factorials_through(gamma): every i + k and j + k is at most gamma).  A
+    constant is stored as an int when the division comes out even and as a
+    Fraction only when it does not; accumulate() reads either."""
     I, J, gamma = t
-    n = len(I)
-    # nu = u/v with v > 0, so a negative hbar leaves its sign on u
-    nu = 1 / (2 * hbar)
-    u, v = nu.numerator, nu.denominator
-    mx = max(I.degree(), J.degree())
+    # nu = u/v in lowest terms with v > 0, so a negative hbar leaves its sign on u
+    u, v = hbar.denominator, 2 * hbar.numerator
+    g = gcd(u, v) if v > 0 else -gcd(u, v)
+    u, v = u // g, v // g
+    di, dj = sum(I), sum(J)
+    mx = max(di, dj)
     top = gamma - mx
+    fact = factorials_through(gamma)
     # the denominator of _pref(I, J, gamma)
-    lower = (I.factorial() * factorial(gamma - I.degree())
-             * J.factorial() * factorial(gamma - J.degree()))
+    lower = fact(gamma - di) * fact(gamma - dj)
+    for i, j in zip(I, J):
+        lower *= fact(i) * fact(j)
     # 1/_pref(I+K, J+K, mx+k) = (I+K)! (J+K)! times this K-free factor
-    lift = factorial(mx - I.degree()) * factorial(mx - J.degree())
+    lift = fact(mx - di) * fact(mx - dj)
     # (nu)_gamma / (nu)_(mx+k) = (nu+mx+k)_(top-k) = rising[k] / v^(top-k),
-    # grown downward in k by one factor u + (mx+k) v per level
+    # grown downward in k by one factor u + (mx+k) v per level, never zero
+    # at an allowed hbar
     rising = [1] * (top + 1)
     for k in range(top - 1, -1, -1):
         rising[k] = rising[k + 1] * (u + (mx + k) * v)
+    # (K-free numerator, denominator) per degree k = |K|
+    lead = [(rising[k] * comb(top, k) * fact(k) * lift, lower * v ** (top - k))
+            for k in range(top + 1)]
     out = []
-    for k in range(top + 1):
-        num = rising[k] * binomial(top, k) * factorial(k) * lift
-        if not num:
-            continue
-        den = lower * v ** (top - k)
-        for K in multi_indices_of_degree(n, k):
-            # (I+K)! (J+K)! / K! as one integer: each (i+k)!/k! is exact
-            w = 1
-            for i, j, kk in zip(I, J, K):
-                w *= factorial(i + kk) // factorial(kk) * factorial(j + kk)
-            out.append(((_multi_index([i + kk for i, kk in zip(I, K)]),
-                         _multi_index([j + kk for j, kk in zip(J, K)])),
-                        Fraction(num * w, den)))
+    for K in multi_indices_up_to_degree(len(I), top):
+        num, den = lead[sum(K)]
+        IK, JK = [], []
+        for i, j, kk in zip(I, J, K):
+            i, j = i + kk, j + kk
+            # (i+kk)!/kk! is exact
+            num *= fact(i) // fact(kk) * fact(j)
+            IK.append(i)
+            JK.append(j)
+        whole, rest = divmod(num, den)
+        out.append(((_multi_index(IK), _multi_index(JK)),
+                    Fraction(num, den) if rest else whole))
     return tuple(out)
 
 
@@ -716,7 +747,7 @@ def disk_involution(a: Element) -> Element:
 def eval_disk(a: Element, v, hbar) -> GaussianRational:
     """Exact evaluation of a disk element at a point with |v| < 1."""
     hbar = allowed_hbar(hbar)
-    v = tuple(GaussianRational.coerce(c) for c in v)
+    v = _coordinates(a, v, 0, "a disk point")
     norm2 = sum((c.abs_squared() for c in v), Fraction(0))
     if norm2 >= 1:
         raise DomainError("point outside the unit disk")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -42,6 +42,16 @@ def factorial(n: int) -> int:
     while len(_factorial_memo) <= n:
         _factorial_memo.append(_factorial_memo[-1] * len(_factorial_memo))
     return _factorial_memo[n]
+
+
+def factorials_through(m: int) -> Callable[[int], int]:
+    """k -> k! for 0 <= k <= m, without factorial()'s checks per call: a read
+    of the memo, filled through m here, or math.factorial at or above its cap."""
+    if m >= _FACTORIAL_MEMO_CAP:
+        return math.factorial
+    if m >= len(_factorial_memo):
+        factorial(m)
+    return _factorial_memo.__getitem__
 
 
 def binomial(n: int, k: int) -> int:

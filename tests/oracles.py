@@ -8,7 +8,10 @@ and disk identities live here too, each built from binomials and factorials
 alone: _tilde_coefficient derives one closed-form structure constant from
 its target (the reference that cone._tilde_pairs and cone_rowsum unroll),
 and disk_coefficient_extraction reads one disk coefficient of an upstairs
-element without the reduction rows of disk_reduce.  The exceptions are the
+element without the reduction rows of disk_reduce.  Those rows have a
+second construction as well: reduction_rows_reference builds the rows of
+cone._reduce_cached from MultiIndex factorials, one Fraction per entry,
+where the library keeps integral constants as ints.  The exceptions are the
 two-step disk product, which keeps the route that disk_multiply fuses (a
 settled upstairs product on the cone, then the reduction of that element),
 and the vacuum expectation read off the whole disk product, the route that
@@ -30,6 +33,7 @@ from exactstar.scalars import (
     MultiIndex,
     binomial,
     factorial,
+    multi_indices_of_degree,
     multi_indices_up_to_degree,
     multi_range,
     pochhammer,
@@ -128,6 +132,43 @@ def disk_coefficient_extraction(a: Element, R, S, hbar) -> GaussianRational:
         ) * (pochhammer(nu, alpha) / pochhammer(nu, M))
         out = out + coeff * (multi_binomial(R, I) * multi_binomial(S, I) * weight)
     return out
+
+
+def reduction_rows_reference(t: Triple, hbar: Fraction) -> tuple:
+    """The reduction rows of f_t as cone._reduce_cached gives them, built
+    with Fraction arithmetic, MultiIndex.factorial and one Fraction per
+    entry: ((I + K, J + K), constant) for every K with
+    |K| <= gamma - max(|I|, |J|), in increasing |K|."""
+    I, J, gamma = t
+    n = len(I)
+    # nu = u/v with v > 0, so a negative hbar leaves its sign on u
+    nu = 1 / (2 * hbar)
+    u, v = nu.numerator, nu.denominator
+    mx = max(I.degree(), J.degree())
+    top = gamma - mx
+    # the denominator of _pref(I, J, gamma)
+    lower = (I.factorial() * factorial(gamma - I.degree())
+             * J.factorial() * factorial(gamma - J.degree()))
+    # 1/_pref(I+K, J+K, mx+k) = (I+K)! (J+K)! times this K-free factor
+    lift = factorial(mx - I.degree()) * factorial(mx - J.degree())
+    # (nu)_gamma / (nu)_(mx+k) = (nu+mx+k)_(top-k) = rising[k] / v^(top-k),
+    # grown downward in k by one factor u + (mx+k) v per level
+    rising = [1] * (top + 1)
+    for k in range(top - 1, -1, -1):
+        rising[k] = rising[k + 1] * (u + (mx + k) * v)
+    out = []
+    for k in range(top + 1):
+        num = rising[k] * binomial(top, k) * factorial(k) * lift
+        if not num:
+            continue
+        den = lower * v ** (top - k)
+        for K in multi_indices_of_degree(n, k):
+            # (I+K)! (J+K)! / K! as one integer: each (i+k)!/k! is exact
+            w = 1
+            for i, j, kk in zip(I, J, K):
+                w *= factorial(i + kk) // factorial(kk) * factorial(j + kk)
+            out.append(((I + K, J + K), Fraction(num * w, den)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

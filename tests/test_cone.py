@@ -50,6 +50,7 @@ from oracles import (
     random_cone_element,
     random_disk_element,
     random_gr,
+    reduction_rows_reference,
     seeded,
 )
 
@@ -297,6 +298,37 @@ def test_pair_table_order_n3():
             assert pairs == oracle_structure_constants(t1, t2, Fraction(5, 7))
 
 
+def test_pair_tables_in_the_cone_kernel_regime():
+    # n = 2 triples of level <= 3, the products the cone-kernel benchmark
+    # multiplies: the model's table is the per-target closed form in order,
+    # an integral constant is an int and any other a Fraction, and the public
+    # view gives Fractions only
+    triples = _triples(2, 3)
+    rng = seeded(23)
+    model = ConeModel(2, H)
+    for _ in range(400):
+        t1, t2 = rng.choice(triples), rng.choice(triples)
+        table = model.pair_product(t1, t2)
+        assert list(table.items()) == list(_tilde_pairs_reference(t1, t2).items())
+        assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in table.values())
+        assert all(type(c) is Fraction for c in tilde_structure_constants(t1, t2).values())
+
+
+def test_reduction_rows_match_the_fraction_reference():
+    # keys, order and values of every row set against the Fraction-built
+    # reference; |P| never decreases along a row list, which disk_rows reads
+    from exactstar import cone
+
+    for n, level in ((1, 4), (2, 3), (3, 2)):
+        for t in _triples(n, level):
+            for hbar in (H, Fraction(3), Fraction(5, 7), Fraction(-3, 7)):
+                rows = cone._reduce_cached(t, hbar)
+                assert list(rows) == list(reduction_rows_reference(t, hbar)), (t, hbar)
+                assert all((type(c) is int) == (Fraction(c).denominator == 1) for _, c in rows)
+                degrees = [sum(P) for (P, _), _ in rows]
+                assert degrees == sorted(degrees), (t, hbar)
+
+
 def test_rowsum_gamma_total_bound():
     for t in _triples(1, 2):
         for gamma in range(5):
@@ -439,6 +471,28 @@ def test_evaluate_rejects_points_of_the_wrong_dimension(point):
         ConeModel(1, H).evaluate(Element.basis((E1, Z1, 1)), point)
     with pytest.raises(DimensionError, match="coordinates"):
         DiskModel(1, H).evaluate(Element.basis((E1, Z1)), tuple(Fraction(1, 4) for _ in point[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluations_reject_points_of_the_wrong_length(n):
+    # the library functions check the point against the element's n: n + 1
+    # coordinates upstairs, n on the disk; any point fits the zero element
+    z, e = MultiIndex.zero(n), MultiIndex.unit(n, 0)
+    cone_a, disk_a = Element.basis((e, z, 1)), Element.basis((e, z))
+    cone_ok, disk_ok = (1,) + (0,) * n, (0,) * n
+    for point in (cone_ok[:-1], cone_ok + (0,)):
+        match = f"a cone point has {n + 1} coordinates, got {len(point)}"
+        with pytest.raises(DimensionError, match=match):
+            eval_upstairs(cone_a, point, H)
+        with pytest.raises(DimensionError, match=match):
+            eval_pair(cone_a, point, cone_ok, H)
+        with pytest.raises(DimensionError, match=match):
+            eval_pair(cone_a, cone_ok, point, H)
+        assert eval_upstairs(Element.zero(), point, H).is_zero()
+    for point in (disk_ok[:-1], disk_ok + (0,)):
+        with pytest.raises(DimensionError, match=f"a disk point has {n} coordinates, got {len(point)}"):
+            eval_disk(disk_a, point, H)
+        assert eval_disk(Element.zero(), point, H).is_zero()
 
 
 def test_quotient_eval_consistency():

@@ -53,15 +53,14 @@ class BaseModel:
     name: str = "base"
     commutative: bool = False
     """True only when c^gamma_{alpha beta} = c^gamma_{beta alpha} for every
-    index triple.  Then row_sum(x, gamma) == col_sum(x, gamma), row_parents
-    and col_parents enumerate the same indices, and an h_special must choose
+    index triple.  Then row_sum(x, gamma) == col_sum(x, gamma), both fans
+    list the same (parent, weight) pairs, and an h_special must choose
     between row and column weights only through ell & 1.  By induction on m
     every branch word then runs the same arithmetic on the same values, so
     HTable computes and caches each cell once, under ell = 0."""
 
     def __init__(self):
         self._row_memo: dict = {}
-        self._col_memo: dict = {}
         self._fan_memo: dict = {}
 
     # -- product ------------------------------------------------------------
@@ -77,6 +76,19 @@ class BaseModel:
         """DimensionError when a product's operands do not fit the model;
         multiply asks once per call, before any pair is read."""
 
+    # -- the *-involution ---------------------------------------------------
+    def star(self, idx: Index) -> Index:
+        """The index that the *-involution sends idx to: e_idx^* = e_star(idx).
+        The involution reverses products, so C^{star gamma}_{star beta,
+        star alpha} is the conjugate of C^gamma_{alpha, beta}, and column
+        weights and fans are row ones at starred indices."""
+        raise NotImplementedError
+
+    def involution(self, a: Element) -> Element:
+        """a^*: each coefficient conjugated onto the starred index."""
+        star = self.star
+        return Element({star(idx): c.conjugate() for idx, c in a.terms.items()})
+
     # -- recursion weights --------------------------------------------------
     def row_sum(self, alpha: Index, gamma: Index):
         key = (alpha, gamma)
@@ -87,17 +99,12 @@ class BaseModel:
         return out
 
     def col_sum(self, beta: Index, gamma: Index):
-        key = (beta, gamma)
-        out = self._col_memo.get(key)
-        if out is None:
-            out = self._col(beta, gamma)
-            self._col_memo[key] = out
-        return out
+        """sum_alpha |C^gamma_{alpha, beta}|: the row sum at the starred pair,
+        read through the row memo."""
+        star = self.star
+        return self.row_sum(star(beta), star(gamma))
 
     def _row(self, alpha: Index, gamma: Index):
-        raise NotImplementedError
-
-    def _col(self, beta: Index, gamma: Index):
         raise NotImplementedError
 
     def row_parents(self, gamma: Index) -> Iterable[Index]:
@@ -105,28 +112,27 @@ class BaseModel:
         InfiniteFanError when none exists (the model then has h_special)."""
         raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
 
-    def col_parents(self, gamma: Index) -> Iterable[Index]:
-        raise InfiniteFanError(f"{self.name}: no finite contributor enumeration")
-
     def fan(self, bit: int, gamma: Index) -> list:
         """(parent, weight) pairs of the row (bit 0) or column (bit 1) fan of
-        gamma with a nonzero weight, memoized per (bit, gamma).  Weights are
-        read through row_sum/col_sum; an InfiniteFanError stores nothing."""
+        gamma with a nonzero weight, memoized per (bit, gamma).  The column
+        fan is the starred row fan of star(gamma), in its order; an
+        InfiniteFanError stores nothing."""
         key = (bit, gamma)
         out = self._fan_memo.get(key)
         if out is None:
             if bit == 0:
-                weight, parents = self.row_sum, self.row_parents(gamma)
+                row_sum = self.row_sum
+                out = [(p, w) for p in self.row_parents(gamma) if (w := row_sum(p, gamma)) != 0]
             else:
-                weight, parents = self.col_sum, self.col_parents(gamma)
-            out = [(p, w) for p in parents if (w := weight(p, gamma)) != 0]
+                star = self.star
+                out = [(star(p), w) for p, w in self.fan(0, star(gamma))]
             self._fan_memo[key] = out
         return out
 
     def h_special(self, table: HTable, m: int, ell: int, gamma: Index):
         """h[m, ell, gamma] at m >= 2 of a nonzero element, for models whose
         fans are infinite; it sums through table.step or truncated_sum.  None
-        leaves the cell to the finite row_parents/col_parents fans."""
+        leaves the cell to the finite fans."""
         return None
 
     h_majorant = None
@@ -217,9 +223,6 @@ class Element:
     def scale(self, z: GaussianRational | Fraction | int) -> "Element":
         z = GaussianRational.coerce(z)
         return Element({idx: c * z for idx, c in self.terms.items()})
-
-    def map_coeffs(self, f: Callable[[GaussianRational], GaussianRational]) -> "Element":
-        return Element({idx: f(c) for idx, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):

@@ -309,42 +309,23 @@ class ConeModel(BaseModel):
     def _row(self, alpha_idx, gamma_idx):
         return cone_rowsum(alpha_idx, gamma_idx)
 
-    def col_sum(self, beta_idx, gamma_idx):
-        """The row sum at the transposed pair, read through the row memo:
-        C^{(I,J,g)}_{t1,t2} = C^{(J,I,g)}_{t2^T,t1^T} with (P,Q,a)^T = (Q,P,a)
-        turns the left-partner sum into a right-partner one."""
-        (R, S, beta), (I, J, gamma) = beta_idx, gamma_idx
-        return self.row_sum((S, R, beta), (J, I, gamma))
+    def star(self, idx):
+        P, Q, alpha = idx
+        return (Q, P, alpha)
 
     def row_parents(self, gamma_idx):
         """Exactly the (P, Q, alpha) with row_sum != 0: alpha <= gamma,
         Q <= J and alpha - |Q| <= gamma - |J| (a binomial of the closed form
         vanishes otherwise), in indices_up_to order."""
         _, J, gamma = gamma_idx
-        return self._parents(J, gamma, bounded_first=False)
-
-    def col_parents(self, gamma_idx):
-        """Transpose of the row fan of (J, I, gamma): P <= I and
-        alpha - |P| <= gamma - |I|, in indices_up_to order."""
-        I, _, gamma = gamma_idx
-        return self._parents(I, gamma, bounded_first=True)
-
-    def _parents(self, bound: MultiIndex, gamma: int, bounded_first: bool) -> Iterator[Triple]:
-        slack = gamma - bound.degree()
+        slack = gamma - J.degree()
         for alpha in range(gamma + 1):
             bounded = [
-                K for d in range(max(0, alpha - slack), alpha + 1)
-                for K in multi_indices_of_degree_within(bound, d)
+                Q for d in range(max(0, alpha - slack), alpha + 1)
+                for Q in multi_indices_of_degree_within(J, d)
             ]
-            if not bounded:
-                continue
-            free = list(multi_indices_up_to_degree(self.n, alpha))
-            if bounded_first:
-                for P in bounded:
-                    for Q in free:
-                        yield (P, Q, alpha)
-            else:
-                for P in free:
+            if bounded:
+                for P in multi_indices_up_to_degree(self.n, alpha):
                     for Q in bounded:
                         yield (P, Q, alpha)
 
@@ -380,11 +361,6 @@ class ConeModel(BaseModel):
             raise DomainError('cone index JSON must be {"P": [..], "Q": [..], "alpha": k}')
         return self.validate_index(
             (MultiIndex(data["P"]), MultiIndex(data["Q"]), data["alpha"])
-        )
-
-    def involution(self, a: Element) -> Element:
-        return Element(
-            {(Q, P, alpha): c.conjugate() for (P, Q, alpha), c in a.terms.items()}
         )
 
     def evaluate(self, a: Element, w) -> GaussianRational:
@@ -423,10 +399,13 @@ def check_point_dimension(point, length: int, what: str) -> None:
 
 def _coordinates(a: Element, point, extra: int, what: str) -> tuple:
     """The point as Gaussian rationals; DimensionError unless it has n + extra
-    coordinates, n the dimension of a (any point fits the zero element)."""
+    coordinates, n the dimension of a (any point fits the zero element,
+    except an empty one where a coordinate beyond n is needed)."""
     point = tuple(GaussianRational.coerce(c) for c in point)
     if a.terms:
         check_point_dimension(point, len(next(iter(a.terms))[0]) + extra, what)
+    elif extra and not point:
+        raise DimensionError(f"{what} has no coordinates")
     return point
 
 
@@ -489,6 +468,7 @@ def eval_pair(a: Element, u, v, hbar) -> GaussianRational:
         raise DomainError("hbar must be nonzero")
     u = _coordinates(a, u, 1, "a cone point")
     v = _coordinates(a, v, 1, "a cone point")
+    check_point_dimension(v, len(u), "a cone point")
     yhat = u[0] * v[0].conjugate()
     for ui, vi in zip(u[1:], v[1:], strict=True):
         yhat = yhat - ui * vi.conjugate()
@@ -795,10 +775,9 @@ class DiskModel(BaseModel):
             "disk classes have no finite row sums; lift to the cone model"
         )
 
-    def _col(self, alpha, gamma):
-        raise InfiniteFanError(
-            "disk classes have no finite column sums; lift to the cone model"
-        )
+    def star(self, idx):
+        P, Q = idx
+        return (Q, P)
 
     # -- index plumbing -----------------------------------------------------
     def validate_index(self, idx):
@@ -836,8 +815,6 @@ class DiskModel(BaseModel):
         if not (isinstance(data, dict) and {"P", "Q"} <= set(data)):
             raise DomainError('disk index JSON must be {"P": [..], "Q": [..]}')
         return self.validate_index((MultiIndex(data["P"]), MultiIndex(data["Q"])))
-
-    involution = staticmethod(disk_involution)
 
     def evaluate(self, a: Element, v) -> GaussianRational:
         check_point_dimension(v, self.n, "a disk point")

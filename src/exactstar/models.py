@@ -73,12 +73,11 @@ class PolynomialModel(BaseModel):
             return Fraction(0)
         return Fraction(1) if self.basis == "monomial" else Fraction(binomial(k, n))
 
-    _col = _row
+    def star(self, k):
+        return k
 
     def row_parents(self, k):
         return range(k + 1)
-
-    col_parents = row_parents
 
     def index_rank(self, idx) -> int:
         return idx
@@ -101,9 +100,6 @@ class PolynomialModel(BaseModel):
                 term = term * Fraction(1, factorial(k))
             out = out + term
         return out
-
-    def involution(self, a: Element) -> Element:
-        return a.map_coeffs(lambda c: c.conjugate())
 
     # h[m, ., k] <= C * B^k * (k+1)^p for all k (rank k holds the one index k)
     def h_majorant(self, a: Element, m: int):
@@ -168,7 +164,8 @@ class LaurentModel(BaseModel):
             return Fraction(1)
         return Fraction(factorial(abs(k)), factorial(abs(n)) * factorial(abs(k - n)))
 
-    _col = _row
+    def star(self, k):
+        return -k
 
     def index_rank(self, idx) -> int:
         return abs(idx)
@@ -190,9 +187,6 @@ class LaurentModel(BaseModel):
                 term = term * Fraction(1, factorial(abs(k)))
             out = out + term
         return out
-
-    def involution(self, a: Element) -> Element:
-        return Element({-k: c.conjugate() for k, c in a.terms.items()})
 
     def h_special(self, table: HTable, m: int, ell: int, gamma):
         if self.basis == "plain":
@@ -309,9 +303,9 @@ class MatrixModel(BaseModel):
         (i, j), (r, _s) = alpha, gamma
         return self.pair_weight(j) if i == r else Fraction(0)
 
-    def _col(self, beta, gamma):
-        (k, l), (_r, s) = beta, gamma
-        return self.pair_weight(k) if l == s else Fraction(0)
+    def star(self, idx):
+        i, j = idx
+        return (j, i)
 
     def index_sort_key(self, idx):
         i, j = idx
@@ -333,9 +327,6 @@ class MatrixModel(BaseModel):
         if not isinstance(data, (list, tuple)):
             raise DomainError("matrix index JSON must be a two-entry list")
         return self.validate_index(tuple(data))
-
-    def involution(self, a: Element) -> Element:
-        return Element({(j, i): c.conjugate() for (i, j), c in a.terms.items()})
 
     def weight_series(self, tol: Fraction = DEFAULT_TOL) -> HVal:
         """sum_{j>=1} pair_weight(j), the depth-2 constant-branch factor,
@@ -544,9 +535,8 @@ class GroupModel(BaseModel):
         other = self.mul(self.inv(g), k)
         return self._ratio(self.length(k), self.length(g), self.length(other))
 
-    def _col(self, h, k):
-        other = self.mul(k, self.inv(h))
-        return self._ratio(self.length(k), self.length(other), self.length(h))
+    def star(self, g):
+        return self.inv(g)
 
     # -- indices ------------------------------------------------------------
     def validate_index(self, idx):
@@ -606,9 +596,6 @@ class GroupModel(BaseModel):
         return self.validate_index(tuple(tuple(p) for p in data))
 
     # -- algebra maps -------------------------------------------------------
-    def involution(self, a: Element) -> Element:
-        return Element({self.inv(g): c.conjugate() for g, c in a.terms.items()})
-
     def character(self, a: Element, generator_values: dict) -> tuple[RootSum, RootSum]:
         """sum_g (a_g / c(g)) chi(g) for the homomorphism chi determined by
         its values on the generators, as exact (re, im) root sums: rational
@@ -766,29 +753,29 @@ class WickFlatModel(BaseModel):
         return out
 
     def _row(self, alpha, gamma):
+        """sum_beta |C^gamma_{alpha, beta}| in closed form.  With alpha = (I, J),
+        gamma = (G1, G2) and 2 hbar = a/b, each N <= I with I - N <= G1 fixes
+        one partner; per coordinate, k = i - n gives
+        C(g2, j) sum_{k <= min(i, g1)} C(g1, k) i!/(i-k)! a^k b^(i-k) / (a^i i!),
+        which is zero exactly when some j > g2."""
         (I, J), (G1, G2) = alpha, gamma
-        if G2.minus(J) is None:
-            return Fraction(0)
-        total = Fraction(0)
-        for N in multi_range(I):
-            if G1.minus(I.minus(N)) is None:
-                continue
-            L = G2.minus(J) + N
-            num = G1.factorial() * G2.factorial()
-            den = (
-                N.factorial()
-                * I.minus(N).factorial()
-                * J.factorial()
-                * G1.minus(I.minus(N)).factorial()
-                * L.minus(N).factorial()
-            )
-            total += Fraction(num, den) / self.two_h ** N.degree()
-        return total
+        a, b = self.two_h.numerator, self.two_h.denominator
+        num = den = 1
+        for i, j, g1, g2 in zip(I, J, G1, G2):
+            outer = binomial(g2, j)
+            if not outer:
+                return Fraction(0)
+            falling, inner = 1, 0
+            for k in range(min(i, g1) + 1):
+                inner += binomial(g1, k) * falling * a**k * b ** (i - k)
+                falling *= i - k
+            num *= outer * inner
+            den *= a**i * factorial(i)
+        return Fraction(num, den)
 
-    def _col(self, beta, gamma):
-        # (a*b)^* = b^* * a^* with (I, J)^* = (J, I) and real constants
-        (K, L), (G1, G2) = beta, gamma
-        return self._row((L, K), (G2, G1))
+    def star(self, idx):
+        I, J = idx
+        return (J, I)
 
     def index_sort_key(self, idx):
         I, J = idx
@@ -816,9 +803,6 @@ class WickFlatModel(BaseModel):
             raise DomainError("Wick index JSON needs fields I and J")
         return self.validate_index((MultiIndex(data["I"]), MultiIndex(data["J"])))
 
-    def involution(self, a: Element) -> Element:
-        return Element({(J, I): c.conjugate() for (I, J), c in a.terms.items()})
-
     def evaluate(self, a: Element, point: tuple) -> GaussianRational:
         w = tuple(GaussianRational.coerce(p) for p in point)
         if len(w) != self.n:
@@ -835,8 +819,15 @@ class WickFlatModel(BaseModel):
         return out
 
     def h_special(self, table: HTable, m: int, ell: int, gamma):
-        weight = self.row_sum if ell & 1 == 0 else self.col_sum
+        """A truncated lower bound over the parents of rank <= cap with a
+        nonzero weight.  A row weight is nonzero exactly when J <= G2, for
+        any I; the column fan is the starred row fan of star(gamma)."""
         supp_deg = max(self.index_rank(i) for i in table.element.terms)
         cap = self.index_rank(gamma) + supp_deg + self.TRUNC_DEGREE_PAD
-        weighted = ((p, weight(p, gamma)) for p in self.indices_up_to(cap))
-        return truncated_sum(table, m, ell, ((p, w) for p, w in weighted if w != 0), cap)
+        star, row_sum = self.star, self.row_sum
+        target = star(gamma) if ell & 1 else gamma
+        weighted = [((I, J), row_sum((I, J), target)) for J in multi_range(target[1])
+                    for I in multi_indices_up_to_degree(self.n, cap - J.degree())]
+        if ell & 1:
+            weighted = [(star(p), w) for p, w in weighted]
+        return truncated_sum(table, m, ell, weighted, cap)

@@ -6,10 +6,12 @@ Core recursion, with branch word ell in [0, 2^m):
     h[m+1, 2*ell, gamma](a)    = sum_alpha h[m, ell, alpha](a)^2 * row_sum(alpha, gamma)
     h[m+1, 2*ell+1, gamma](a)  = sum_beta  h[m, ell, beta](a)^2  * col_sum(beta, gamma)
 
-where row_sum(alpha, gamma) = sum_beta |C^gamma_{alpha,beta}| and col_sum is
-the transposed weight.  The seminorm is the 2^m-th root, taken only at
-presentation; everything before that stays exact (rational, sums of square
-roots of rationals, or certified intervals).
+where row_sum(alpha, gamma) = sum_beta |C^gamma_{alpha,beta}| and col_sum(beta,
+gamma) = sum_alpha |C^gamma_{alpha,beta}|.  The *-involution reverses products,
+so col_sum is the row sum at the starred pair, row_sum(beta*, gamma*).  The
+seminorm is the 2^m-th root, taken only at presentation; everything before
+that stays exact (rational, sums of square roots of rationals, or certified
+intervals).
 
 Series with infinitely many contributors come back as Bracket values: a
 certified interval with a recorded truncation depth and a tag saying where
@@ -489,8 +491,6 @@ class SeminormResult:
     gamma: Index
     h_val: HVal | None
     h_bracket: Bracket
-    root_lo: Fraction
-    root_hi: ExtendedNonNeg
     value_float: float
 
     @property
@@ -499,7 +499,8 @@ class SeminormResult:
 
 
 def present(m: int, ell: int, gamma: Index, v: HVal | Bracket, tol: Fraction) -> SeminormResult:
-    """The 2^m-th root enclosure of an h value and its float midpoint.
+    """An h value's bracket and the float midpoint of its 2^m-th root
+    enclosure.
 
     v is an h cell, or the bracket of a value that has no cell (a sum over
     indices, as omega_h returns); h_val is None then.  The float is inf for
@@ -511,7 +512,7 @@ def present(m: int, ell: int, gamma: Index, v: HVal | Bracket, tol: Fraction) ->
         val = math.inf if br.is_divergent() else math.nan
     else:
         val = _float_or_inf((rlo + rhi.value) / 2)
-    return SeminormResult(m, ell, gamma, h_val, br, rlo, rhi, val)
+    return SeminormResult(m, ell, gamma, h_val, br, val)
 
 
 def _float_or_inf(q: Fraction) -> float:

@@ -150,16 +150,19 @@ def test_closed_form_occupancy_matches_witness():
 
 
 def test_closed_form_fans_match_nonzero_weights():
-    # row_parents/col_parents generate the fan from alpha <= gamma, Q <= J,
-    # alpha - |Q| <= gamma - |J| (columns: the transpose); witness: the old
-    # fan, every index up to the level, filtered by a nonzero weight (same
-    # order too)
+    # row_parents generates the fan from alpha <= gamma, Q <= J,
+    # alpha - |Q| <= gamma - |J|; witness: every index up to the level,
+    # filtered by a nonzero weight (same order too).  The column fan, the
+    # starred row fan of the starred target, holds the nonzero column
+    # weights once each, in its own order
     for n, level in ((1, 4), (2, 3), (3, 2)):
         model = ConeModel(n, H)
         for g in model.indices_up_to(level):
             every = list(model.indices_up_to(g[2]))
             assert list(model.row_parents(g)) == [p for p in every if model._row(p, g) != 0]
-            assert list(model.col_parents(g)) == [p for p in every if model.col_sum(p, g) != 0]
+            col = model.fan(1, g)
+            assert len(col) == len(set(col))
+            assert set(col) == {(p, w) for p in every if (w := model.col_sum(p, g)) != 0}
 
 
 def test_constant_transpose_mirror():
@@ -204,7 +207,8 @@ def test_rowsum_matches_brute_force():
 
 def test_cone_col_weights_read_the_row_memo():
     # col_sum is row_sum at the transposed pair, so filling a table on both
-    # branch bits stores every weight in the row memo and none in _col_memo
+    # branch bits stores each column fan as the transposed row fan of the
+    # transposed target, every weight of it held in the row memo
     model = ConeModel(1, H)
     a = random_cone_element(seeded(17), 1, 2)
     table = HTable(model, a)
@@ -212,8 +216,11 @@ def test_cone_col_weights_read_the_row_memo():
         for m in (1, 2):
             for ell in range(1 << m):
                 table.h(m, ell, t)
-    assert model._col_memo == {}
-    assert model._fan_memo and model._row_memo
+    cols = {g: fan for (bit, g), fan in model._fan_memo.items() if bit == 1}
+    assert cols
+    for (I, J, gamma), fan in cols.items():
+        assert fan == [((Q, P, al), w) for (P, Q, al), w in model.fan(0, (J, I, gamma))]
+        assert all(model._row_memo[(Q, P, al), (J, I, gamma)] == w for (P, Q, al), w in fan)
     t, g = (E1, Z1, 1), (E1 + E1, E1, 2)
     assert model.col_sum(t, g) == model.row_sum((Z1, E1, 1), (E1, E1 + E1, 2)) > 0
 
@@ -476,7 +483,9 @@ def test_evaluate_rejects_points_of_the_wrong_dimension(point):
 @pytest.mark.parametrize("n", [1, 2])
 def test_evaluations_reject_points_of_the_wrong_length(n):
     # the library functions check the point against the element's n: n + 1
-    # coordinates upstairs, n on the disk; any point fits the zero element
+    # coordinates upstairs, n on the disk; any point fits the zero element,
+    # but a cone point has a coordinate w0 and the two points of a pair
+    # agree in length
     z, e = MultiIndex.zero(n), MultiIndex.unit(n, 0)
     cone_a, disk_a = Element.basis((e, z, 1)), Element.basis((e, z))
     cone_ok, disk_ok = (1,) + (0,) * n, (0,) * n
@@ -493,6 +502,13 @@ def test_evaluations_reject_points_of_the_wrong_length(n):
         with pytest.raises(DimensionError, match=f"a disk point has {n} coordinates, got {len(point)}"):
             eval_disk(disk_a, point, H)
         assert eval_disk(Element.zero(), point, H).is_zero()
+    zero = Element.zero()
+    with pytest.raises(DimensionError, match="a cone point has no coordinates"):
+        eval_upstairs(zero, (), H)
+    with pytest.raises(DimensionError, match="a cone point has no coordinates"):
+        eval_pair(zero, (), (), H)
+    with pytest.raises(DimensionError, match=f"a cone point has {n + 1} coordinates, got {n + 2}"):
+        eval_pair(zero, cone_ok, cone_ok + (0,), H)
 
 
 def test_quotient_eval_consistency():

@@ -387,7 +387,7 @@ def test_kernel_split_and_absorption():
 def test_involution_basics():
     rng = seeded(137)
     a = random_disk_element(rng, 1, 2)
-    assert DiskModel.involution is disk_involution
+    assert DiskModel(1, H).involution(a) == disk_involution(a)
     assert disk_involution(disk_involution(a)) == a
     # both a*a and aa* pair positively, though the two values differ in general
     assert positivity_check(a, H) >= 0

@@ -285,7 +285,8 @@ def test_group_inverse_antipode_involution():
     assert _antipode(f, _antipode(f, a)) == a
     assert f.involution(f.involution(a)) == a
     # the two maps differ exactly by coefficient conjugation
-    assert f.involution(a) == _antipode(f, a.map_coeffs(lambda c: c.conjugate()))
+    conj = Element({g: c.conjugate() for g, c in a.terms.items()})
+    assert f.involution(a) == _antipode(f, conj)
 
 
 @given(g=st.integers(-6, 6), k=st.integers(-6, 6))
@@ -414,19 +415,49 @@ def test_wick_h2_is_truncated_lower_bound():
     assert br.lo >= 0
 
 
-def test_wick_weights_match_brute_force():
-    # row_sum(x, g) = sum_y |C^g_{x,y}| and col_sum(x, g) = sum_y |C^g_{y,x}|;
-    # a partner y of a rank <= 3 index landing on a rank <= 3 target has
-    # rank <= 6, so partners up to rank 8 cover every one
-    for hbar in (Fraction(1, 2), Fraction(3)):
-        m = get_model("wick:1", hbar=hbar)
-        small = list(m.indices_up_to(3))
-        partners = list(m.indices_up_to(8))
-        for x in small:
-            for g in small:
-                row = sum(abs(m.pair_product(x, y).get(g, 0)) for y in partners)
-                col = sum(abs(m.pair_product(y, x).get(g, 0)) for y in partners)
-                assert (m.row_sum(x, g), m.col_sum(x, g)) == (row, col), (hbar, x, g)
+# (model, hbar, target rank r, partner rank R): a partner y of an index x of
+# rank <= r landing on a target of rank <= r has rank <= R.  Polynomials,
+# matrices and cone levels keep y within the target's rank; Laurent
+# degrees, group words and Wick degrees give rank(y) <= rank(x) + rank(g).
+# hbar = 3/7 makes 2 hbar = 6/7 non-integral, so a wrong power of its
+# denominator shows.
+BRUTE_FORCE_CASES = [
+    *((spec, None, 4, 4) for spec in ("poly:monomial", "poly:factorial")),
+    *((spec, None, 3, 6) for spec in ("laurent:plain", "laurent:factorial")),
+    *((spec, None, 3, 3) for spec in ("matrix:plain", "matrix:hat", "matrix:tilde")),
+    ("group:Z", None, 3, 6),
+    ("group:Zd:2", None, 2, 4),
+    ("group:free:2", None, 2, 4),
+    *((spec, hbar, r, big) for hbar in (Fraction(1, 2), Fraction(3, 7))
+      for spec, r, big in (("wick:1", 3, 6), ("wick:2", 2, 4), ("cone:1", 3, 3), ("cone:2", 2, 2))),
+]
+
+
+@pytest.mark.parametrize("spec, hbar, rank, partner_rank", BRUTE_FORCE_CASES,
+                         ids=[spec if h is None else f"{spec}-{h}" for spec, h, _, _ in BRUTE_FORCE_CASES])
+def test_weights_match_brute_force(spec, hbar, rank, partner_rank):
+    # row_sum(x, g) = sum_y |C^g_{x,y}| and col_sum(x, g) = sum_y |C^g_{y,x}|,
+    # each product computed once over the partner window; the involution
+    # behind col_sum is involutive and reverses products
+    family, _, n = spec.partition(":")
+    m = get_model("cone", hbar=hbar, n=int(n)) if family == "cone" else get_model(spec, hbar=hbar)
+    small = list(m.indices_up_to(rank))
+    row, col = {}, {}
+    for x in small:
+        for y in m.indices_up_to(partner_rank):
+            for g, c in m.pair_product(x, y).items():
+                row[x, g] = row.get((x, g), 0) + abs(c)
+            for g, c in m.pair_product(y, x).items():
+                col[x, g] = col.get((x, g), 0) + abs(c)
+    for x in small:
+        for g in small:
+            assert (m.row_sum(x, g), m.col_sum(x, g)) == (row.get((x, g), 0), col.get((x, g), 0)), (x, g)
+    rng = seeded(29)
+    low = list(m.indices_up_to(min(rank, 2)))
+    for _ in range(3):
+        a, b = (from_pairs((rng.choice(low), random_gr(rng)) for _ in range(3)) for _ in range(2))
+        assert m.involution(m.involution(a)) == a
+        assert m.involution(multiply(m, a, b)) == multiply(m, m.involution(b), m.involution(a))
 
 
 def test_wick_validation():

@@ -1,10 +1,11 @@
 """Test-only code stays out of the library.
 
-Every public top-level definition in src/exactstar, and every public method
-of its classes, must be reached by code in the package or in the benchmark
-harness (perfbench/), or be listed in KEPT_API with the reason it stays.  A
-predicate or reference route that only tests call belongs beside them: in
-the test module, in tests/laws.py when several modules share it, or in
+Every public top-level definition in src/exactstar, and every public member
+of its classes (a method, a class-level binding or a dataclass field), must
+be reached by code in the package or in the benchmark harness (perfbench/),
+or be listed in KEPT_API with the reason it stays.  A predicate or
+reference route that only tests call belongs beside them: in the test
+module, in tests/laws.py when several modules share it, or in
 tests/oracles.py for a second route.
 
 What counts as reaching a definition:
@@ -12,7 +13,7 @@ What counts as reaching a definition:
     that imports X from M, or in a file that imports M and reads M.X or names
     the string "X" beside M, as getattr(M, "X") and perfbench's patch list
     entries (M, "X", span) do;
-  - a method C.m is reached by an attribute read x.m or the string "m";
+  - a member C.m is reached by an attribute read x.m or the string "m";
   - a use inside a public definition counts only once that definition is
     reached itself (or kept), and never inside the definition it names.
 A perfbench file that imports nothing from exactstar reaches nothing.
@@ -25,9 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "exactstar"
 BENCH = ROOT / "perfbench"
 
-# (module.name or module.Class.method, why it stays although only tests call it);
-# DiskModel.involution is no method of its own but binds cone.disk_involution,
-# which gns.positivity_check reaches
+# (module.name or module.Class.member, why it stays although only tests call it)
 KEPT_API = (
     ("cone.eval_pair", "two-point extension of cone evaluation, sesquilinear in (u, v)"),
     ("cone.ideal_level_dimension", "exact dimension of the y = 1 ideal up to a level"),
@@ -37,10 +36,7 @@ KEPT_API = (
     ("su1n.pullback_matrix", "the pullback of U on one level slice, as a matrix"),
     ("su1n.infinitesimal_pullback", "first-order pullback along a generator, as a matrix"),
     ("su1n.pullback_entry_bound_holds", "entry bound that a continuity-of-action suite starts from"),
-) + tuple((f"{model}.involution", "the *-involution of the model's algebra") for model in (
-    "cone.ConeModel", "models.PolynomialModel", "models.LaurentModel",
-    "models.MatrixModel", "models.GroupModel", "models.WickFlatModel",
-)) + (
+    ("algebra.BaseModel.involution", "the *-involution of each model's algebra"),
     ("models.GroupModel.character", "evaluation of a group element at a character (README)"),
 )
 
@@ -67,8 +63,8 @@ def _contexts(module: str, tree):
             for part in stmt.bases + stmt.keywords + stmt.decorator_list:
                 yield key, part
             for sub in stmt.body:
-                method = isinstance(sub, ast.FunctionDef) and _public(sub.name)
-                yield (f"{key}.{sub.name}" if method else key), sub
+                members = [name for name in _defined(sub) if _public(name)]
+                yield (f"{key}.{members[0]}" if len(members) == 1 else key), sub
         else:
             yield key, stmt
 
@@ -213,6 +209,22 @@ def test_a_bare_variable_reaches_no_method():
     worker = "from exactstar.models import MatrixModel\n\nprint(MatrixModel().trace(1))\n"
     public, reached = reach(library, {"worker.py": worker})
     assert public == reached
+
+
+def test_class_bindings_and_fields_are_members():
+    """A class-level binding and a dataclass field are walked as members: each
+    is flagged until something reads it, and its right-hand side runs only
+    once it is reached."""
+    library = {
+        "seminorms": "from dataclasses import dataclass\n\n"
+                     "def root(x):\n    return x\n\n"
+                     "@dataclass\nclass Result:\n    lo: int\n    hi: int\n\n"
+                     "class Model:\n    involution = staticmethod(root)\n",
+        "cli": "from .seminorms import Model, Result\n\n"
+               "if __name__ == '__main__':\n    print(Model(), Result(1, 2).lo)\n",
+    }
+    public, reached = reach(library, {})
+    assert public - reached == {"seminorms.Result.hi", "seminorms.Model.involution", "seminorms.root"}
 
 
 def test_the_tracer_puts_back_what_it_patches(monkeypatch):

@@ -470,7 +470,8 @@ def test_seminorm_presentation():
     a = from_pairs([(0, 1), (1, 2)])
     r = present(1, 0, 1, HTable(model, a).h(1, 0, 1), DEFAULT_TOL)
     assert r.h_bracket.is_exact() and r.h_bracket.lo == 5
-    assert r.root_lo**2 <= 5 <= r.root_hi.value**2
+    root_lo, root_hi = r.h_bracket.root_interval(1)
+    assert root_lo**2 <= 5 <= root_hi.value**2
     assert abs(r.value_float - 5**0.5) < 1e-9
     assert not r.divergent
 
@@ -712,14 +713,17 @@ def test_fan_lists_nonzero_weights_once_per_target():
     for model, rank in ((ConeModel(1, half), 4), (ConeModel(2, half), 3),
                         (get_model("poly:factorial"), 6)):
         for gamma in model.indices_up_to(rank):
-            for bit, parents, weight in ((0, model.row_parents, model.row_sum),
-                                         (1, model.col_parents, model.col_sum)):
-                got = model.fan(bit, gamma)
-                assert got == [(p, w) for p in parents(gamma) if (w := weight(p, gamma)) != 0]
-                assert model.fan(bit, gamma) is got
+            row, col = model.fan(0, gamma), model.fan(1, gamma)
+            assert row == [(p, w) for p in model.row_parents(gamma) if (w := model.row_sum(p, gamma)) != 0]
+            # the starred row fan of the starred target: the nonzero column
+            # weights once each, in the row fan's order
+            every = model.indices_up_to(model.index_rank(gamma))
+            assert len(col) == len(set(col))
+            assert set(col) == {(p, w) for p in every if (w := model.col_sum(p, gamma)) != 0}
+            assert model.fan(0, gamma) is row and model.fan(1, gamma) is col
     # parents with a zero weight are left out
     padded = get_model("poly:factorial")
-    padded.row_parents = padded.col_parents = lambda k: range(k + 3)
+    padded.row_parents = lambda k: range(k + 3)
     assert padded.fan(0, 2) == padded.fan(1, 2) == [(0, 1), (1, 2), (2, 1)]
     # an infinite fan raises on every call and is never stored
     laurent = get_model("laurent:factorial")

@@ -35,6 +35,12 @@ class DimensionError(DomainError):
     """A multiindex whose length is not the model's dimension n."""
 
 
+def check_point_dimension(point, length: int, what: str) -> None:
+    """A point with other than `length` coordinates raises DimensionError."""
+    if len(point) != length:
+        raise DimensionError(f"{what} has {length} coordinates, got {len(point)}")
+
+
 class InfiniteFanError(DomainError):
     """Raised when a finite enumeration of product contributors does not exist."""
 
@@ -292,7 +298,6 @@ def element_from_json(model: BaseModel, data: dict) -> Element:
         if "index" not in entry:
             raise ValueError("term entry missing 'index'")
         idx = model.index_from_json(entry["index"])
-        idx = model.validate_index(idx)
         c = GaussianRational.from_json(entry)
         if idx in terms:
             terms[idx] = terms[idx] + c

@@ -38,6 +38,7 @@ from .algebra import (
     DomainError,
     Element,
     UnresolvedError,
+    check_point_dimension,
     element_from_json,
     element_to_json,
     get_model,
@@ -343,13 +344,7 @@ def eval_cmd(cfg) -> None:
     a = read_element(model, cfg.a_file)
     if not hasattr(model, "evaluate"):
         raise DomainError(f"{model.name}: no evaluation functional")
-    scalar_arg = model.name.startswith(("poly:", "laurent:"))
-    values = []
-    for text in cfg.points:
-        pt = parse_point(text)
-        if scalar_arg and len(pt) != 1:
-            raise UsageError(f"{model.name} evaluates at one coordinate, got {text!r}")
-        values.append((text, model.evaluate(a, pt[0] if scalar_arg else pt)))
+    values = [(text, model.evaluate(a, parse_point(text))) for text in cfg.points]
     emit(lambda: render_table([{"point": text, **_value_row(val)} for text, val in values],
                               ["point", "value", "re", "im"], cfg.output), cfg.out)
 
@@ -394,7 +389,6 @@ def gns_rep_cmd(cfg) -> None:
 
 def gns_coherent_cmd(cfg) -> None:
     """Coherent vector at an interior point."""
-    from .cone import check_point_dimension
     from .gns import coherent_vector, gns_vector_to_json
 
     w = parse_point(cfg.point)

@@ -27,12 +27,14 @@ from .algebra import (
     InfiniteFanError,
     _as_int,
     accumulate_product,
+    check_point_dimension,
     multiply,
     settled_element,
 )
 from .scalars import (
     CACHE_ENTRIES,
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
     MultiIndex,
     accumulate,
@@ -43,7 +45,7 @@ from .scalars import (
     multi_indices_of_degree_within,
     multi_indices_up_to_degree,
     multi_range,
-    pochhammer,
+    settle,
     _multi_index,
 )
 
@@ -391,105 +393,91 @@ def cone_y(w) -> Fraction:
     return w[0].abs_squared() - sum((c.abs_squared() for c in w[1:]), Fraction(0))
 
 
-def check_point_dimension(point, length: int, what: str) -> None:
-    """A point with other than `length` coordinates raises DimensionError."""
-    if len(point) != length:
-        raise DimensionError(f"{what} has {length} coordinates, got {len(point)}")
-
-
-def _coordinates(a: Element, point, extra: int, what: str) -> tuple:
-    """The point as Gaussian rationals; DimensionError unless it has n + extra
-    coordinates, n the dimension of a (any point fits the zero element,
-    except an empty one where a coordinate beyond n is needed)."""
+def _coordinates(a: Element, point, kind: str) -> tuple:
+    """The point as Gaussian rationals; DimensionError unless it has n + 1
+    coordinates on the cone and n on the disk, n the dimension of a (any
+    point fits the zero element, except an empty one on the cone, which
+    needs w0)."""
     point = tuple(GaussianRational.coerce(c) for c in point)
-    if a.terms:
-        check_point_dimension(point, len(next(iter(a.terms))[0]) + extra, what)
+    n, what = element_dimension(a, kind), f"a {kind} point"
+    extra = 1 if kind == "cone" else 0
+    if n is not None:
+        check_point_dimension(point, n + extra, what)
     elif extra and not point:
         raise DimensionError(f"{what} has no coordinates")
     return point
 
 
-def _gr_power_multi(ws, I: MultiIndex) -> GaussianRational:
-    out = GR_ONE
-    for c, e in zip(ws, I, strict=True):
-        out = out * c**e
-    return out
-
-
-def _gr_pochhammer(z: GaussianRational, r: int) -> GaussianRational:
-    out = GR_ONE
-    for j in range(r):
-        out = out * (z + GaussianRational.of(j))
-    return out
-
-
-def _pref(P: MultiIndex, Q: MultiIndex, alpha: int) -> Fraction:
-    return Fraction(
-        1,
-        P.factorial()
-        * factorial(alpha - P.degree())
-        * Q.factorial()
-        * factorial(alpha - Q.degree()),
-    )
-
-
-def eval_upstairs(a: Element, w, hbar) -> GaussianRational:
-    """Exact evaluation of a finite cone element at a rational cone point."""
-    hbar = Fraction(hbar)
-    if hbar == 0:
-        raise DomainError("hbar must be nonzero")
-    w = _coordinates(a, w, 1, "a cone point")
-    y = cone_y(w)
-    if y <= 0:
-        raise DomainError(f"point outside the cone: y = {y}")
-    two_h = 2 * hbar
-    w0 = w[0]
-    ws = w[1:]
-    wsc = tuple(c.conjugate() for c in ws)
-    out = GaussianRational.of(0)
-    for (P, Q, alpha), coeff in a.terms.items():
-        val = (
-            w0 ** (alpha - P.degree())
-            * _gr_power_multi(ws, P)
-            * w0.conjugate() ** (alpha - Q.degree())
-            * _gr_power_multi(wsc, Q)
-        )
-        out = out + coeff * val * (pochhammer(y / two_h, alpha) * _pref(P, Q, alpha) / y**alpha)
-    return out
+def _power_rows(point: tuple, top: int) -> list:
+    """Per coordinate c, gaussian_parts of c^0, ..., c^top."""
+    rows = []
+    for c in point:
+        x, y, d = gaussian_parts(c)
+        row = [(1, 0, 1)]
+        for _ in range(top):
+            re, im, den = row[-1]
+            row.append((re * x - im * y, re * y + im * x, den * d))
+        rows.append(row)
+    return rows
 
 
 def eval_pair(a: Element, u, v, hbar) -> GaussianRational:
-    """Two-point extension: holomorphic in u, antiholomorphic in v.
+    """Two-point extension: holomorphic in u, antiholomorphic in v; the one
+    evaluation kernel of the cone and the disk.
 
-    The rational y is replaced by the sesquilinear pairing
-    yhat(u, v) = u0 conj(v0) - sum_i u_i conj(v_i), which must not vanish."""
+    The rational y of a cone point is replaced by the sesquilinear pairing
+    yhat(u, v) = u0 conj(v0) - sum_i u_i conj(v_i), which must not vanish,
+    and f_{P,Q,alpha} takes the value u0^(alpha-|P|) u^P conj(v0)^(alpha-|Q|)
+    conj(v)^Q s[alpha] pref(P, Q, alpha), with s[alpha] =
+    (yhat/2hbar)_alpha / yhat^alpha and pref(P, Q, alpha) =
+    1/(P! (alpha-|P|)! Q! (alpha-|Q|)!).  The powers of each coordinate and
+    s are tabled once up to the top level of a; each term is an integer
+    (re, im, den) product, and the sum is settled once."""
     hbar = Fraction(hbar)
     if hbar == 0:
         raise DomainError("hbar must be nonzero")
-    u = _coordinates(a, u, 1, "a cone point")
-    v = _coordinates(a, v, 1, "a cone point")
+    u = _coordinates(a, u, "cone")
+    v = _coordinates(a, v, "cone")
     check_point_dimension(v, len(u), "a cone point")
-    yhat = u[0] * v[0].conjugate()
-    for ui, vi in zip(u[1:], v[1:], strict=True):
-        yhat = yhat - ui * vi.conjugate()
+    vc = tuple(c.conjugate() for c in v)
+    yhat = u[0] * vc[0]
+    for ui, vi in zip(u[1:], vc[1:]):
+        yhat = yhat - ui * vi
     if yhat.is_zero():
         raise DomainError("pair evaluation needs yhat != 0")
-    two_h = 2 * hbar
-    u0 = u[0]
-    us = u[1:]
-    v0c = v[0].conjugate()
-    vsc = tuple(c.conjugate() for c in v[1:])
-    out = GaussianRational.of(0)
-    for (P, Q, alpha), coeff in a.terms.items():
-        val = (
-            u0 ** (alpha - P.degree())
-            * _gr_power_multi(us, P)
-            * v0c ** (alpha - Q.degree())
-            * _gr_power_multi(vsc, Q)
-        )
-        poch = _gr_pochhammer(yhat / two_h, alpha)
-        out = out + coeff * poch * val * _pref(P, Q, alpha) / yhat**alpha
-    return out
+    top = max((t[2] for t in a.terms), default=0)
+    z, s = yhat / (2 * hbar), [GR_ONE]
+    for k in range(top):
+        s.append(s[-1] * (z + k) / yhat)
+    s = [gaussian_parts(x) for x in s]
+    (u0, *us), (v0, *vs) = _power_rows(u, top), _power_rows(vc, top)
+    fact = factorials_through(top)
+    acc: dict = {}
+    for (P, Q, alpha), c in a.terms.items():
+        sp, sq = alpha - sum(P), alpha - sum(Q)
+        if sp < 0 or sq < 0:
+            raise DomainError(f"level {alpha} below max(|P|, |Q|)")
+        re, im, den = gaussian_parts(c)
+        den *= fact(sp) * fact(sq)
+        factors = [s[alpha], u0[sp], v0[sq]]
+        for rows, M in ((us, P), (vs, Q)):
+            for row, m in zip(rows, M):
+                factors.append(row[m])
+                den *= fact(m)
+        for x, y, d in factors:
+            re, im, den = re * x - im * y, re * y + im * x, den * d
+        accumulate(acc, None, (re, im, den), 1)
+    return settle(acc).get(None, GR_ZERO)
+
+
+def eval_upstairs(a: Element, w, hbar) -> GaussianRational:
+    """Exact evaluation of a finite cone element at a rational cone point:
+    the pair evaluation on the diagonal, where yhat(w, w) = y."""
+    w = _coordinates(a, w, "cone")
+    y = cone_y(w)
+    if y <= 0:
+        raise DomainError(f"point outside the cone: y = {y}")
+    return eval_pair(a, w, w, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +501,9 @@ def y_minus_one(n: int, hbar) -> Element:
 def vanishing_ideal_witness(b: Element, hbar, n: int | None = None) -> Element:
     """(y - 1) star b: an element vanishing at every y = 1 point."""
     if n is None:
-        if b.is_zero():
+        n = element_dimension(b, "cone")
+        if n is None:
             raise DomainError("cannot infer the dimension from the zero element")
-        n = len(next(iter(b.terms))[0])
     model = ConeModel(n, hbar)
     return multiply(model, y_minus_one(n, hbar), b)
 
@@ -571,10 +559,10 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     |K| <= gamma - max(|I|, |J|), in increasing |K| (disk_rows stops on it).
 
     The constant of a K of degree k is (nu)_gamma / (nu)_(mx+k) C(top, k)
-    k!/K! _pref(I, J, gamma) / _pref(I+K, J+K, mx+k), with nu = 1/(2 hbar),
-    mx = max(|I|, |J|) and top = gamma - mx.  The rows
-    are one pass per K in integers: a K-free numerator and denominator per
-    degree k, then (I+K)! (J+K)! / K! from one factorial lookup
+    k!/K! pref(I, J, gamma) / pref(I+K, J+K, mx+k), with nu = 1/(2 hbar),
+    mx = max(|I|, |J|), top = gamma - mx and pref the weight of eval_pair.
+    The rows are one pass per K in integers: a K-free numerator and
+    denominator per degree k, then (I+K)! (J+K)! / K! from one factorial lookup
     (factorials_through(gamma): every i + k and j + k is at most gamma).  A
     constant is stored as an int when the division comes out even and as a
     Fraction only when it does not; accumulate() reads either."""
@@ -587,11 +575,11 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     mx = max(di, dj)
     top = gamma - mx
     fact = factorials_through(gamma)
-    # the denominator of _pref(I, J, gamma)
+    # the denominator of pref(I, J, gamma)
     lower = fact(gamma - di) * fact(gamma - dj)
     for i, j in zip(I, J):
         lower *= fact(i) * fact(j)
-    # 1/_pref(I+K, J+K, mx+k) = (I+K)! (J+K)! times this K-free factor
+    # 1/pref(I+K, J+K, mx+k) = (I+K)! (J+K)! times this K-free factor
     lift = fact(mx - di) * fact(mx - dj)
     # (nu)_gamma / (nu)_(mx+k) = (nu+mx+k)_(top-k) = rising[k] / v^(top-k),
     # grown downward in k by one factor u + (mx+k) v per level, never zero
@@ -648,11 +636,28 @@ def disk_reduce(a: Element, hbar) -> Element:
     return settled_element(_reduce_sum(((t, gaussian_parts(c)) for t, c in a.terms.items()), hbar))
 
 
+def one_length(lengths: set, what: str) -> int | None:
+    """The one multiindex length in a set, None when it is empty;
+    DimensionError when it holds two."""
+    if len(lengths) > 1:
+        raise DimensionError(f"{what} have n = {min(lengths)} and n = {max(lengths)}")
+    return next(iter(lengths), None)
+
+
+def element_dimension(a: Element, kind: str) -> int | None:
+    """The n of a cone or disk element, read from every P and Q: None for
+    the zero element, DimensionError when two lengths differ."""
+    lengths = set()
+    for idx in a.terms:
+        lengths.add(len(idx[0]))
+        lengths.add(len(idx[1]))
+    return one_length(lengths, f"{kind} indices")
+
+
 def _dimension(a: Element, b: Element, kind: str = "disk") -> int | None:
-    """The n of two cone or disk operands, read from their first indices;
-    None when both are zero, DimensionError when the lengths differ."""
-    na = len(next(iter(a.terms))[0]) if a.terms else None
-    nb = len(next(iter(b.terms))[0]) if b.terms else None
+    """The n of two cone or disk operands; None when both are zero,
+    DimensionError when the lengths differ."""
+    na, nb = element_dimension(a, kind), element_dimension(b, kind)
     if na is not None and nb is not None and na != nb:
         raise DimensionError(f"{kind} operands have n = {na} and n = {nb}")
     return nb if na is None else na
@@ -725,21 +730,16 @@ def disk_involution(a: Element) -> Element:
 
 
 def eval_disk(a: Element, v, hbar) -> GaussianRational:
-    """Exact evaluation of a disk element at a point with |v| < 1."""
+    """Exact evaluation of a disk element at a point with |v| < 1: the pair
+    evaluation of its lift at u = (1, v) and (1, v)/(1 - |v|^2), where
+    yhat = 1 and the monomial is v^P conj(v)^Q / (1 - |v|^2)^alpha."""
     hbar = allowed_hbar(hbar)
-    v = _coordinates(a, v, 0, "a disk point")
-    norm2 = sum((c.abs_squared() for c in v), Fraction(0))
-    if norm2 >= 1:
+    v = _coordinates(a, v, "disk")
+    s = 1 - sum((c.abs_squared() for c in v), Fraction(0))
+    if s <= 0:
         raise DomainError("point outside the unit disk")
-    nu = 1 / (2 * hbar)
-    vc = tuple(c.conjugate() for c in v)
-    out = GaussianRational.of(0)
-    for (P, Q), coeff in a.terms.items():
-        alpha = max(P.degree(), Q.degree())
-        val = _gr_power_multi(v, P) * _gr_power_multi(vc, Q)
-        scal = pochhammer(nu, alpha) * _pref(P, Q, alpha) / (1 - norm2) ** alpha
-        out = out + coeff * val * scal
-    return out
+    u, inv = (GR_ONE, *v), 1 / s
+    return eval_pair(disk_lift(a), u, tuple(c * inv for c in u), hbar)
 
 
 class DiskModel(BaseModel):

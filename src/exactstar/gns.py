@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import DimensionError, DomainError, Element, settled_element
-from .cone import disk_involution, disk_rows
+from .cone import disk_involution, disk_rows, element_dimension, one_length
 from .scalars import (
     GR_ZERO,
     GaussianRational,
@@ -137,12 +137,13 @@ def _require_positive(hbar) -> Fraction:
     return hbar
 
 
-def _check_dimension(a: Element, psi: GnsVector) -> None:
-    """DimensionError unless psi's indices have the length n of a's."""
-    if a.terms and psi.terms:
-        n, m = len(next(iter(a.terms))[0]), len(next(iter(psi.terms)))
-        if m != n:
-            raise DimensionError(f"vector indices have length {m}, the element has n = {n}")
+def _check_dimension(a: Element, psi: GnsVector) -> int | None:
+    """The n of every index of a and psi, None when both are zero;
+    DimensionError when two lengths differ."""
+    n, m = element_dimension(a, "disk"), one_length(set(map(len, psi.terms)), "vector indices")
+    if n is not None and m is not None and m != n:
+        raise DimensionError(f"vector indices have length {m}, the element has n = {n}")
+    return m if n is None else n
 
 
 def _weight_parts(q: MultiIndex, nu: Fraction) -> tuple[int, int]:
@@ -195,10 +196,9 @@ def gns_rep_via_product(a: Element, psi: GnsVector, hbar) -> GnsVector:
     algebra against the embedded vector, then project.  disk_rows at bound 0
     computes only the projected column of the product."""
     hbar = _require_positive(hbar)
-    _check_dimension(a, psi)
+    n = _check_dimension(a, psi)
     if a.is_zero() or psi.is_zero():
         return GnsVector.zero()
-    n = len(next(iter(psi.terms)))
     column = disk_rows(a, iota(psi, n), hbar, MultiIndex.zero(n))
     return GnsVector(settle({q: z for (_, q), z in column.items()}))
 

@@ -19,6 +19,7 @@ from .algebra import (
     DomainError,
     Element,
     _as_int,
+    check_point_dimension,
     get_model,
     model_registry,
 )
@@ -88,11 +89,9 @@ class PolynomialModel(BaseModel):
     def unit_index(self):
         return 0
 
-    def index_from_json(self, data):
-        return self.validate_index(data)
-
-    def evaluate(self, a: Element, z0: GaussianRational) -> GaussianRational:
-        z0 = GaussianRational.coerce(z0)
+    def evaluate(self, a: Element, point: tuple) -> GaussianRational:
+        check_point_dimension(point, 1, f"a {self.name} point")
+        z0 = GaussianRational.coerce(point[0])
         out = GaussianRational.of(0)
         for k, c in a.terms.items():
             term = c * z0**k
@@ -176,8 +175,9 @@ class LaurentModel(BaseModel):
     def unit_index(self):
         return 0
 
-    def evaluate(self, a: Element, z0: GaussianRational) -> GaussianRational:
-        z0 = GaussianRational.coerce(z0)
+    def evaluate(self, a: Element, point: tuple) -> GaussianRational:
+        check_point_dimension(point, 1, f"a {self.name} point")
+        z0 = GaussianRational.coerce(point[0])
         if z0.is_zero():
             raise DomainError("Laurent evaluation needs a nonzero point")
         out = GaussianRational.of(0)
@@ -804,9 +804,8 @@ class WickFlatModel(BaseModel):
         return self.validate_index((MultiIndex(data["I"]), MultiIndex(data["J"])))
 
     def evaluate(self, a: Element, point: tuple) -> GaussianRational:
+        check_point_dimension(point, self.n, f"a {self.name} point")
         w = tuple(GaussianRational.coerce(p) for p in point)
-        if len(w) != self.n:
-            raise DomainError(f"point must have {self.n} entries")
         out = GaussianRational.of(0)
         for (I, J), c in a.terms.items():
             mono = GaussianRational.of(1)

@@ -68,14 +68,6 @@ def rising_numerator(a: int, b: int, r: int) -> int:
     return num
 
 
-def pochhammer(x: Fraction | int, r: int) -> Fraction:
-    """Raising factorial (x)_r = x (x+1) ... (x+r-1); empty product is 1."""
-    if r < 0:
-        raise ValueError("pochhammer needs r >= 0")
-    # normalised once
-    return Fraction(rising_numerator(x.numerator, x.denominator, r), x.denominator**r)
-
-
 def is_allowed_hbar(hbar: Fraction) -> bool:
     """True when no prefactor (1/2h)_r can vanish: 2h not in {0,-1,-1/2,-1/3,...}."""
     two_h = 2 * Fraction(hbar)

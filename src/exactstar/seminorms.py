@@ -388,9 +388,8 @@ class HTable:
             r = rational_sqrt(sq)
             return HVal.exact(r) if r is not None else HVal.modulus_sq(sq)
 
-        special = getattr(self.model, "h_special", None)
-        if m >= 2 and special is not None:
-            out = special(self, m, ell, gamma)
+        if m >= 2:
+            out = self.model.h_special(self, m, ell, gamma)
             if out is not None:
                 return out
 

@@ -11,7 +11,10 @@ and disk_coefficient_extraction reads one disk coefficient of an upstairs
 element without the reduction rows of disk_reduce.  Those rows have a
 second construction as well: reduction_rows_reference builds the rows of
 cone._reduce_cached from MultiIndex factorials, one Fraction per entry,
-where the library keeps integral constants as ints.  The exceptions are the
+where the library keeps integral constants as ints.  Cone and disk
+evaluation keep their own formulas here (eval_upstairs_reference and
+eval_disk_reference, term by term in Gaussian rationals); the library runs
+both through the one table kernel cone.eval_pair.  The exceptions are the
 two-step disk product, which keeps the route that disk_multiply fuses (a
 settled upstairs product on the cone, then the reduction of that element),
 and the vacuum expectation read off the whole disk product, the route that
@@ -36,8 +39,17 @@ from exactstar.scalars import (
     multi_indices_of_degree,
     multi_indices_up_to_degree,
     multi_range,
-    pochhammer,
 )
+
+
+def pochhammer(x: Fraction | int, r: int) -> Fraction:
+    """Raising factorial (x)_r = x (x+1) ... (x+r-1); empty product is 1."""
+    if r < 0:
+        raise ValueError("pochhammer needs r >= 0")
+    out = Fraction(1)
+    for j in range(r):
+        out *= x + j
+    return out
 
 
 def multi_binomial(upper: MultiIndex, lower: MultiIndex) -> int:
@@ -169,6 +181,57 @@ def reduction_rows_reference(t: Triple, hbar: Fraction) -> tuple:
                 w *= factorial(i + kk) // factorial(kk) * factorial(j + kk)
             out.append(((I + K, J + K), Fraction(num * w, den)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# cone and disk evaluation, term by term
+
+
+def _pref(P: MultiIndex, Q: MultiIndex, alpha: int) -> Fraction:
+    return Fraction(1, P.factorial() * factorial(alpha - P.degree())
+                    * Q.factorial() * factorial(alpha - Q.degree()))
+
+
+def _monomial(coords, I: MultiIndex) -> GaussianRational:
+    out = GaussianRational.of(1)
+    for c, e in zip(coords, I, strict=True):
+        out = out * c**e
+    return out
+
+
+def eval_upstairs_reference(a: Element, w, hbar) -> GaussianRational:
+    """Cone evaluation by its y-based formula, one Gaussian rational term at
+    a time: f_{P,Q,alpha}(w) = w0^(alpha-|P|) w^P conj(w0)^(alpha-|Q|)
+    conj(w)^Q (y/2hbar)_alpha _pref(P, Q, alpha) / y^alpha with
+    y = |w0|^2 - |w|^2.  cone.eval_pair reads a table of powers per
+    coordinate and the sesquilinear yhat(w, w) instead."""
+    w = tuple(GaussianRational.coerce(c) for c in w)
+    w0, ws = w[0], w[1:]
+    wsc = tuple(c.conjugate() for c in ws)
+    y = w0.abs_squared() - sum((c.abs_squared() for c in ws), Fraction(0))
+    two_h = 2 * Fraction(hbar)
+    out = GaussianRational.of(0)
+    for (P, Q, alpha), coeff in a.terms.items():
+        val = (w0 ** (alpha - P.degree()) * _monomial(ws, P)
+               * w0.conjugate() ** (alpha - Q.degree()) * _monomial(wsc, Q))
+        out = out + coeff * val * (pochhammer(y / two_h, alpha) * _pref(P, Q, alpha) / y**alpha)
+    return out
+
+
+def eval_disk_reference(a: Element, v, hbar) -> GaussianRational:
+    """Disk evaluation by its own formula: f_{P,Q}(v) = v^P conj(v)^Q
+    (1/2hbar)_alpha _pref(P, Q, alpha) / (1 - |v|^2)^alpha at the minimal
+    level alpha = max(|P|, |Q|), without the cone lift."""
+    v = tuple(GaussianRational.coerce(c) for c in v)
+    vc = tuple(c.conjugate() for c in v)
+    s = 1 - sum((c.abs_squared() for c in v), Fraction(0))
+    nu = 1 / (2 * Fraction(hbar))
+    out = GaussianRational.of(0)
+    for (P, Q), coeff in a.terms.items():
+        alpha = max(P.degree(), Q.degree())
+        val = _monomial(v, P) * _monomial(vc, Q)
+        out = out + coeff * val * (pochhammer(nu, alpha) * _pref(P, Q, alpha) / s**alpha)
+    return out
 
 
 # ---------------------------------------------------------------------------

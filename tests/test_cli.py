@@ -888,17 +888,21 @@ def test_moved_names_stay_bound_in_their_old_modules():
     ("cone", "2"),
     ("cone", "2,0,0"),
     ("disk", "1/2,0"),
+    ("poly:monomial", "1,2"),
+    ("laurent:factorial", "1,2"),
+    ("wick:1", "1,2"),
 ])
 def test_eval_point_dimension(tmp_path, model, point):
-    # a point with other than n + 1 (cone) or n (disk) coordinates exits 3
+    # a point with other than n + 1 (cone) or n (disk, Wick) coordinates, or
+    # other than one on poly and Laurent, exits 3
     if model == "cone":
         a = _cone_file(tmp_path)
     else:
-        a = write_json(tmp_path / "x.json", element_to_json(
-            DiskModel(1, Fraction(1, 2)), Element.basis((MultiIndex((1,)), MultiIndex((0,))))))
+        m = get_model(model, hbar=Fraction(1, 2), n=1)
+        a = write_json(tmp_path / "x.json", element_to_json(m, m.unit()))
     res = run("--model", model, "--n", "1", "--hbar", "1/2", "eval", a, "--point", point)
     assert res.exit_code == 3, (res.output, res.exception)
-    assert "coordinates" in res.output
+    assert f"a {model} point has" in res.stderr and "coordinates, got" in res.stderr
 
 
 @pytest.mark.parametrize("kind", ["element", "vector"])

@@ -24,6 +24,7 @@ from exactstar.cone import (
     eval_pair,
     eval_upstairs,
     ideal_level_dimension,
+    make_triple,
     occupancy_count,
     oracle_structure_constants,
     tilde_structure_constants,
@@ -37,7 +38,6 @@ from exactstar.scalars import (
     factorial,
     multi_indices_up_to_degree,
     multi_range,
-    pochhammer,
 )
 from exactstar.seminorms import HTable, HVal, OmegaWeights, omega_h
 from exactstar.su1n import apply_pullback, as_matrix
@@ -47,6 +47,9 @@ from oracles import (
     _tilde_coefficient,
     disk_coefficient_extraction,
     disk_multiply_two_step,
+    eval_disk_reference,
+    eval_upstairs_reference,
+    pochhammer,
     random_cone_element,
     random_disk_element,
     random_gr,
@@ -256,6 +259,14 @@ def test_cone_operands_of_another_dimension():
         HTable(model, a).h(1, 0, t2)
     with pytest.raises(DimensionError, match="cone indices have n = 1 and n = 2"):
         cone_rowsum((E1, MultiIndex((0, 0)), 1), (E1, Z1, 1))
+    # one operand that mixes n = 1 and n = 2 indices, whose first index fits
+    mixed = Element({make_triple((1,), (0,), 1): 1, make_triple((1, 0), (0, 0), 1): 1})
+    with pytest.raises(DimensionError, match="cone indices have n = 1 and n = 2"):
+        multiply(ConeModel(1, H), mixed, Element.basis((E1, E1, 1)))
+    mixed_disk = Element({(E1, Z1): 1, (MultiIndex((1, 0)), MultiIndex((0, 0))): 1})
+    for left, right in ((mixed_disk, x), (x, mixed_disk)):
+        with pytest.raises(DimensionError, match="disk indices have n = 1 and n = 2"):
+            multiply(DiskModel(1, H), left, right)
 
 
 def _tilde_pairs_reference(t1, t2):
@@ -469,6 +480,9 @@ def test_eval_upstairs_rejects_outside_points():
         eval_upstairs(a, (0, 0), H)
     with pytest.raises(DomainError):
         eval_upstairs(a, (1, 0), Fraction(0))
+    # a triple built without make_triple, below its minimal level
+    with pytest.raises(DomainError, match="level 1 below"):
+        eval_upstairs(Element.basis((MultiIndex((2,)), Z1, 1)), (2, 0), H)
 
 
 @pytest.mark.parametrize("point", [(2,), (2, 0, 0)])
@@ -502,6 +516,16 @@ def test_evaluations_reject_points_of_the_wrong_length(n):
         with pytest.raises(DimensionError, match=f"a disk point has {n} coordinates, got {len(point)}"):
             eval_disk(disk_a, point, H)
         assert eval_disk(Element.zero(), point, H).is_zero()
+    # an element that mixes lengths fits no point, whichever its first index
+    mixed = Element({(e, z, 1): 1, (MultiIndex.unit(n + 1, 0), MultiIndex.zero(n + 1), 1): 1})
+    mixed_disk = Element({(e, z): 1, (MultiIndex.zero(n + 1), MultiIndex.zero(n + 1)): 1})
+    match = f"indices have n = {n} and n = {n + 1}"
+    with pytest.raises(DimensionError, match=match):
+        eval_upstairs(mixed, cone_ok, H)
+    with pytest.raises(DimensionError, match=match):
+        eval_pair(mixed, cone_ok, cone_ok, H)
+    with pytest.raises(DimensionError, match=match):
+        eval_disk(mixed_disk, disk_ok, H)
     zero = Element.zero()
     with pytest.raises(DimensionError, match="a cone point has no coordinates"):
         eval_upstairs(zero, (), H)
@@ -518,6 +542,20 @@ def test_quotient_eval_consistency():
         d = disk_reduce(a, H)
         for w, v in SURFACE_POINTS:
             assert eval_upstairs(a, w, H) == eval_disk(d, (v,), H)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluations_match_the_reference_formulas(n):
+    # eval_upstairs and eval_disk run through the table kernel eval_pair; the
+    # y-based cone formula and the disk formula are the second routes
+    rng = seeded(71 + n)
+    for hbar in (Fraction(1, 2), Fraction(3, 7), Fraction(5, 2), Fraction(-3, 7)):
+        for _ in range(6):
+            a, d = random_cone_element(rng, n, 3), random_disk_element(rng, n, 3)
+            w = (random_gr(rng) + 7,) + tuple(random_gr(rng, 1) for _ in range(n))
+            v = tuple(random_gr(rng, 1) * Fraction(1, 2 * n) for _ in range(n))
+            assert eval_upstairs(a, w, hbar) == eval_upstairs_reference(a, w, hbar)
+            assert eval_disk(d, v, hbar) == eval_disk_reference(d, v, hbar)
 
 
 def test_reduce_class_pins():
@@ -760,7 +798,7 @@ def test_pair_evaluation_diagonal_and_symmetry():
     rng = seeded(59)
     a = random_cone_element(rng, 1, 2)
     for w, _v in SURFACE_POINTS:
-        assert eval_pair(a, w, w, H) == eval_upstairs(a, w, H)
+        assert eval_pair(a, w, w, H) == eval_upstairs_reference(a, w, H)
     u = INTERIOR_POINTS[0]
     v = INTERIOR_POINTS[2]
     lhs = eval_pair(model.involution(a), u, v, H)

@@ -21,7 +21,7 @@ from exactstar.gns import (
     positivity_check,
     state_kernel_part,
 )
-from exactstar.scalars import GaussianRational, MultiIndex, pochhammer, factorial, settle
+from exactstar.scalars import GaussianRational, MultiIndex, factorial, settle
 
 from laws import check_reproducing
 from oracles import (
@@ -285,6 +285,13 @@ def test_action_rejects_a_dimension_mismatch(route):
     a = random_disk_element(seeded(167), 2, 2)
     with pytest.raises(DomainError, match="vector indices have length 1, the element has n = 2"):
         route(a, GnsVector({(0,): 1, (2,): GR(1, 1)}), H)
+    # a vector or an element that mixes lengths, whose first index fits
+    one = Element.basis((MultiIndex((1,)), Z1))
+    with pytest.raises(DimensionError, match="vector indices have n = 1 and n = 2"):
+        route(one, GnsVector({(1,): 1, (1, 0): 1}), H)
+    mixed = Element({(MultiIndex((1,)), Z1): 1, (MultiIndex((1, 0)), MultiIndex((0, 0))): 1})
+    with pytest.raises(DimensionError, match="disk indices have n = 1 and n = 2"):
+        route(mixed, GnsVector({(1,): 1}), H)
 
 
 @pytest.mark.parametrize("route", [disk_multiply, lambda a, b, hbar: disk_rows(a, b, hbar, (0, 0)),
@@ -299,6 +306,10 @@ def test_disk_products_reject_mixed_dimensions(route):
         route(a, j, H)
     with pytest.raises(DimensionError, match="disk operands have n = 2 and n = 1"):
         route(j, a, H)
+    # one operand that mixes n = 1 and n = 2 indices, whose first index fits
+    mixed = Element({(MultiIndex((1,)), Z1): 1, (MultiIndex((1, 0)), MultiIndex((0, 1))): 1})
+    with pytest.raises(DimensionError, match="disk indices have n = 1 and n = 2"):
+        route(a, mixed, H)
 
 
 def test_disk_rows_rejects_a_bound_of_another_length():

@@ -50,11 +50,11 @@ def test_poly_evaluate_and_involution():
     m = get_model("poly:monomial")
     a = from_pairs([(0, 1), (1, 2), (2, GaussianRational.of(0, 1))])
     z0 = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
-    val = m.evaluate(a, z0)
+    val = m.evaluate(a, (z0,))
     expected = GaussianRational.of(1) + z0 * 2 + z0 * z0 * GaussianRational.of(0, 1)
     assert val == expected
     conj = m.involution(a)
-    assert m.evaluate(conj, z0.conjugate()) == val.conjugate()
+    assert m.evaluate(conj, (z0.conjugate(),)) == val.conjugate()
 
 
 def test_poly_unit():
@@ -101,9 +101,9 @@ def test_laurent_evaluate():
     a = from_pairs([(-1, 2), (1, 1)])
     z0 = GaussianRational.of(2)
     # 2 z^-1/1! + z/1!
-    assert m.evaluate(a, z0) == GaussianRational.of(3)
+    assert m.evaluate(a, (z0,)) == GaussianRational.of(3)
     with pytest.raises(DomainError):
-        m.evaluate(a, GaussianRational.of(0))
+        m.evaluate(a, (GaussianRational.of(0),))
 
 
 # -- infinite matrices -----------------------------------------------------

@@ -28,9 +28,7 @@ BENCH = ROOT / "perfbench"
 
 # (module.name or module.Class.member, why it stays although only tests call it)
 KEPT_API = (
-    ("cone.eval_pair", "two-point extension of cone evaluation, sesquilinear in (u, v)"),
     ("cone.ideal_level_dimension", "exact dimension of the y = 1 ideal up to a level"),
-    ("cone.disk_lift", "the cone lift of a disk element, inverse of disk_reduce on classes"),
     ("gns.inner_weight", "the vacuum pairing's weight at one index"),
     ("su1n.lie_element_violations", "membership test of su(1, n), as group_element_violations is of SU(1, n)"),
     ("su1n.pullback_matrix", "the pullback of U on one level slice, as a matrix"),

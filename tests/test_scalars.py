@@ -25,13 +25,12 @@ from exactstar.scalars import (
     multi_indices_up_to_degree,
     multi_range,
     parse_rational,
-    pochhammer,
     settle,
     sqrt_bracket,
     square_free_split,
 )
 
-from oracles import multi_binomial
+from oracles import multi_binomial, pochhammer
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 

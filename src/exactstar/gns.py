@@ -12,9 +12,13 @@ coefficient rule.  Tests require exact agreement.  The product route, and
 the vacuum expectation in positivity_check, multiply through the cone pair
 tables and reduction rows, restricted to the holomorphic column
 (cone.disk_rows at bound 0); neither reaches a closed form of this module.
+The closed form is one integer kernel, _action: it reads and returns
+(re, im, den) parts, as accumulate() keeps them.  Each route settles its
+result once, into a GnsVector built without re-validation.
 check_representation multiplies a . b only in the rows that the closed-form
-action reads, and the kernel check only in the column.
-"""
+action reads and feeds those rows, and pi(b) psi, to the kernel unsettled;
+it settles each side only to compare them.  The kernel check multiplies
+only in the column."""
 
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .scalars import (
     MultiIndex,
     accumulate,
     factorial,
+    factorials_through,
     gaussian_parts,
     rising_numerator,
     settle,
@@ -121,11 +126,14 @@ def gns_vector_from_json(data: dict) -> GnsVector:
 
 
 def iota(psi: GnsVector, n: int | None = None) -> Element:
-    """Embed a vector back into the algebra along the holomorphic column."""
+    """Embed a vector back into the algebra along the holomorphic column;
+    DimensionError when its indices, or they and n, differ in length."""
+    lengths = set(map(len, psi.terms))
+    if n is not None:
+        lengths.add(n)
+    n = one_length(lengths, "vector indices")
     if psi.is_zero():
         return Element.zero()
-    if n is None:
-        n = len(next(iter(psi.terms)))
     zero = MultiIndex.zero(n)
     return Element({(zero, q): c for q, c in psi.terms.items()})
 
@@ -200,7 +208,66 @@ def gns_rep_via_product(a: Element, psi: GnsVector, hbar) -> GnsVector:
     if a.is_zero() or psi.is_zero():
         return GnsVector.zero()
     column = disk_rows(a, iota(psi, n), hbar, MultiIndex.zero(n))
-    return GnsVector(settle({q: z for (_, q), z in column.items()}))
+    return _settled_vector({q: z for (_, q), z in column.items()})
+
+
+def _settled_vector(acc: dict) -> GnsVector:
+    """The GnsVector of an accumulate() dict keyed by MultiIndex, zeros
+    dropped; like algebra.settled_element, it neither coerces nor
+    re-validates what it builds."""
+    out = GnsVector.__new__(GnsVector)
+    out.terms = settled_element(acc).terms
+    return out
+
+
+def _parts(x) -> list:
+    """(index, gaussian_parts) of every term of an Element or a GnsVector."""
+    return [(k, gaussian_parts(c)) for k, c in x.terms.items()]
+
+
+def _action(terms, vector, hbar: Fraction) -> dict:
+    """accumulate() dict of the closed-form action of the disk terms
+    ((P, Q), (re, im, den)) on the vector terms (s, (re, im, den)), zero
+    parts skipped on both sides.
+
+    The term (P, Q), alpha = max(|P|, |Q|), sends s >= P to t = Q + s - P
+    with weight C(t, Q) |t|! (nu + |t|)_r / (P! r! |s|! (alpha - |P|)!),
+    r = alpha - |Q|.  With nu = 1/(2 hbar) = u/v, (nu + j)_r is
+    prod_{j <= i < j+r} (u + i v) / v^r; every factorial is one read of
+    factorials_through(max alpha + max |s|)."""
+    # nu = u/v, not necessarily in lowest terms: the settled values are the same
+    u, v = hbar.denominator, 2 * hbar.numerator
+    rows = [(p, q, sum(p), sum(q), parts) for (p, q), parts in terms if parts[0] or parts[1]]
+    vec = [(s, sum(s), parts) for s, parts in vector if parts[0] or parts[1]]
+    if not rows or not vec:
+        return {}
+    fact = factorials_through(max(max(pd, qd) for _, _, pd, qd, _ in rows)
+                              + max(sd for _, sd, _ in vec))
+    vec = [(s, sd, z, w, f * fact(sd)) for s, sd, (z, w, f) in vec]
+    acc: dict = {}
+    for p, q, pd, qd, (x, y, e) in rows:
+        alpha = max(pd, qd)
+        r = alpha - qd
+        lower = e * fact(r) * v**r * fact(alpha - pd)
+        for pi in p:
+            lower *= fact(pi)
+        for s, sd, z, w, f in vec:
+            # s >= P, the target Q + s - P and C(target, Q), in one pass
+            target, num = [], 1
+            for pi, qi, si in zip(p, q, s):
+                if si < pi:
+                    break
+                ti = qi + si - pi
+                target.append(ti)
+                num *= comb(ti, qi)
+            else:
+                j = qd + sd - pd
+                num *= fact(j)
+                for i in range(j, j + r):
+                    num *= u + i * v
+                # c cs over the denominator, normalised only when settled
+                accumulate(acc, _multi_index(target), (x * z - y * w, x * w + y * z, lower * f), num)
+    return acc
 
 
 def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
@@ -211,36 +278,7 @@ def gns_rep(a: Element, psi: GnsVector, hbar) -> GnsVector:
     """
     hbar = _require_positive(hbar)
     _check_dimension(a, psi)
-    nu = 1 / (2 * hbar)
-    u, v = nu.numerator, nu.denominator
-    vec = [(s, s.degree(), gaussian_parts(cs)) for s, cs in psi.terms.items()]
-    acc: dict = {}
-    for (p, q), c in a.terms.items():
-        x, y, e = gaussian_parts(c)
-        pd = p.degree()
-        alpha = max(pd, q.degree())
-        # (nu)_gamma / (nu)_jdeg = (nu+jdeg)_r = prod_{i<r} (u + (jdeg+i) v) / v^r,
-        # r = gamma - jdeg = alpha - |q| for every s
-        r = alpha - q.degree()
-        lower = p.factorial() * factorial(r) * v**r
-        for s, sd, (z, w, f) in vec:
-            # s >= p, the target q + s - p and C(target, q), in one pass
-            target, choose = [], 1
-            for pi, qi, si in zip(p, q, s):
-                if si < pi:
-                    break
-                ti = qi + si - pi
-                target.append(ti)
-                choose *= comb(ti, qi)
-            else:
-                gamma = alpha + sd - pd
-                jdeg = gamma - r
-                num = (choose * comb(gamma, sd) * factorial(jdeg)
-                       * rising_numerator(u + jdeg * v, v, r))
-                # c cs over the denominator e f lower gamma!, normalised only by settle()
-                den = e * f * lower * factorial(gamma)
-                accumulate(acc, _multi_index(target), (x * z - y * w, x * w + y * z, den), num)
-    return GnsVector(settle(acc))
+    return _settled_vector(_action(_parts(a), _parts(psi), hbar))
 
 
 def coherent_vector(w, cap: int) -> GnsVector:
@@ -273,9 +311,10 @@ def positivity_check(a: Element, hbar) -> Fraction:
     Returns the exact rational value.
     """
     hbar = _require_positive(hbar)
-    if a.is_zero():
+    n = element_dimension(a, "disk")
+    if n is None:
         return Fraction(0)
-    zero = MultiIndex.zero(len(next(iter(a.terms))[0]))
+    zero = MultiIndex.zero(n)
     re, im, den = disk_rows(disk_involution(a), a, hbar, zero).get((zero, zero), (0, 0, 1))
     if im:
         raise DomainError("vacuum expectation of a*a must be real")
@@ -298,7 +337,7 @@ def check_kernel_absorbed(a: Element, j: Element, hbar) -> bool:
         raise DomainError("j must lie in the vacuum null space")
     if a.is_zero() or j.is_zero():
         return True
-    zero = MultiIndex.zero(len(next(iter(j.terms))[0]))
+    zero = MultiIndex.zero(element_dimension(j, "disk"))
     return not any(re or im for re, im, _ in disk_rows(a, j, hbar, zero).values())
 
 
@@ -308,13 +347,15 @@ def check_representation(a: Element, b: Element, psi: GnsVector, hbar) -> bool:
     gns_rep reads only the terms (P, Q) of a . b with P <= s for some s in
     psi, so a . b is multiplied only in its rows P below the componentwise
     max of psi's indices (cone.disk_rows); at n = 1 those are exactly the
-    rows read."""
+    rows read.  Those rows, and pi(b) psi, stay integer parts on their way
+    into the action; each side is settled once, to be compared."""
     hbar = _require_positive(hbar)
     _check_dimension(a, psi)
     _check_dimension(b, psi)
     if psi.is_zero():
         return True
     bound = [max(column) for column in zip(*psi.terms)]
-    lhs = gns_rep(settled_element(disk_rows(a, b, hbar, bound)), psi, hbar)
-    rhs = gns_rep(a, gns_rep(b, psi, hbar), hbar)
-    return lhs == rhs
+    vec = _parts(psi)
+    lhs = _action(disk_rows(a, b, hbar, bound).items(), vec, hbar)
+    rhs = _action(_parts(a), _action(_parts(b), vec, hbar).items(), hbar)
+    return _settled_vector(lhs) == _settled_vector(rhs)

@@ -83,6 +83,21 @@ def test_gns_norm_positive():
         assert (n2 == 0) == psi.is_zero()
 
 
+def test_iota_rejects_mixed_lengths():
+    """iota reads n from every index, not the first: a vector that mixes
+    lengths, or an n that is not its indices' length, is a DimensionError."""
+    with pytest.raises(DimensionError, match="vector indices have n = 1 and n = 2"):
+        iota(GnsVector({(1,): 1, (1, 0): 1}))
+    psi = GnsVector.basis(E1)
+    with pytest.raises(DimensionError, match="vector indices have n = 1 and n = 2"):
+        iota(psi, 2)
+    assert iota(psi, 1) == iota(psi) == Element.basis((Z1, E1))
+    assert iota(GnsVector.zero(), 2).is_zero()
+    mixed = Element({(E1, Z1): 1, (MultiIndex((1, 0)), MultiIndex((0, 0))): 1})
+    with pytest.raises(DimensionError, match="disk indices have n = 1 and n = 2"):
+        positivity_check(mixed, H)
+
+
 def test_iota_project_round_trip():
     rng = seeded(89)
     psi = random_vector(rng, 1, 3)
@@ -123,6 +138,44 @@ def test_two_representation_routes_agree():
                 a = random_disk_element(rng, n, 2)
                 psi = random_vector(rng, n, 2)
                 assert gns_rep(a, psi, hbar) == gns_rep_via_product(a, psi, hbar)
+
+
+@pytest.mark.parametrize("hbar", [Fraction(5, 7), Fraction(3, 11)], ids=str)
+@pytest.mark.parametrize("n, level", [(1, 5), (2, 2)])
+def test_routes_agree_where_nu_has_a_numerator(n, level, hbar):
+    """At nu = 1/(2 hbar) = 7/10 and 11/6 the numerator u of nu is not 1, so
+    a wrong power of u in the rising factors of the closed-form action
+    breaks the agreement with the product route and the representation law."""
+    rng = seeded(179 + n)
+    for _ in range(3):
+        a, b = random_disk_element(rng, n, level), random_disk_element(rng, n, level)
+        psi = random_vector(rng, n, level)
+        assert gns_rep(a, psi, hbar) == gns_rep_via_product(a, psi, hbar)
+        assert check_representation(a, b, psi, hbar)
+
+
+def test_actions_build_valid_vectors():
+    """Both routes settle their result once, without GnsVector()'s checks:
+    it must still be what GnsVector() builds, with MultiIndex keys and no
+    zero coefficient, also where every s lies below P and where two
+    contributions cancel."""
+    from exactstar import gns
+
+    rng = seeded(173)
+    cases = [(random_disk_element(rng, n, 2), random_vector(rng, n, 2), hbar)
+             for n in (1, 2) for hbar in (H, Fraction(5, 7))]
+    below = (Element.basis((MultiIndex((2,)), Z1)), GnsVector({(0,): 1, (1,): GR(1, 1)}), H)
+    # pi(f_{1,1}) e_1 = k e_1, so k f_{0,0} - f_{1,1} sends e_1 to an accumulated zero
+    k = gns_rep(Element.basis((E1, E1)), GnsVector.basis(E1), H).coeff(E1)
+    cancel = (Element({(Z1, Z1): k, (E1, E1): -1}), GnsVector.basis(E1), H)
+    acc = gns._action(gns._parts(cancel[0]), gns._parts(cancel[1]), H)
+    assert acc[E1][:2] == (0, 0)
+    for a, psi, hbar in cases + [below, cancel]:
+        for out in (gns_rep(a, psi, hbar), gns_rep_via_product(a, psi, hbar)):
+            assert out == GnsVector(dict(out.terms))
+            assert all(type(q) is MultiIndex and not c.is_zero() for q, c in out.terms.items())
+    for a, psi, hbar in (below, cancel):
+        assert gns_rep(a, psi, hbar).is_zero() and gns_rep_via_product(a, psi, hbar).is_zero()
 
 
 def test_closed_route_runs_without_the_product_route(monkeypatch):
@@ -203,7 +256,7 @@ def test_product_route_runs_without_the_closed_forms(monkeypatch):
     def disabled(*args, **kw):
         raise AssertionError("the product route reached a closed form")
 
-    for name in ("gns_rep", "inner_weight", "_weight_parts", "rising_numerator"):
+    for name in ("gns_rep", "_action", "inner_weight", "_weight_parts", "rising_numerator"):
         monkeypatch.setattr(gns, name, disabled)
     got = [(gns.gns_rep_via_product(a, psi, hbar), gns.positivity_check(a, hbar))
            for a, psi, hbar in cases]

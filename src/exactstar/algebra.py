@@ -287,6 +287,20 @@ def element_to_json(model: BaseModel, a: Element) -> dict:
     return {"model": model.name, "terms": terms}
 
 
+def term_entries(terms, what: str) -> list:
+    """The 'terms' value of an element or vector JSON object, checked entry
+    by entry: ValueError with a stated message unless it is a list of
+    objects that each hold an 'index'."""
+    if not isinstance(terms, list):
+        raise ValueError(f"{what} JSON 'terms' must be a list")
+    for entry in terms:
+        if not isinstance(entry, dict):
+            raise ValueError("term entry must be an object")
+        if "index" not in entry:
+            raise ValueError("term entry missing 'index'")
+    return terms
+
+
 def element_from_json(model: BaseModel, data: dict) -> Element:
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("element JSON needs a 'terms' list")
@@ -294,9 +308,7 @@ def element_from_json(model: BaseModel, data: dict) -> Element:
     if declared is not None and declared != model.name:
         raise ValueError(f"element was serialized for model {declared!r}, not {model.name!r}")
     terms: dict[Index, GaussianRational] = {}
-    for entry in data["terms"]:
-        if "index" not in entry:
-            raise ValueError("term entry missing 'index'")
+    for entry in term_entries(data["terms"], "element"):
         idx = model.index_from_json(entry["index"])
         c = GaussianRational.from_json(entry)
         if idx in terms:

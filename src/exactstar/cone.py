@@ -557,6 +557,7 @@ def ideal_level_dimension(n: int, hbar, level_cap: int) -> int:
 def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     """The reduction rows of f_t: ((I + K, J + K), constant) for every K with
     |K| <= gamma - max(|I|, |J|), in increasing |K| (disk_rows stops on it).
+    Callers read it through _reduction_rows.
 
     The constant of a K of degree k is (nu)_gamma / (nu)_(mx+k) C(top, k)
     k!/K! pref(I, J, gamma) / pref(I+K, J+K, mx+k), with nu = 1/(2 hbar),
@@ -617,15 +618,28 @@ def disk_lift(a: Element) -> Element:
     return Element(dict(_lifted(a)))
 
 
+def _reduction_rows(t: Triple, hbar: Fraction) -> tuple:
+    """The reduction rows of f_t, read before the cache: a triple at its
+    minimal level gamma = max(|I|, |J|) reduces to itself, its one row
+    ((I, J), 1) (every factorial of the constant cancels, and the constant
+    is the int 1, as _reduce_cached stores it).  Any other triple reads
+    _reduce_cached."""
+    I, J, gamma = t
+    if gamma == max(sum(I), sum(J)):
+        return (((I, J), 1),)
+    return _reduce_cached(t, hbar)
+
+
 def _reduce_sum(upstairs: Iterable[tuple], hbar: Fraction) -> dict:
     """accumulate() dict of the disk class of sum_t z_t f_t, from (t, z_t)
     pairs with z_t given as integers (re_num, im_num, den); entries may be
     zero.  The whole reduction step of disk_reduce, disk_multiply and
-    DiskModel's pair table; disk_rows reads the same cached rows only as far
-    as its bound."""
+    DiskModel's pair table.  Each triple's rows come from _reduction_rows,
+    so a minimal-level triple skips the table; disk_rows reads the same rows
+    only as far as its boxes."""
     acc: dict = {}
     for t, parts in upstairs:
-        for idx, rc in _reduce_cached(t, hbar):
+        for idx, rc in _reduction_rows(t, hbar):
             accumulate(acc, idx, parts, rc)
     return acc
 
@@ -678,49 +692,61 @@ def disk_multiply(a: Element, b: Element, hbar) -> Element:
     return settled_element(_reduce_sum(((t, z) for t, z in up.items() if z[0] or z[1]), hbar))
 
 
-def disk_rows(a: Element, b: Element, hbar, bound) -> dict:
+def disk_rows(a: Element, b: Element, hbar, boxes) -> dict:
     """accumulate() dict, keyed by (P, Q), of the entries of
-    disk_multiply(a, b, hbar) with P <= bound componentwise, entries
-    possibly zero.  Bound 0 is the holomorphic column.
+    disk_multiply(a, b, hbar) whose P lies below some box of boxes
+    componentwise, entries possibly zero.  The one box [0] is the
+    holomorphic column.
 
     A pair (P, Q, alpha) . (R, S, beta) reaches I = P + R - Kp with Kp <= P
     meet S, and a reduction row sends (I, J, gamma) to (I + K, J + K).  So a
-    row below the bound needs I <= bound, and the least I of a pair is
-    R + (P - S)+: only pairs with that below the bound are multiplied, only
-    their constants with I <= bound are kept, and each upstairs triple reads
-    its reduction rows, which run in increasing |K|, only until |I + K|
-    exceeds |bound|."""
+    row below a box needs I below it, and the least I of a pair is
+    R + (P - S)+: only pairs with that below some box are multiplied, only
+    their constants with I below some box are kept, and each upstairs
+    triple reads its reduction rows (_reduction_rows: a minimal-level
+    triple skips the table), which run in increasing |K|, only until
+    |I + K| exceeds the largest |box|.  Each test tries the boxes in turn
+    and stops at the first that holds, so one box costs one test."""
     n = _dimension(a, b)
     if n is None:
         return {}
     hbar = allowed_hbar(hbar)
     pair_product = ConeModel(n, hbar).pair_product
-    bound = MultiIndex(bound)
-    if len(bound) != n:
-        raise DimensionError(f"the bound has length {len(bound)}, the operands n = {n}")
-    room = bound.degree()
-    # R + (P - S)+ <= bound is R <= bound and P <= S + bound - R
-    right = [(t2, [s + m - r for r, s, m in zip(t2[0], t2[1], bound)], gaussian_parts(c))
-             for t2, c in _lifted(b) if all(map(le, t2[0], bound))]
+    boxes = list(map(MultiIndex, boxes))
+    for box in boxes:
+        if len(box) != n:
+            raise DimensionError(f"a box has length {len(box)}, the operands n = {n}")
+    room = max(map(sum, boxes), default=-1)
+    # R + (P - S)+ <= box is R <= box and P <= S + box - R: one cap on P per
+    # box, the caps of one right term side by side
+    right = [(t2, [s + m - r for r, s, m in zip(t2[0], t2[1], box)], gaussian_parts(c))
+             for t2, c in _lifted(b) for box in boxes if all(map(le, t2[0], box))]
     up: dict = {}
     for t1, ca in _lifted(a):
         P = t1[0]
         x, y, d = gaussian_parts(ca)
+        done = None
         for t2, cap, (u, v, e) in right:
-            if not all(map(le, P, cap)):
+            # a pair is multiplied once, at the first of its caps that holds
+            if t2 is done or not all(map(le, P, cap)):
                 continue
+            done = t2
             factor = (x * u - y * v, x * v + y * u, d * e)
             for t, const in pair_product(t1, t2).items():
-                if all(map(le, t[0], bound)):
-                    accumulate(up, t, factor, const)
+                for box in boxes:
+                    if all(map(le, t[0], box)):
+                        accumulate(up, t, factor, const)
+                        break
     out: dict = {}
     for t, z in up.items():
         if z[0] or z[1]:
-            for idx, rc in _reduce_cached(t, hbar):
+            for idx, rc in _reduction_rows(t, hbar):
                 if sum(idx[0]) > room:
                     break
-                if all(map(le, idx[0], bound)):
-                    accumulate(out, idx, z, rc)
+                for box in boxes:
+                    if all(map(le, idx[0], box)):
+                        accumulate(out, idx, z, rc)
+                        break
     return out
 
 

@@ -11,21 +11,24 @@ multiplies in the algebra and projects, the other applies a closed-form
 coefficient rule.  Tests require exact agreement.  The product route, and
 the vacuum expectation in positivity_check, multiply through the cone pair
 tables and reduction rows, restricted to the holomorphic column
-(cone.disk_rows at bound 0); neither reaches a closed form of this module.
-The closed form is one integer kernel, _action: it reads and returns
-(re, im, den) parts, as accumulate() keeps them.  Each route settles its
-result once, into a GnsVector built without re-validation.
-check_representation multiplies a . b only in the rows that the closed-form
-action reads and feeds those rows, and pi(b) psi, to the kernel unsettled;
-it settles each side only to compare them.  The kernel check multiplies
-only in the column."""
+(cone.disk_rows over the one box 0); neither reaches a closed form of this
+module.  The closed form is one integer kernel, _action: it reads and
+returns (re, im, den) parts, as accumulate() keeps them.  Each route
+settles its result once, into a GnsVector built without re-validation.
+check_representation multiplies a . b in exactly the rows that the
+closed-form action reads, at every n (the boxes below psi's indices), where
+a minimal-level upstairs triple skips the reduction table; it feeds those
+rows, and pi(b) psi, to the kernel unsettled and compares the two sides as
+integer parts, settling neither.  The kernel check multiplies only in the
+column."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import le
 
-from .algebra import DimensionError, DomainError, Element, settled_element
+from .algebra import DimensionError, DomainError, Element, settled_element, term_entries
 from .cone import disk_involution, disk_rows, element_dimension, one_length
 from .scalars import (
     GR_ZERO,
@@ -111,11 +114,8 @@ def gns_vector_to_json(psi: GnsVector) -> dict:
 def gns_vector_from_json(data: dict) -> GnsVector:
     if not isinstance(data, dict):
         raise ValueError("GNS vector JSON must be an object")
-    terms = data.get("terms", [])
-    if not isinstance(terms, list):
-        raise ValueError("GNS vector JSON 'terms' must be a list")
     out = {}
-    for entry in terms:
+    for entry in term_entries(data.get("terms", []), "GNS vector"):
         q = MultiIndex(entry["index"])
         c = GaussianRational.from_json({"re": entry.get("re", "0"), "im": entry.get("im", "0")})
         # a repeated index sums, as in algebra.element_from_json
@@ -201,13 +201,13 @@ def gns_norm_squared(psi: GnsVector, hbar) -> Fraction:
 
 def gns_rep_via_product(a: Element, psi: GnsVector, hbar) -> GnsVector:
     """Action of a disk element on a vector, by definition: multiply in the
-    algebra against the embedded vector, then project.  disk_rows at bound 0
-    computes only the projected column of the product."""
+    algebra against the embedded vector, then project.  disk_rows over the
+    one box 0 computes only the projected column of the product."""
     hbar = _require_positive(hbar)
     n = _check_dimension(a, psi)
     if a.is_zero() or psi.is_zero():
         return GnsVector.zero()
-    column = disk_rows(a, iota(psi, n), hbar, MultiIndex.zero(n))
+    column = disk_rows(a, iota(psi, n), hbar, [MultiIndex.zero(n)])
     return _settled_vector({q: z for (_, q), z in column.items()})
 
 
@@ -315,7 +315,7 @@ def positivity_check(a: Element, hbar) -> Fraction:
     if n is None:
         return Fraction(0)
     zero = MultiIndex.zero(n)
-    re, im, den = disk_rows(disk_involution(a), a, hbar, zero).get((zero, zero), (0, 0, 1))
+    re, im, den = disk_rows(disk_involution(a), a, hbar, [zero]).get((zero, zero), (0, 0, 1))
     if im:
         raise DomainError("vacuum expectation of a*a must be real")
     return Fraction(re, den)
@@ -338,24 +338,49 @@ def check_kernel_absorbed(a: Element, j: Element, hbar) -> bool:
     if a.is_zero() or j.is_zero():
         return True
     zero = MultiIndex.zero(element_dimension(j, "disk"))
-    return not any(re or im for re, im, _ in disk_rows(a, j, hbar, zero).values())
+    return not any(re or im for re, im, _ in disk_rows(a, j, hbar, [zero]).values())
+
+
+def _maximal(indices) -> list:
+    """The indices below no other one componentwise, largest degree first:
+    the boxes whose union holds every index below some given one."""
+    found = []
+    for s in sorted(indices, key=sum, reverse=True):
+        for m in found:
+            if all(map(le, s, m)):
+                break
+        else:
+            found.append(s)
+    return found
+
+
+def _same_parts(lhs: dict, rhs: dict) -> bool:
+    """Whether two accumulate() dicts hold equal values, compared unsettled:
+    re1 d2 = re2 d1 and im1 d2 = im2 d1 at every key of either, a missing
+    key reading (0, 0, 1)."""
+    for key in lhs.keys() | rhs.keys():
+        a, b, d = lhs.get(key, (0, 0, 1))
+        x, y, e = rhs.get(key, (0, 0, 1))
+        if a * e != x * d or b * e != y * d:
+            return False
+    return True
 
 
 def check_representation(a: Element, b: Element, psi: GnsVector, hbar) -> bool:
     """pi(a . b) psi = pi(a) pi(b) psi with the closed-form action.
 
     gns_rep reads only the terms (P, Q) of a . b with P <= s for some s in
-    psi, so a . b is multiplied only in its rows P below the componentwise
-    max of psi's indices (cone.disk_rows); at n = 1 those are exactly the
-    rows read.  Those rows, and pi(b) psi, stay integer parts on their way
-    into the action; each side is settled once, to be compared."""
+    psi, so a . b is multiplied only in its rows P below the maximal s of
+    psi (cone.disk_rows over those boxes): at every n those are exactly the
+    rows read, and a minimal-level upstairs triple skips the reduction
+    table.  Those rows, and pi(b) psi, stay integer parts on their way into
+    the action, and the two sides are compared as integer parts, unsettled."""
     hbar = _require_positive(hbar)
     _check_dimension(a, psi)
     _check_dimension(b, psi)
     if psi.is_zero():
         return True
-    bound = [max(column) for column in zip(*psi.terms)]
     vec = _parts(psi)
-    lhs = _action(disk_rows(a, b, hbar, bound).items(), vec, hbar)
+    lhs = _action(disk_rows(a, b, hbar, _maximal(psi.terms)).items(), vec, hbar)
     rhs = _action(_parts(a), _action(_parts(b), vec, hbar).items(), hbar)
-    return _settled_vector(lhs) == _settled_vector(rhs)
+    return _same_parts(lhs, rhs)

@@ -70,11 +70,10 @@ def rising_numerator(a: int, b: int, r: int) -> int:
 
 def is_allowed_hbar(hbar: Fraction) -> bool:
     """True when no prefactor (1/2h)_r can vanish: 2h not in {0,-1,-1/2,-1/3,...}."""
-    two_h = 2 * Fraction(hbar)
-    if two_h == 0:
-        return False
-    u = 1 / two_h
-    return not (u.denominator == 1 and u <= 0)
+    hbar = Fraction(hbar)
+    p, q = hbar.numerator, hbar.denominator
+    # 1/(2h) = q/(2p) is an integer <= 0 exactly when p < 0 and 2p divides q
+    return p != 0 and not (p < 0 and q % (2 * p) == 0)
 
 
 # digits allowed on each side of a parsed rational; a longer numeral is
@@ -302,7 +301,10 @@ class MultiIndex(tuple):
     def __new__(cls, entries: Iterable[int]):
         if type(entries) is cls:
             return entries
-        t = tuple(entries)
+        try:
+            t = tuple(entries)
+        except TypeError:
+            raise ValueError("a multiindex must be a list of integers") from None
         for e in t:
             if isinstance(e, bool) or not isinstance(e, int):
                 raise ValueError(f"multiindex entries must be integers, got {e!r}")

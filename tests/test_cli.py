@@ -537,6 +537,31 @@ def test_malformed_element_file(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("product", {"terms": [5]}, "term entry must be an object"),
+    ("product", {"terms": 5}, "element JSON 'terms' must be a list"),
+    ("product", {"terms": [{"re": "1"}]}, "term entry missing 'index'"),
+    ("gns rep", {"terms": [5]}, "term entry must be an object"),
+    ("gns rep", {"terms": 5}, "GNS vector JSON 'terms' must be a list"),
+    ("gns rep", {"terms": [{"re": "1"}]}, "term entry missing 'index'"),
+    ("gns rep", {"terms": [{"index": 5, "re": "1"}]}, "a multiindex must be a list of integers"),
+], ids=["product-entry", "product-terms", "product-index", "gns-entry", "gns-terms",
+        "gns-index", "gns-index-number"])
+def test_malformed_term_entries(tmp_path, command, data, message):
+    """A malformed terms list, term entry or vector index exits 2 with a
+    stated message, for an element and for a GNS vector alike."""
+    bad = write_json(tmp_path / "bad.json", data)
+    if command == "product":
+        args = ["product", bad, bad]
+    else:
+        x = write_json(tmp_path / "x.json", {"model": "disk", "terms": [
+            {"index": {"P": [0], "Q": [0]}, "re": "1"}]})
+        args = ["gns", "rep", x, bad]
+    res = run("--model", "disk", "--hbar", "1/2", *args)
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.stderr.splitlines()[-1] == f"exactstar {command}: error: {bad}: {message}"
+
+
 def _zero_denominator_args(tmp_path, entry):
     good = poly_file(tmp_path, "good.json", [(1, 1)])
     if entry == "product":

@@ -10,6 +10,7 @@ from exactstar.algebra import (
     InfiniteFanError,
     accumulate_product,
     multiply,
+    settled_element,
 )
 from exactstar.cone import (
     ConeModel,
@@ -672,18 +673,18 @@ def test_disk_multiply_matches_two_step_route(n, level, hbar):
 
 
 def test_disk_column_multiplies_only_column_pairs(monkeypatch):
-    """A pair (P, Q) . (R, S) reaches a row I <= bound only when
-    R + (P - S)+ <= bound, and only upstairs triples with I <= bound reach
-    those rows: disk_rows asks for no other pair table, and leaves the
-    reduction rows of every other upstairs triple uncomputed.  At bound 0,
-    the holomorphic column, that is R = 0 and P <= S."""
+    """A pair (P, Q) . (R, S) reaches a row I below a box only when
+    R + (P - S)+ is below it, and only upstairs triples with I below some
+    box reach those rows: disk_rows asks for no other pair table, and leaves
+    the reduction rows of every other upstairs triple unread.  At the one
+    box 0, the holomorphic column, that is R = 0 and P <= S."""
     from exactstar import cone
 
     rng = seeded(79)
     a, b = random_disk_element(rng, 2, 2, nterms=8), random_disk_element(rng, 2, 2, nterms=8)
     lifted_a, lifted_b = disk_lift(a).terms, disk_lift(b).terms
     seen, reduced = [], []
-    pair_product, reduce_rows = ConeModel.pair_product, cone._reduce_cached
+    pair_product, reduce_rows = ConeModel.pair_product, cone._reduction_rows
 
     def recording_pairs(model, left, right):
         seen.append((left, right))
@@ -693,18 +694,73 @@ def test_disk_column_multiplies_only_column_pairs(monkeypatch):
         reduced.append(t)
         return reduce_rows(t, hbar)
 
+    def below(P, boxes):
+        return any(P <= box for box in boxes)
+
     monkeypatch.setattr(ConeModel, "pair_product", recording_pairs)
-    monkeypatch.setattr(cone, "_reduce_cached", recording_rows)
-    for bound in map(MultiIndex, [(0, 0), (1, 0), (0, 2), (1, 1)]):
+    monkeypatch.setattr(cone, "_reduction_rows", recording_rows)
+    multiplied = {}
+    for boxes in [[(0, 0)], [(1, 0)], [(0, 2)], [(1, 1)], [(1, 0), (0, 2)]]:
+        boxes = list(map(MultiIndex, boxes))
         want = {(t1, t2) for t1 in lifted_a for t2 in lifted_b
-                if MultiIndex([r + max(p - s, 0) for p, r, s in zip(t1[0], t2[0], t2[1])]) <= bound}
+                if below(MultiIndex([r + max(p - s, 0) for p, r, s in zip(t1[0], t2[0], t2[1])]),
+                         boxes)}
         assert 0 < len(want) < len(lifted_a) * len(lifted_b)
         seen.clear()
         reduced.clear()
-        rows = disk_rows(a, b, H, bound)
+        rows = disk_rows(a, b, H, boxes)
         assert len(seen) == len(want) and set(seen) == want
-        assert reduced and all(t[0] <= bound for t in reduced)
-        assert rows and all(P <= bound for P, _ in rows)
+        assert reduced and all(below(t[0], boxes) for t in reduced)
+        assert rows and all(below(P, boxes) for P, _ in rows)
+        multiplied[tuple(map(tuple, boxes))] = want
+    # two boxes multiply each pair once, and more pairs than either box alone
+    one, two = multiplied[((1, 0),)], multiplied[((0, 2),)]
+    assert multiplied[((1, 0), (0, 2))] == one | two and one - two and two - one
+
+
+@pytest.mark.parametrize("n, level", [(1, 4), (2, 2), (3, 2)])
+def test_disk_rows_over_boxes_are_the_rows_of_the_product(n, level):
+    """disk_rows over a list of boxes gives exactly the entries of
+    disk_multiply whose P lies below some box: for the one box 0, for
+    several boxes, and with a box repeated or below another, which changes
+    nothing."""
+    rng = seeded(83 + n)
+    indices = list(multi_indices_up_to_degree(n, level))
+    zero = MultiIndex.zero(n)
+    for hbar in (H, Fraction(3, 7), Fraction(-3, 7)):
+        a = random_disk_element(rng, n, level)
+        b = random_disk_element(rng, n, level)
+        whole = disk_multiply(a, b, hbar)
+        boxes = rng.sample(indices, 3)
+        for box_set in ([zero], boxes, boxes + [boxes[0], zero, boxes[1].meet(boxes[2])]):
+            rows = settled_element(disk_rows(a, b, hbar, box_set))
+            assert rows == Element({k: c for k, c in whole.terms.items()
+                                    if any(k[0] <= box for box in box_set)}), (n, hbar, box_set)
+    assert disk_rows(a, b, H, []) == {}
+
+
+def test_minimal_level_rows_skip_the_table(monkeypatch):
+    """A triple at its minimal level reduces to itself with the int 1: for
+    every such triple with n <= 2 and |I|, |J| <= 4, the shortcut equals the
+    cached rows and the Fraction reference, value and int type alike, and it
+    never reads the cache."""
+    from exactstar import cone
+
+    hbars = (H, Fraction(3, 7), Fraction(5, 2), Fraction(-3, 7))
+    triples = [(I, J, max(sum(I), sum(J))) for n in (1, 2)
+               for I in multi_indices_up_to_degree(n, 4) for J in multi_indices_up_to_degree(n, 4)]
+    want = {(t, hbar): cone._reduce_cached(t, hbar) for t in triples for hbar in hbars}
+    for (t, hbar), rows in want.items():
+        assert list(rows) == list(reduction_rows_reference(t, hbar)) == [((t[0], t[1]), 1)]
+        assert type(rows[0][1]) is int
+
+    def disabled(*args, **kw):
+        raise AssertionError("a minimal-level triple read the reduction table")
+
+    monkeypatch.setattr(cone, "_reduce_cached", disabled)
+    for (t, hbar), rows in want.items():
+        got = cone._reduction_rows(t, hbar)
+        assert got == rows and type(got[0][1]) is int
 
 
 def test_disk_multiply_zero_operands_and_disallowed_hbar():

@@ -220,13 +220,13 @@ def test_disk_column_is_the_projected_product(n, level, hbar):
     for a, b in pairs:
         whole = disk_multiply(a, b, hbar)
         for bound in bounds:
-            rows = settled_element(disk_rows(a, b, hbar, bound))
+            rows = settled_element(disk_rows(a, b, hbar, [bound]))
             assert rows == Element({k: c for k, c in whole.terms.items() if k[0] <= bound})
-        column = {q: z for (_, q), z in disk_rows(a, b, hbar, bounds[0]).items()}
+        column = {q: z for (_, q), z in disk_rows(a, b, hbar, bounds[:1]).items()}
         assert GnsVector(settle(column)) == gns_project(whole)
-    assert disk_rows(Element.zero(), Element.zero(), hbar, bounds[0]) == {}
+    assert disk_rows(Element.zero(), Element.zero(), hbar, bounds[:1]) == {}
     with pytest.raises(DomainError, match="not an allowed value"):
-        disk_rows(x, x, Fraction(-1, 2), bounds[0])
+        disk_rows(x, x, Fraction(-1, 2), bounds[:1])
 
 
 def test_positivity_matches_full_product():
@@ -289,8 +289,9 @@ def check_cauchy_schwarz(psi: GnsVector, phi: GnsVector, hbar) -> bool:
 
 def test_representation_check_skips_the_whole_product(monkeypatch):
     """check_representation multiplies a . b only in the rows that gns_rep
-    reads: with the whole product disabled the seeded cases still hold, and
-    scaling one reduction entry of a row it reads breaks the law."""
+    reads, those below some s of psi: with the whole product disabled the
+    seeded cases still hold, and scaling one reduction entry of a row it
+    reads breaks the law."""
     from exactstar import cone, gns
 
     rng = seeded(163)
@@ -312,12 +313,11 @@ def test_representation_check_skips_the_whole_product(monkeypatch):
     assert all(check_representation(*case) for case in cases)
 
     a, b, psi, hbar = cases[0]
-    bound = MultiIndex([max(column) for column in zip(*psi.terms)])
     reduced.clear()
     assert check_representation(a, b, psi, hbar)
     target = reduced[0]
     (first, rc), *rest = rows(target, hbar)
-    assert first[0] <= bound
+    assert any(first[0] <= s for s in psi.terms)
 
     def scaled(t, hbar):
         return ((first, 2 * rc), *rest) if t == target else rows(t, hbar)
@@ -327,6 +327,75 @@ def test_representation_check_skips_the_whole_product(monkeypatch):
     assert check_representation(a, b, GnsVector.zero(), hbar)
     with pytest.raises(DomainError):
         check_representation(a, b, psi, Fraction(-1, 2))
+
+
+def test_representation_check_reads_the_minimal_level_rows(monkeypatch):
+    """Doubling the constant 1 of one minimal-level triple's row, which
+    skips the reduction table, breaks the law: check_representation reads
+    the shortcut, not only the cached rows of higher triples."""
+    from exactstar import cone
+
+    rng = seeded(173)
+    rows = cone._reduction_rows
+    for n in (1, 2):
+        for hbar in (H, Fraction(5, 7)):
+            a, b = random_disk_element(rng, n, 2), random_disk_element(rng, n, 2)
+            psi = random_vector(rng, n, 2)
+            minimal = []
+
+            def recording(t, h):
+                if t[2] == max(sum(t[0]), sum(t[1])):
+                    minimal.append(t)
+                return rows(t, h)
+
+            monkeypatch.setattr(cone, "_reduction_rows", recording)
+            assert check_representation(a, b, psi, hbar)
+            assert minimal
+            target = minimal[0]
+
+            def scaled(t, h):
+                return (((t[0], t[1]), 2),) if t == target else rows(t, h)
+
+            monkeypatch.setattr(cone, "_reduction_rows", scaled)
+            assert not check_representation(a, b, psi, hbar)
+            monkeypatch.setattr(cone, "_reduction_rows", rows)
+
+
+def test_sides_compare_as_integer_parts():
+    """_same_parts compares accumulate() dicts without settling them: an
+    explicit zero equals an absent key, equal values over different
+    denominators are equal, and a difference in re alone or in im alone is
+    caught."""
+    from exactstar.gns import _same_parts
+
+    key, other = MultiIndex((1,)), MultiIndex((2,))
+    assert _same_parts({key: (0, 0, 5)}, {})
+    assert _same_parts({}, {key: (0, 0, 3)})
+    assert _same_parts({key: (1, 0, 2), other: (0, 0, 7)}, {key: (2, 0, 4)})
+    assert _same_parts({key: (3, -6, 9)}, {key: (-1, 2, -3)})
+    assert not _same_parts({key: (1, 0, 2)}, {key: (2, 1, 4)})
+    assert not _same_parts({key: (1, 1, 2)}, {key: (3, 2, 4)})
+    assert not _same_parts({key: (0, 1, 2)}, {})
+    assert not _same_parts({}, {other: (1, 0, 3)})
+
+
+def test_representation_holds_over_different_denominators(monkeypatch):
+    """The two sides of the law reach the comparison over different
+    denominators, and check_representation still finds them equal."""
+    from exactstar import gns
+
+    compare, compared = gns._same_parts, []
+
+    def recording(lhs, rhs):
+        compared.append(any(lhs[k][2] != rhs[k][2] for k in lhs.keys() & rhs.keys()))
+        return compare(lhs, rhs)
+
+    monkeypatch.setattr(gns, "_same_parts", recording)
+    rng = seeded(163)
+    for n in (1, 2):
+        a, b, psi = random_disk_element(rng, n, 2), random_disk_element(rng, n, 2), random_vector(rng, n, 2)
+        assert check_representation(a, b, psi, Fraction(5, 7))
+    assert compared == [True, True]
 
 
 @pytest.mark.parametrize("route", [gns_rep, gns_rep_via_product,
@@ -347,7 +416,7 @@ def test_action_rejects_a_dimension_mismatch(route):
         route(mixed, GnsVector({(1,): 1}), H)
 
 
-@pytest.mark.parametrize("route", [disk_multiply, lambda a, b, hbar: disk_rows(a, b, hbar, (0, 0)),
+@pytest.mark.parametrize("route", [disk_multiply, lambda a, b, hbar: disk_rows(a, b, hbar, [(0, 0)]),
                                    check_kernel_absorbed],
                          ids=["disk_multiply", "disk_rows", "check_kernel_absorbed"])
 def test_disk_products_reject_mixed_dimensions(route):
@@ -367,8 +436,8 @@ def test_disk_products_reject_mixed_dimensions(route):
 
 def test_disk_rows_rejects_a_bound_of_another_length():
     a = Element.basis((MultiIndex((1,)), Z1))
-    with pytest.raises(DimensionError, match="the bound has length 2, the operands n = 1"):
-        disk_rows(a, a, H, (0, 0))
+    with pytest.raises(DimensionError, match="a box has length 2, the operands n = 1"):
+        disk_rows(a, a, H, [(0, 0)])
 
 
 def test_adjoint_relation():

@@ -681,14 +681,13 @@ def disk_multiply(a: Element, b: Element, hbar) -> Element:
     """Quotient product: lift at minimal levels, multiply upstairs, reduce.
 
     The upstairs product stays the integer accumulator of multiply, built
-    from ConeModel.pair_product; its nonzero entries go through the
+    from the cone pair table _tilde_pairs; its nonzero entries go through the
     reduction rows unnormalised, and only the disk result is settled."""
     n = _dimension(a, b)
     if n is None:
         return Element.zero()
     hbar = allowed_hbar(hbar)
-    model = ConeModel(n, hbar)
-    up = accumulate_product(model.pair_product, _lifted(a), _lifted(b))
+    up = accumulate_product(_tilde_pairs, _lifted(a), _lifted(b))
     return settled_element(_reduce_sum(((t, z) for t, z in up.items() if z[0] or z[1]), hbar))
 
 
@@ -711,7 +710,6 @@ def disk_rows(a: Element, b: Element, hbar, boxes) -> dict:
     if n is None:
         return {}
     hbar = allowed_hbar(hbar)
-    pair_product = ConeModel(n, hbar).pair_product
     boxes = list(map(MultiIndex, boxes))
     for box in boxes:
         if len(box) != n:
@@ -732,7 +730,7 @@ def disk_rows(a: Element, b: Element, hbar, boxes) -> dict:
                 continue
             done = t2
             factor = (x * u - y * v, x * v + y * u, d * e)
-            for t, const in pair_product(t1, t2).items():
+            for t, const in _tilde_pairs(t1, t2).items():
                 for box in boxes:
                     if all(map(le, t[0], box)):
                         accumulate(up, t, factor, const)

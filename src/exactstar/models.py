@@ -31,6 +31,7 @@ from .scalars import (
     factorial,
     multi_range,
     multi_indices_up_to_degree,
+    sqrt_bracket,
 )
 from .seminorms import (
     TAG_MAJORANT,
@@ -200,30 +201,38 @@ class LaurentModel(BaseModel):
         return truncated_sum(table, m, ell, parents, w)
 
     def _h2_factorial(self, table: HTable, ell: int, gamma: int) -> HVal:
-        a = table.element
+        """Window |n| <= cutoff plus a geometric tail, widened until the tail
+        is within tol of the whole; k1 and L are the table's (HTable.mass).
+        Window and tail stay integer pairs, normalised once for the bracket."""
+        k1, L = table.mass()
         lk = abs(gamma)
-        ranks = [abs(j) for j in a.terms]
-        L = max(ranks)
-        k1 = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
+        row_sum = self.row_sum
+        tol_num, tol_den = table.tol.numerator, table.tol.denominator
 
-        def window(indices) -> Fraction:
-            # depth-1 values on a finite support are exact, so the step is a Fraction
-            weighted = ((n, self.row_sum(n, gamma)) for n in indices)
-            return table.step(2, ell, weighted).exact_rational()
+        def window(indices, num: int = 0, den: int = 1) -> tuple[int, int]:
+            # depth-1 cells on a finite support are exact and every weight is
+            # a Fraction, so the whole window stays on step's integer path
+            pairs = ((n, row_sum(n, gamma)) for n in indices)
+            num, den, rest = table.step_ratio(2, ell, pairs, num, den)
+            if rest is not None:
+                raise TypeError("a depth-1 Laurent cell is not exact")
+            return num, den
 
         smin = max(L, lk) + 1
         cutoff = smin
         while _ratio_at_least_half(L, lk, cutoff + 1):
             cutoff += 1
-        partial = window(range(-cutoff, cutoff + 1))
-        tail = _factorial_tail(k1, L, lk, cutoff + 1)
-        while tail > table.tol * (partial + tail) and cutoff < smin + 300:
-            # Fraction sums are exact, so adding the 8 new indices gives the
-            # same partial as summing the widened window again
+        pn, pd = window(range(-cutoff, cutoff + 1))
+        tn, td = _factorial_tail(k1, L, lk, cutoff + 1)
+        # tail > tol * (partial + tail), cleared of the positive denominators
+        while tn * pd * tol_den > tol_num * (pn * td + tn * pd) and cutoff < smin + 300:
+            # the sum is exact, so adding the 8 new indices gives the same
+            # partial as summing the widened window again
             grown = [*range(-cutoff - 4, -cutoff), *range(cutoff + 1, cutoff + 5)]
             cutoff += 4
-            partial += window(grown)
-            tail = _factorial_tail(k1, L, lk, cutoff + 1)
+            pn, pd = window(grown, pn, pd)
+            tn, td = _factorial_tail(k1, L, lk, cutoff + 1)
+        partial, tail = Fraction(pn, pd), Fraction(tn, td)
         return HVal.bracket(
             Bracket.enclosure(partial, partial + tail, cutoff, TAG_MAJORANT)
         )
@@ -241,14 +250,15 @@ def _ratio_at_least_half(L: int, lk: int, s: int) -> bool:
     return 2 * (s + 2) ** (2 * L) >= (s + 1) ** (2 * L + 1) * (s + 1 - lk)
 
 
-def _factorial_tail(k1: Fraction, L: int, lk: int, s: int) -> Fraction:
+def _factorial_tail(k1: Fraction, L: int, lk: int, s: int) -> tuple[int, int]:
     """term(s) / (1 - ratio(s)), the geometric majorant of the terms from
-    |n| = s on, as one integer numerator over one integer denominator."""
+    |n| = s on, as an unnormalised integer pair (numerator, denominator),
+    both positive where ratio(s) < 1."""
     b = s + 1
     d = b ** (2 * L + 1) * (b - lk)
     num = 2 * k1.numerator ** 2 * b ** (2 * L) * factorial(lk) * d
     den = k1.denominator ** 2 * factorial(s) * factorial(s - lk) * (d - (s + 2) ** (2 * L))
-    return Fraction(num, den)
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -645,32 +655,28 @@ class GroupModel(BaseModel):
         return truncated_sum(table, m, ell, ((g, weight(g, gamma)) for g in parents), depth)
 
     def _h2(self, table: HTable, ell: int, gamma) -> HVal:
-        a = table.element
         weight = self.row_sum if ell & 1 == 0 else self.col_sum
         lk = self.length(gamma)
-        L = max(self.length(g) for g in a.terms)
-        k1 = sum((c.abs_squared() for c in a.terms.values()), Fraction(0))
+        k1, L = table.mass()
+        k1_sq = k1 * k1
+        power = int(2 * self.epsilon * L)
         gb = self.shell_growth_base()
         tol = table.tol
 
         def term_bound_hi(s: int) -> Fraction:
             # shell count <= gb^s; h1 <= k1 (s+1)^(eps L) in value, squared here
-            poly = Fraction(s + 1) ** int(2 * self.epsilon * L)
+            poly = Fraction(s + 1) ** power
             q = Fraction(factorial(lk), factorial(s) * factorial(s - lk))
-            base = k1 * k1 * poly * Fraction(gb) ** s
+            base = k1_sq * poly * Fraction(gb) ** s
             if self.epsilon == 1:
                 return base * q
-            from .scalars import sqrt_bracket
-
             return base * sqrt_bracket(q, tol)[1]
 
         def ratio_bound_hi(s: int) -> Fraction:
-            poly = Fraction(s + 2, s + 1) ** int(2 * self.epsilon * L)
+            poly = Fraction(s + 2, s + 1) ** power
             q = Fraction(1, (s + 1) * (s + 1 - lk))
             if self.epsilon == 1:
                 return gb * poly * q
-            from .scalars import sqrt_bracket
-
             return gb * poly * sqrt_bracket(q, tol)[1]
 
         smin = max(L, lk) + 1

@@ -68,9 +68,8 @@ def rising_numerator(a: int, b: int, r: int) -> int:
     return num
 
 
-def is_allowed_hbar(hbar: Fraction) -> bool:
+def is_allowed_hbar(hbar: Fraction | int) -> bool:
     """True when no prefactor (1/2h)_r can vanish: 2h not in {0,-1,-1/2,-1/3,...}."""
-    hbar = Fraction(hbar)
     p, q = hbar.numerator, hbar.denominator
     # 1/(2h) = q/(2p) is an integer <= 0 exactly when p < 0 and 2p divides q
     return p != 0 and not (p < 0 and q % (2 * p) == 0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import DEFAULT_TOL, BaseModel, DomainError, Element, Index, UnresolvedError, multiply
 from .scalars import ExtendedNonNeg, RootSum, factorial, rational_sqrt, sqrt_bracket
@@ -192,7 +192,7 @@ class HVal:
     kind "bracket": certified interval; an infinite cell holds Bracket.divergent()
     """
 
-    __slots__ = ("kind", "q", "sq", "rs", "br")
+    __slots__ = ("kind", "q", "sq", "rs", "br", "sq_parts")
 
     def __init__(self, kind: str, q=None, sq=None, rs=None, br=None):
         self.kind = kind
@@ -200,6 +200,14 @@ class HVal:
         self.sq = sq
         self.rs = rs
         self.br = br
+        # the squared value of an exact or sqrt cell as a normalised integer
+        # pair, kept for HTable.step; None for the other kinds
+        if kind == "exact":
+            self.sq_parts = (q.numerator * q.numerator, q.denominator * q.denominator)
+        elif kind == "sqrt":
+            self.sq_parts = (sq.numerator, sq.denominator)
+        else:
+            self.sq_parts = None
 
     @staticmethod
     def exact(value: Fraction | int) -> "HVal":
@@ -361,6 +369,17 @@ class HTable:
         self._cells: dict[tuple[int, int, Index], HVal] = {}
         # one cell per (m, gamma) on a commutative model, see BaseModel.commutative
         self._commutative = model.commutative
+        self._mass: tuple[Fraction, int] | None = None
+
+    def mass(self) -> tuple[Fraction, int]:
+        """(k1, L): the element's squared coefficient mass sum |c|^2 and the
+        largest rank in its support, computed on first use and kept; the
+        Laurent and group depth-2 cells read their tail bounds from it."""
+        if self._mass is None:
+            terms = self.element.terms
+            self._mass = (sum((c.abs_squared() for c in terms.values()), Fraction(0)),
+                          max(map(self.model.index_rank, terms), default=0))
+        return self._mass
 
     def h(self, m: int, ell: int, gamma: Index) -> HVal:
         if m < 0:
@@ -405,43 +424,54 @@ class HTable:
         Weights are Fractions or RootSums; a zero weight is skipped before its
         parent cell is read.  The generic fans and the models' exact and
         certified h_special sums all run through this one step
-        (truncated_sum, a lower bound, is the only other sum)."""
+        (truncated_sum, a lower bound, is the only other sum).  The sum runs
+        in integers through step_ratio, and the exact cell it gives is
+        normalised once, when it is stored; from the first contribution off
+        the integer path on, the sum runs in HVal arithmetic."""
+        pairs = iter(weighted_parents)
+        num, den, rest = self.step_ratio(m, ell, pairs)
+        acc = HVal("exact", q=Fraction(num, den))
+        if rest is None:
+            return acc
+        hv, w = rest
+        acc = acc.plus(hv.squared().times(w))
         parent_ell = ell >> 1
-        # While every contribution is an exact or sqrt cell times a
-        # Fraction weight, the HVal sum would be HVal.exact(num/den); keep the
-        # integers and switch to HVal arithmetic at the first other kind.
-        num, den = 0, 1
-        acc: HVal | None = None
-        for p, w in weighted_parents:
-            if acc is None and type(w) is Fraction:
+        for p, w in pairs:
+            if _weight_is_zero(w):
+                continue
+            hv = self.h(m - 1, parent_ell, p)
+            if hv.is_zero():
+                continue
+            acc = acc.plus(hv.squared().times(w))
+        return acc
+
+    def step_ratio(self, m: int, ell: int, pairs: Iterator, num: int = 0, den: int = 1) -> tuple:
+        """Integer core of step: adds h[m-1, ell >> 1, p]^2 * w to num/den
+        while each cell has sq_parts and each weight is a Fraction.  Returns
+        (num, den, None) once pairs runs out, or (num, den, (cell, w)) at the
+        first other nonzero contribution, the pairs after it left in pairs.
+        A stored parent is read from the cell dict, h runs only on a miss."""
+        pm, parent_ell = m - 1, ell >> 1
+        stored = 0 if self._commutative else parent_ell
+        cells, h = self._cells, self.h
+        for p, w in pairs:
+            if type(w) is Fraction:
                 wn = w.numerator
                 if not wn:
                     continue
-                hv = self.h(m - 1, parent_ell, p)
-                kind = hv.kind
-                if kind == "exact":
-                    v = hv.q
-                    vn = v.numerator
-                    if vn:
-                        vd = v.denominator
-                        num, den = _add_ratio(num, den, vn * vn * wn, vd * vd * w.denominator)
-                    continue
-                if kind == "sqrt":
-                    sq = hv.sq
-                    if sq.numerator:
-                        num, den = _add_ratio(num, den, sq.numerator * wn,
-                                              sq.denominator * w.denominator)
+                hv = cells.get((pm, stored, p)) or h(pm, parent_ell, p)
+                parts = hv.sq_parts
+                if parts is not None:
+                    if parts[0]:
+                        num, den = _add_ratio(num, den, parts[0] * wn, parts[1] * w.denominator)
                     continue
             elif _weight_is_zero(w):
                 continue
             else:
-                hv = self.h(m - 1, parent_ell, p)
-            if hv.is_zero():
-                continue
-            if acc is None:
-                acc = HVal.exact(Fraction(num, den))
-            acc = acc.plus(hv.squared().times(w))
-        return HVal.exact(Fraction(num, den)) if acc is None else acc
+                hv = cells.get((pm, stored, p)) or h(pm, parent_ell, p)
+            if not hv.is_zero():
+                return num, den, (hv, w)
+        return num, den, None
 
 
 def _add_ratio(num: int, den: int, a: int, b: int) -> tuple[int, int]:

@@ -684,11 +684,11 @@ def test_disk_column_multiplies_only_column_pairs(monkeypatch):
     a, b = random_disk_element(rng, 2, 2, nterms=8), random_disk_element(rng, 2, 2, nterms=8)
     lifted_a, lifted_b = disk_lift(a).terms, disk_lift(b).terms
     seen, reduced = [], []
-    pair_product, reduce_rows = ConeModel.pair_product, cone._reduction_rows
+    pair_table, reduce_rows = cone._tilde_pairs, cone._reduction_rows
 
-    def recording_pairs(model, left, right):
+    def recording_pairs(left, right):
         seen.append((left, right))
-        return pair_product(model, left, right)
+        return pair_table(left, right)
 
     def recording_rows(t, hbar):
         reduced.append(t)
@@ -697,7 +697,7 @@ def test_disk_column_multiplies_only_column_pairs(monkeypatch):
     def below(P, boxes):
         return any(P <= box for box in boxes)
 
-    monkeypatch.setattr(ConeModel, "pair_product", recording_pairs)
+    monkeypatch.setattr(cone, "_tilde_pairs", recording_pairs)
     monkeypatch.setattr(cone, "_reduction_rows", recording_rows)
     multiplied = {}
     for boxes in [[(0, 0)], [(1, 0)], [(0, 2)], [(1, 1)], [(1, 0), (0, 2)]]:
@@ -716,6 +716,22 @@ def test_disk_column_multiplies_only_column_pairs(monkeypatch):
     # two boxes multiply each pair once, and more pairs than either box alone
     one, two = multiplied[((1, 0),)], multiplied[((0, 2),)]
     assert multiplied[((1, 0), (0, 2))] == one | two and one - two and two - one
+
+
+def test_disk_products_build_no_cone_model(monkeypatch):
+    """disk_multiply and disk_rows read the pair table directly: neither
+    builds a ConeModel, and both give what they gave before."""
+    rng = seeded(89)
+    a, b = random_disk_element(rng, 2, 2), random_disk_element(rng, 2, 2)
+    box = MultiIndex((1, 1))
+    want = disk_multiply(a, b, H), disk_rows(a, b, H, [box])
+
+    def refuse(self, *args):
+        raise AssertionError("a disk product built a ConeModel")
+
+    monkeypatch.setattr(ConeModel, "__init__", refuse)
+    assert (disk_multiply(a, b, H), disk_rows(a, b, H, [box])) == want
+    assert not want[0].is_zero() and want[1]
 
 
 @pytest.mark.parametrize("n, level", [(1, 4), (2, 2), (3, 2)])

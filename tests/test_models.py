@@ -604,9 +604,9 @@ def test_laurent_incremental_window_matches_from_scratch():
 
 
 def test_factorial_tail_matches_fraction_bounds():
-    # the integer tail and ratio test of LaurentModel._h2_factorial against
-    # the Fraction expressions they replace, wherever those are defined
-    # (s >= |gamma|, ratio != 1)
+    # the integer tail pair and ratio test of LaurentModel._h2_factorial
+    # against the Fraction expressions they replace, wherever those are
+    # defined (s >= |gamma|, ratio != 1)
     from exactstar.models import _factorial_tail, _ratio_at_least_half
 
     half = Fraction(1, 2)
@@ -619,8 +619,9 @@ def test_factorial_tail_matches_fraction_bounds():
                     assert _ratio_at_least_half(L, lk, s) == (ratio >= half), (L, lk, s)
                     if ratio == 1:
                         continue
-                    got = _factorial_tail(k1, L, lk, s)
-                    assert type(got) is Fraction
+                    num, den = _factorial_tail(k1, L, lk, s)
+                    assert type(num) is int and type(den) is int
+                    got = Fraction(num, den)
                     assert got == laurent_term_bound(k1, L, lk, s) / (1 - ratio), (k1, L, lk, s)
                     tails += ratio < half
     assert tails > 1000

@@ -802,6 +802,80 @@ def test_step_tests_a_zero_weight_before_reading_its_cell():
     assert (got.kind, got.rs) == (want.kind, want.rs) == ("root", want.rs)
 
 
+@pytest.mark.parametrize("name", ["cone", "laurent:factorial"])
+def test_step_reads_stored_parents_directly(monkeypatch, name):
+    # on a warm table step reads every stored parent from the cell dict,
+    # without HTable.h; ell = 3 has the parent branch 1, which a commutative
+    # model stores under 0.  A parent not stored yet still goes through h,
+    # which computes and stores it
+    from exactstar.cone import ConeModel
+
+    from oracles import random_cone_element
+
+    if name == "cone":
+        model = ConeModel(1, Fraction(1, 2))
+        a = random_cone_element(seeded(41), 1, 2, 4)
+        gamma = max(a.terms, key=model.index_sort_key)
+        pairs = model.fan(1, gamma)
+    else:
+        model = get_model(name)
+        a = from_pairs([(-2, random_gr(seeded(43))), (1, Fraction(3, 4)), (3, 1)])
+        gamma = 2
+        pairs = [(n, model.row_sum(n, gamma)) for n in range(-7, 8)]
+    want = HTable(model, a).step(2, 3, pairs)
+    warm = HTable(model, a)
+    for p, _ in pairs:
+        warm.h(1, 1, p)
+    cold = HTable(model, a)
+    missing = {p for p, _ in pairs[::2]}
+    for p, _ in pairs[1::2]:
+        cold.h(1, 1, p)
+    calls = []
+    orig = HTable.h
+
+    def counted(table, m, ell, gamma):
+        calls.append((m, gamma))
+        return orig(table, m, ell, gamma)
+
+    monkeypatch.setattr(HTable, "h", counted)
+    got = warm.step(2, 3, pairs)
+    assert calls == []
+    assert (got.kind, got.exact_rational()) == (want.kind, want.exact_rational())
+    assert want.kind == "exact" and not want.is_zero()
+    got = cold.step(2, 3, pairs)
+    assert (got.kind, got.exact_rational()) == (want.kind, want.exact_rational())
+    assert {p for m, p in calls if m == 1} == missing
+    stored = 0 if model.commutative else 1
+    assert all((1, stored, p) in cold._cells for p in missing)
+
+
+@pytest.mark.parametrize("name", ["laurent:factorial", "group:Z"])
+def test_depth2_cells_read_the_mass_once(monkeypatch, name):
+    # k1 = sum |c|^2 and the top rank are the table's: every depth-2 cell of
+    # one element, ell 0-3 and gamma -4..4, reads each coefficient's
+    # |c|^2 once in all, past the level-0 cells
+    model = get_model(name)
+    a = from_pairs([(0, 1), (1, GaussianRational.of(1, 1)), (-2, Fraction(1, 2)),
+                    (3, GaussianRational.of(Fraction(2, 3), -1))])
+    want = {(ell, g): HTable(model, a).h(2, ell, g).to_bracket()
+            for ell in range(4) for g in range(-4, 5)}
+    table = HTable(model, a)
+    for j in a.terms:
+        table.h(0, 0, j)
+    calls = []
+    orig = GaussianRational.abs_squared
+
+    def counted(c):
+        calls.append(c)
+        return orig(c)
+
+    monkeypatch.setattr(GaussianRational, "abs_squared", counted)
+    got = {key: table.h(2, *key).to_bracket() for key in want}
+    assert got == want
+    assert sorted(calls, key=repr) == sorted(a.terms.values(), key=repr)
+    assert table.mass() == (sum((orig(c) for c in a.terms.values()), Fraction(0)), 3)
+
+
 def test_tracer_counts_every_cone_cell():
     # perfbench's Tracer counts seminorms.h_cells by wrapping HTable.h, so a
     # recursion step that filled a cell past HTable.h would undercount

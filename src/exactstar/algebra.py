@@ -1,9 +1,9 @@
 """Sparse elements over a countable basis and products through structure
 constants.
 
-A model supplies, for each ordered pair of basis indices, the finite
-expansion of their product in the basis.  Elements are finite maps
-index -> Gaussian rational; all arithmetic is exact.
+A model supplies the product of two elements: by default, for each ordered
+pair of basis indices, the finite expansion of their product in the basis.
+Elements are finite maps index -> Gaussian rational; all arithmetic is exact.
 
 This is the lowest layer above the scalars: the model base class and the
 model registry live here too, so that a command which builds a cone or disk
@@ -81,6 +81,10 @@ class BaseModel:
     def check_operands(self, a: Element, b: Element) -> None:
         """DimensionError when a product's operands do not fit the model;
         multiply asks once per call, before any pair is read."""
+
+    def element_product(self, a: Element, b: Element) -> Element:
+        """a * b once check_operands has passed: the pair_product sum."""
+        return settled_element(accumulate_product(self.pair_product, a.terms.items(), b.terms.items()))
 
     # -- the *-involution ---------------------------------------------------
     def star(self, idx: Index) -> Index:
@@ -272,9 +276,9 @@ def settled_element(acc: dict) -> Element:
 
 
 def multiply(model: BaseModel, a: Element, b: Element) -> Element:
-    """Product through the model's structure constants (exact)."""
+    """Exact product: the model checks the operands, then forms a * b."""
     model.check_operands(a, b)
-    return settled_element(accumulate_product(model.pair_product, a.terms.items(), b.terms.items()))
+    return model.element_product(a, b)
 
 
 def element_to_json(model: BaseModel, a: Element) -> dict:

@@ -66,11 +66,11 @@ DEFAULT_HBAR = Fraction(1, 2)
 # No index in a file has a rank (model.index_rank; a vector index's degree)
 # above RANK_CAP.  The cone recursion fans grow like level^5 at n = 2: on a
 # two-term cone element at --n 2, seminorm --m-max 2 took 0.42-0.47 s at
-# level 12, 0.74 s at 14 and 1.0 s at 16, and the product of a two-term cone
-# or disk element with itself 0.13-0.20 s at 12 (one run each, CLI start
-# included, Python 3.11.7 on a shared 2-vCPU Xeon VM).  At the cap the
-# slowest seminorm is wick:2's (5-7 s); the free groups take about 1 s at
-# any rank, spent in their SHELL_BUDGET.
+# level 12, 0.74 s at 14 and 1.0 s at 16 (one run each), and the product of
+# a two-term cone or disk element with itself 0.08-0.13 s at 12 (5-8 runs
+# each; CLI start included, Python 3.11.7, shared 2-vCPU Xeon VM).  At the
+# cap the slowest seminorm is wick:2's (5-7 s); the free groups take about
+# 1 s at any rank, spent in their SHELL_BUDGET.
 GAMMA_MAX_CAP = 16
 DEPTH_CAP = 16
 CHECK_LEVEL_CAP = 4

@@ -633,8 +633,8 @@ def _reduction_rows(t: Triple, hbar: Fraction) -> tuple:
 def _reduce_sum(upstairs: Iterable[tuple], hbar: Fraction) -> dict:
     """accumulate() dict of the disk class of sum_t z_t f_t, from (t, z_t)
     pairs with z_t given as integers (re_num, im_num, den); entries may be
-    zero.  The whole reduction step of disk_reduce, disk_multiply and
-    DiskModel's pair table.  Each triple's rows come from _reduction_rows,
+    zero.  The whole reduction step of disk_reduce and disk_multiply, the
+    one disk product.  Each triple's rows come from _reduction_rows,
     so a minimal-level triple skips the table; disk_rows reads the same rows
     only as far as its boxes."""
     acc: dict = {}
@@ -680,8 +680,8 @@ def _dimension(a: Element, b: Element, kind: str = "disk") -> int | None:
 def disk_multiply(a: Element, b: Element, hbar) -> Element:
     """Quotient product: lift at minimal levels, multiply upstairs, reduce.
 
-    The upstairs product stays the integer accumulator of multiply, built
-    from the cone pair table _tilde_pairs; its nonzero entries go through the
+    The upstairs product stays the integer accumulator of accumulate_product
+    over the cone pair table _tilde_pairs; its nonzero entries go through the
     reduction rows unnormalised, and only the disk result is settled."""
     n = _dimension(a, b)
     if n is None:
@@ -769,9 +769,9 @@ def eval_disk(a: Element, v, hbar) -> GaussianRational:
 class DiskModel(BaseModel):
     """Quotient algebra on the unit disk: classes f_{P,Q} at minimal level.
 
-    Unlike the cone constants, the product depends on hbar through the
-    reduction, and hbar must be an allowed value.  Recursion fans are not
-    finite here; seminorms live upstairs on the cone."""
+    Unlike the cone constants, the product (disk_multiply; no pair table)
+    depends on hbar through the reduction, and hbar must be an allowed value.
+    Recursion fans are not finite here; seminorms live upstairs on the cone."""
 
     commutative = False
 
@@ -786,13 +786,8 @@ class DiskModel(BaseModel):
 
     check_operands = ConeModel.check_operands
 
-    def _pair(self, left, right):
-        (P, Q), (R, S) = left, right
-        t1 = (P, Q, max(P.degree(), Q.degree()))
-        t2 = (R, S, max(R.degree(), S.degree()))
-        consts = ((t, (c.numerator, 0, c.denominator)) for t, c in _tilde_pairs(t1, t2).items())
-        acc = _reduce_sum(consts, self.hbar)
-        return {idx: Fraction(re, d) for idx, (re, _, d) in acc.items() if re}
+    def element_product(self, a, b):
+        return disk_multiply(a, b, self.hbar)
 
     def _row(self, alpha, gamma):
         raise InfiniteFanError(

@@ -8,7 +8,8 @@ and disk identities live here too, each built from binomials and factorials
 alone: _tilde_coefficient derives one closed-form structure constant from
 its target (the reference that cone._tilde_pairs and cone_rowsum unroll),
 and disk_coefficient_extraction reads one disk coefficient of an upstairs
-element without the reduction rows of disk_reduce.  Those rows have a
+element without the reduction rows of disk_reduce (disk_product_by_extraction
+reads a whole disk product that way).  Those rows have a
 second construction as well: reduction_rows_reference builds the rows of
 cone._reduce_cached from MultiIndex factorials, one Fraction per entry,
 where the library keeps integral constants as ints.  Cone and disk
@@ -238,17 +239,41 @@ def eval_disk_reference(a: Element, v, hbar) -> GaussianRational:
 # the disk product in two steps
 
 
-def disk_multiply_two_step(a: Element, b: Element, hbar) -> Element:
-    """disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar),
-    with the zero product of two zero operands."""
+def _lifted_cone_product(a: Element, b: Element, hbar) -> tuple[int, Element] | None:
+    """(n, multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b))) for
+    disk operands of dimension n; None when both are zero."""
     from exactstar.algebra import multiply
-    from exactstar.cone import ConeModel, disk_lift, disk_reduce
+    from exactstar.cone import ConeModel, disk_lift
 
     src = a if a.terms else b
     if not src.terms:
-        return Element.zero()
+        return None
     n = len(next(iter(src.terms))[0])
-    return disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar)
+    return n, multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b))
+
+
+def disk_multiply_two_step(a: Element, b: Element, hbar) -> Element:
+    """disk_reduce(multiply(ConeModel(n, hbar), disk_lift(a), disk_lift(b)), hbar),
+    with the zero product of two zero operands."""
+    from exactstar.cone import disk_reduce
+
+    lifted = _lifted_cone_product(a, b, hbar)
+    return Element.zero() if lifted is None else disk_reduce(lifted[1], hbar)
+
+
+def disk_product_by_extraction(a: Element, b: Element, hbar) -> Element:
+    """The disk product read coefficient by coefficient: the cone product of
+    the minimal-level lifts, then disk_coefficient_extraction at every
+    (R, S) up to the top level of that product (a reduction row of a triple
+    at level gamma has rank at most gamma).  It reads no reduction rows."""
+    lifted = _lifted_cone_product(a, b, hbar)
+    if lifted is None:
+        return Element.zero()
+    n, up = lifted
+    top = max((alpha for _, _, alpha in up.terms), default=0)
+    ranked = list(multi_indices_up_to_degree(n, top))
+    return Element({(R, S): disk_coefficient_extraction(up, R, S, hbar)
+                    for R in ranked for S in ranked})
 
 
 def gns_project(a: Element):

@@ -17,7 +17,6 @@ from exactstar.cli import UsageError, main, parse_point_coordinate
 from exactstar.cone import (
     DiskModel,
     cone_triples,
-    disk_multiply,
     make_triple,
     tilde_structure_constants,
 )
@@ -26,6 +25,7 @@ from exactstar.models import get_model
 from exactstar.scalars import GaussianRational, MultiIndex
 
 from laws import wick_z, wick_zbar
+from oracles import disk_product_by_extraction
 
 GR = GaussianRational.of
 
@@ -111,7 +111,7 @@ def test_product_disk_round_trip(tmp_path):
               write_json(tmp_path / "b.json", element_to_json(dm, b)), "--out", str(out))
     assert res.exit_code == 0, res.output
     got = element_from_json(dm, json.loads(out.read_text()))
-    assert got == disk_multiply(a, b, hbar) and not got.is_zero()
+    assert got == disk_product_by_extraction(a, b, hbar) and not got.is_zero()
     # the written file is the serialized product, byte for byte
     assert json.loads(out.read_text()) == element_to_json(dm, got)
 

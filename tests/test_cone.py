@@ -48,6 +48,7 @@ from oracles import (
     _tilde_coefficient,
     disk_coefficient_extraction,
     disk_multiply_two_step,
+    disk_product_by_extraction,
     eval_disk_reference,
     eval_upstairs_reference,
     pochhammer,
@@ -622,32 +623,60 @@ def test_disk_product_well_defined():
         assert disk_reduce(multiply(model, pert, disk_lift(d2)), H) == direct
 
 
-def test_disk_associativity_and_unit():
+@pytest.mark.parametrize("hbar", [H, Fraction(-3, 7), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize("n", [1, 2])
+def test_disk_associativity_and_unit(n, hbar):
     rng = seeded(43)
-    dm = DiskModel(1, H)
-    a, b, c = (random_disk_element(rng, 1, 1, nterms=3) for _ in range(3))
-    lhs = disk_multiply(disk_multiply(a, b, H), c, H)
-    rhs = disk_multiply(a, disk_multiply(b, c, H), H)
-    assert lhs == rhs
-    assert disk_multiply(dm.unit(), a, H) == a
-    assert disk_multiply(a, dm.unit(), H) == a
+    dm = DiskModel(n, hbar)
+    a, b, c = (random_disk_element(rng, n, 2, nterms=3) for _ in range(3))
+    assert multiply(dm, multiply(dm, a, b), c) == multiply(dm, a, multiply(dm, b, c))
+    assert multiply(dm, dm.unit(), a) == a
+    assert multiply(dm, a, dm.unit()) == a
 
 
-@pytest.mark.parametrize("hbar", [H, Fraction(3, 7)], ids=["1/2", "3/7"])
+@pytest.mark.parametrize("hbar", [H, Fraction(3, 7), Fraction(-5, 7)], ids=["1/2", "3/7", "-5/7"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_disk_model_multiply_matches_disk_multiply(n, hbar):
-    # multiply() reads DiskModel's own pair table; disk_multiply lifts to the cone
+    # multiply() on a DiskModel runs disk_multiply; coefficient extraction
+    # from the cone product of the lifts is the route that reads no
+    # reduction rows
     rng = seeded(59 + n)
     dm = DiskModel(n, hbar)
     for _ in range(2):
         a = random_disk_element(rng, n, 2, nterms=3)
         b = random_disk_element(rng, n, 2, nterms=3)
-        assert multiply(dm, a, b) == disk_multiply(a, b, hbar)
+        got = multiply(dm, a, b)
+        assert got == disk_multiply(a, b, hbar) == disk_product_by_extraction(a, b, hbar)
+        assert not got.is_zero()
     # a disk class is a cone triple at its minimal level, and that level is its rank
     minimal = [(P, Q, alpha) for P, Q, alpha in ConeModel(n, hbar).indices_up_to(2)
                if alpha == max(P.degree(), Q.degree())]
     assert sorted(dm.indices_up_to(2)) == sorted((P, Q) for P, Q, _ in minimal)
     assert all(dm.index_rank((P, Q)) == alpha for P, Q, alpha in minimal)
+
+
+@pytest.mark.parametrize("hbar", [H, Fraction(-3, 7)], ids=str)
+def test_disk_model_multiply_reduces_each_upstairs_triple_once(monkeypatch, hbar):
+    """multiply on a DiskModel sums the whole upstairs product before it
+    reduces: each nonzero upstairs triple reads its reduction rows once, and
+    no other triple reads them."""
+    from exactstar import cone
+
+    rng = seeded(83)
+    dm = DiskModel(2, hbar)
+    a, b = (random_disk_element(rng, 2, 2, nterms=6) for _ in range(2))
+    up = accumulate_product(ConeModel(2, hbar).pair_product, disk_lift(a).terms.items(),
+                            disk_lift(b).terms.items())
+    reduced, reduce_rows = [], cone._reduction_rows
+
+    def recording_rows(t, hbar):
+        reduced.append(t)
+        return reduce_rows(t, hbar)
+
+    monkeypatch.setattr(cone, "_reduction_rows", recording_rows)
+    multiply(dm, a, b)
+    assert len(reduced) == len(set(reduced))
+    assert set(reduced) == {t for t, (re, im, _) in up.items() if re or im}
 
 
 def _cancelling_pair(n):

@@ -16,15 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts
+from .scalars import DEFAULT_TOL, GR_ONE, GR_ZERO, GaussianRational, accumulate, gaussian_parts
 
 if TYPE_CHECKING:
     from .seminorms import HTable
 
 Index = Hashable
-
-# enclosure width target of certified brackets and comparisons
-DEFAULT_TOL = Fraction(1, 10**12)
 
 
 class DomainError(ValueError):
@@ -152,6 +149,13 @@ class BaseModel:
     C * B^k * (k+1)^p; it returns None at an m it does not bound.  omega_h
     closes the tails of rank-weighted sums with it, and seminorm --radius
     needs it."""
+
+    h_lower_const = None
+    """Divergence witness, in models that have one: a method
+    h_lower_const(a, m) returning (v, k0) with v > 0 a rational such that
+    h[m, ell, idx](a) >= v for every branch word ell and every index idx of
+    rank at least k0, or None when it finds no such bound.  omega_h then
+    reports a rank-weighted sum at radius >= 1 as divergent, not truncated."""
 
     # -- index plumbing -----------------------------------------------------
     def validate_index(self, idx: Index) -> Index:

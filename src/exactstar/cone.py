@@ -58,9 +58,17 @@ def make_triple(P, Q, alpha) -> Triple:
     if len(P) != len(Q):
         raise DomainError("triple multiindices must share one dimension")
     alpha = _as_int(alpha, "triple level")
-    if alpha < max(P.degree(), Q.degree()):
-        raise DomainError(f"level {alpha} below max(|P|, |Q|)")
+    _check_levels((P, Q, alpha))
     return (P, Q, alpha)
+
+
+def _check_levels(*triples: Triple) -> None:
+    """DomainError unless each triple's level is at least max(|P|, |Q|).
+    The cached kernels test their own slacks and call it only when one is
+    negative."""
+    for P, Q, alpha in triples:
+        if alpha < max(sum(P), sum(Q)):
+            raise DomainError(f"level {alpha} below max(|P|, |Q|)")
 
 
 def allowed_hbar(hbar) -> Fraction:
@@ -168,10 +176,13 @@ def _tilde_pairs(t1: Triple, t2: Triple) -> dict:
     one factorial lookup (factorials_through(alpha): kp and every entry of
     Kp are at most alpha) for kp! and Kp!.  A constant is stored as an int
     when the division comes out even and as a Fraction only when it does
-    not; accumulate() reads either."""
+    not; accumulate() reads either.  A triple below its level raises
+    DomainError."""
     (P, Q, alpha), (R, S, beta) = t1, t2
     a_slack, b_slack = alpha - sum(P), beta - sum(S)
     r_slack, q_slack = beta - sum(R), alpha - sum(Q)
+    if min(a_slack, b_slack, r_slack, q_slack) < 0:
+        _check_levels(t1, t2)
     fact = factorials_through(alpha)
     # (gamma + |Kp|, signed level factor, kp!) from the lowest level up
     levels = []
@@ -218,6 +229,7 @@ def oracle_structure_constants(t1: Triple, t2: Triple, hbar) -> dict:
     the e-basis product and of the three scales; they cancel only when that
     ratio is normalised, so a wrong power leaves hbar in the result."""
     hbar = allowed_hbar(hbar)
+    _check_levels(t1, t2)
     two_h = 2 * hbar
     a, b = two_h.numerator, two_h.denominator
     n1, d1 = _f_scale(t1, a, b)
@@ -566,7 +578,8 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     denominator per degree k, then (I+K)! (J+K)! / K! from one factorial lookup
     (factorials_through(gamma): every i + k and j + k is at most gamma).  A
     constant is stored as an int when the division comes out even and as a
-    Fraction only when it does not; accumulate() reads either."""
+    Fraction only when it does not; accumulate() reads either.  A triple
+    below its level raises DomainError."""
     I, J, gamma = t
     # nu = u/v in lowest terms with v > 0, so a negative hbar leaves its sign on u
     u, v = hbar.denominator, 2 * hbar.numerator
@@ -575,6 +588,8 @@ def _reduce_cached(t: Triple, hbar: Fraction) -> tuple:
     di, dj = sum(I), sum(J)
     mx = max(di, dj)
     top = gamma - mx
+    if top < 0:
+        _check_levels(t)
     fact = factorials_through(gamma)
     # the denominator of pref(I, J, gamma)
     lower = fact(gamma - di) * fact(gamma - dj)

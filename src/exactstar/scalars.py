@@ -14,6 +14,9 @@ from typing import Callable, Iterable, Iterator, Union
 
 RationalLike = Union[int, Fraction]
 
+# enclosure width target of certified brackets and comparisons
+DEFAULT_TOL = Fraction(1, 10**12)
+
 # GaussianRational and ExtendedNonNeg are immutable: their __init__ sets the
 # slots through object.__setattr__, bound once here, and __setattr__ refuses.
 _set = object.__setattr__
@@ -110,7 +113,7 @@ def format_rational(q: RationalLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def sqrt_bracket(q: RationalLike, tol: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
+def sqrt_bracket(q: RationalLike, tol: Fraction = DEFAULT_TOL) -> tuple[Fraction, Fraction]:
     """Rational enclosure [lo, hi] of sqrt(q) for q >= 0 with hi - lo <= tol.
 
     Uses integer square roots of scaled numerators, so both bounds are exact
@@ -629,7 +632,7 @@ class RootSum:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def bracket(self, tol: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
+    def bracket(self, tol: Fraction = DEFAULT_TOL) -> tuple[Fraction, Fraction]:
         """Rational enclosure of the value (terms may have either sign)."""
         lo = hi = Fraction(0)
         k = max(1, len(self.terms))

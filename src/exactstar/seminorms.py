@@ -21,6 +21,7 @@ the tail bound came from.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -116,13 +117,6 @@ class Bracket:
             _join_tag(self.tail_source, other.tail_source),
         )
 
-    def scale(self, q: Fraction) -> "Bracket":
-        if q < 0:
-            raise ValueError("scale factor must be nonnegative")
-        if q == 0:
-            return Bracket.exact(0)
-        return Bracket(self.lo * q, self.hi * q, self.depth, self.tail_source)
-
     def root_interval(self, m: int, tol: Fraction = DEFAULT_TOL) -> tuple[Fraction, ExtendedNonNeg]:
         """Enclosure of the 2^m-th root."""
         lo, _ = _root_bracket(self.lo, m, tol)
@@ -168,7 +162,7 @@ def rootsum_sign(rs: RootSum) -> int:
     refinements, each squaring the tolerance."""
     if rs.is_zero():
         return 0
-    tol = Fraction(1, 10**12)
+    tol = DEFAULT_TOL
     for _ in range(40):
         lo, hi = rs.bracket(tol)
         if lo > 0:
@@ -190,6 +184,10 @@ class HVal:
     kind "sqrt":    value = sqrt(sq) for a rational sq (modulus at m = 0)
     kind "root":    exact finite sum of square roots of rationals
     kind "bracket": certified interval; an infinite cell holds Bracket.divergent()
+
+    Only the constructors root and bracket build the last two kinds: a root
+    sum that is rational becomes an exact cell, and so does an exact bracket,
+    so a root or bracket cell is never zero and never exactly rational.
     """
 
     __slots__ = ("kind", "q", "sq", "rs", "br", "sq_parts")
@@ -244,13 +242,8 @@ class HVal:
         return HVal("bracket", br=Bracket.divergent())
 
     def is_zero(self) -> bool:
-        if self.kind == "exact":
-            return self.q == 0
-        if self.kind == "sqrt":
-            return self.sq == 0
-        if self.kind == "root":
-            return self.rs.is_zero()
-        return self.br.is_zero()
+        parts = self.sq_parts
+        return parts is not None and not parts[0]
 
     def is_infinite(self) -> bool:
         return self.kind == "bracket" and self.br.is_divergent()
@@ -261,10 +254,6 @@ class HVal:
             return self.q
         if self.kind == "sqrt":
             return rational_sqrt(self.sq)
-        if self.kind == "root" and self.rs.is_rational():
-            return self.rs.rational_value()
-        if self.kind == "bracket" and self.br.is_exact():
-            return self.br.lo
         return None
 
     def squared(self) -> "HVal":
@@ -276,29 +265,6 @@ class HVal:
             return HVal.root(self.rs * self.rs)
         return HVal.bracket(self.br * self.br)
 
-    def times(self, w) -> "HVal":
-        """Multiply by a nonnegative model weight (Fraction or RootSum)."""
-        if isinstance(w, (int, Fraction)):
-            w = Fraction(w)
-            if w == 0 or self.is_zero():
-                return HVal.zero()
-            if self.kind == "exact":
-                return HVal.exact(self.q * w)
-            if self.kind == "sqrt":
-                return HVal.root(RootSum.sqrt_rational(self.sq) * RootSum.rational(w))
-            if self.kind == "root":
-                return HVal.root(self.rs * RootSum.rational(w))
-            return HVal.bracket(self.br.scale(w))
-        if isinstance(w, RootSum):
-            if w.is_rational():
-                return self.times(w.rational_value())
-            if self.is_zero():
-                return HVal.zero()
-            if self.kind in ("exact", "sqrt", "root"):
-                return HVal.root(self._as_rootsum() * w)
-            return HVal.bracket(self.br * rootsum_bracket(w))
-        raise TypeError(f"unsupported weight type {type(w)!r}")
-
     def plus(self, other: "HVal") -> "HVal":
         if self.is_zero():
             return other
@@ -307,12 +273,7 @@ class HVal:
         # the bracket sum would keep the finite side's lo and depth
         if self.is_infinite() or other.is_infinite():
             return HVal.infinite()
-        a, b = self, other
-        if a.kind == "bracket" or b.kind == "bracket":
-            return HVal.bracket(a.to_bracket() + b.to_bracket())
-        if a.kind == "exact" and b.kind == "exact":
-            return HVal("exact", q=a.q + b.q)
-        return HVal.root(a._as_rootsum() + b._as_rootsum())
+        return _combine(operator.add, self, other)
 
     def _as_rootsum(self) -> RootSum:
         if self.kind == "exact":
@@ -421,28 +382,26 @@ class HTable:
     def step(self, m: int, ell: int, weighted_parents: Iterable) -> HVal:
         """Sum of h[m-1, ell >> 1, p]^2 * w over the (p, w) pairs.
 
-        Weights are Fractions or RootSums; a zero weight is skipped before its
-        parent cell is read.  The generic fans and the models' exact and
-        certified h_special sums all run through this one step
+        Weights are Fractions, ints or RootSums; a zero weight is skipped
+        before its parent cell is read.  The generic fans and the models'
+        exact and certified h_special sums all run through this one step
         (truncated_sum, a lower bound, is the only other sum).  The sum runs
         in integers through step_ratio, and the exact cell it gives is
         normalised once, when it is stored; from the first contribution off
-        the integer path on, the sum runs in HVal arithmetic."""
+        the integer path on, each weight enters as weight_value(w) and the
+        sum runs in the one HVal arithmetic, plus and hval_product."""
         pairs = iter(weighted_parents)
         num, den, rest = self.step_ratio(m, ell, pairs)
         acc = HVal("exact", q=Fraction(num, den))
         if rest is None:
             return acc
         hv, w = rest
-        acc = acc.plus(hv.squared().times(w))
+        acc = acc.plus(hval_product(hv.squared(), weight_value(w)))
         parent_ell = ell >> 1
         for p, w in pairs:
-            if _weight_is_zero(w):
-                continue
-            hv = self.h(m - 1, parent_ell, p)
-            if hv.is_zero():
-                continue
-            acc = acc.plus(hv.squared().times(w))
+            wv = weight_value(w)
+            if not wv.is_zero():
+                acc = acc.plus(hval_product(self.h(m - 1, parent_ell, p).squared(), wv))
         return acc
 
     def step_ratio(self, m: int, ell: int, pairs: Iterator, num: int = 0, den: int = 1) -> tuple:
@@ -465,7 +424,7 @@ class HTable:
                     if parts[0]:
                         num, den = _add_ratio(num, den, parts[0] * wn, parts[1] * w.denominator)
                     continue
-            elif _weight_is_zero(w):
+            elif weight_value(w).is_zero():
                 continue
             else:
                 hv = cells.get((pm, stored, p)) or h(pm, parent_ell, p)
@@ -481,14 +440,6 @@ def _add_ratio(num: int, den: int, a: int, b: int) -> tuple[int, int]:
         return num + a, den
     m = math.lcm(den, b)
     return num * (m // den) + a * (m // b), m
-
-
-def _weight_is_zero(w) -> bool:
-    if isinstance(w, (int, Fraction)):
-        return w == 0
-    if isinstance(w, RootSum):
-        return w.is_zero()
-    return False
 
 
 def truncated_sum(table: HTable, m: int, ell: int, weighted_parents: Iterable, depth: int) -> HVal:
@@ -601,7 +552,7 @@ def check_product_inequality(
         out.update(holds=lq <= rq, mode="exact")
         return out
     if lhs.kind in ("exact", "sqrt", "root") and rhs.kind in ("exact", "sqrt", "root"):
-        diff = rhs._as_rootsum() + lhs._as_rootsum() * RootSum.rational(Fraction(-1))
+        diff = rhs._as_rootsum() - lhs._as_rootsum()
         out.update(holds=rootsum_sign(diff) >= 0, mode="root-sum-exact")
         return out
     lb, rb = out["lhs_squared"], out["rhs"]
@@ -615,15 +566,33 @@ def check_product_inequality(
 
 
 def hval_product(x: HVal, y: HVal) -> HVal:
+    """x * y; a zero factor gives zero, even against an infinite one.  A model
+    weight enters as a value, hval_product(cell, weight_value(w))."""
     if x.is_zero() or y.is_zero():
         return HVal.zero()
     if x.is_infinite() or y.is_infinite():
         return HVal.infinite()
+    return _combine(operator.mul, x, y)
+
+
+def _combine(op, x: HVal, y: HVal) -> HVal:
+    """op (operator.add or operator.mul) of two finite nonzero cells, in the
+    widest kind of the two: a bracket, then an exact rational, else a root
+    sum."""
     if x.kind == "bracket" or y.kind == "bracket":
-        return HVal.bracket(x.to_bracket() * y.to_bracket())
+        return HVal.bracket(op(x.to_bracket(), y.to_bracket()))
     if x.kind == "exact" and y.kind == "exact":
-        return HVal("exact", q=x.q * y.q)
-    return HVal.root(x._as_rootsum() * y._as_rootsum())
+        return HVal("exact", q=op(x.q, y.q))
+    return HVal.root(op(x._as_rootsum(), y._as_rootsum()))
+
+
+def weight_value(w) -> HVal:
+    """A nonnegative model weight (Fraction, int or RootSum) as an h value."""
+    if isinstance(w, RootSum):
+        return HVal.root(w)
+    if isinstance(w, (int, Fraction)):
+        return HVal.exact(w)
+    raise TypeError(f"unsupported weight type {type(w)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +683,7 @@ def omega_h(
             w = omega.weight(rank_fn(idx), idx)
             if w == 0:
                 continue
-            acc = acc.plus(table.h(m, ell, idx).times(w))
+            acc = acc.plus(hval_product(table.h(m, ell, idx), weight_value(w)))
         return acc.to_bracket(tol)
 
     if a.is_zero():
@@ -737,11 +706,11 @@ def omega_h(
         for idx in a.support():
             r = rank_fn(idx)
             top = max(top, r)
-            acc = acc.plus(table.h(0, 0, idx).times(omega.weight(r, idx)))
+            acc = acc.plus(hval_product(table.h(0, 0, idx), weight_value(omega.weight(r, idx))))
         br = acc.to_bracket(tol)
         return Bracket(br.lo, br.hi, top, br.tail_source)
 
-    witness = getattr(model, "h_lower_const", None)
+    witness = model.h_lower_const
     lower = None if factorial_weights or omega.ratio < 1 or witness is None else witness(a, m)
     if lower is not None:
         # h stays at or above lower[0] > 0 from rank lower[1] on, against R^k >= 1
@@ -759,7 +728,7 @@ def _omega_partial(model, table: HTable, m, ell, omega, depth, tol) -> Bracket:
         sums[k] = sums.get(k, HVal.zero()).plus(table.h(m, ell, idx))
     partial = Bracket.exact(0)
     for k, hv in sums.items():
-        partial = partial + hv.to_bracket(tol).scale(omega.weight(k, None))
+        partial = partial + hv.to_bracket(tol) * Bracket.exact(omega.weight(k, None))
     return Bracket(partial.lo, partial.hi, depth, partial.tail_source)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .algebra import DomainError, Element, from_pairs, multiply, settled_element
+from .algebra import DimensionError, DomainError, Element, from_pairs, multiply, settled_element
 from .cone import ConeModel, make_triple, y_minus_one
 from .scalars import (
     CACHE_ENTRIES,
@@ -306,21 +306,27 @@ def pullback_entry_bound_holds(U, gamma: int) -> bool:
 
 
 def _apply_slices(slices, M: tuple, a: Element) -> Element:
-    """Apply the per-level action slices(M, level) to a cone element."""
+    """Apply the per-level action slices(M, level) to a cone element.  A
+    slice holds every (P, Q) of its level, so a term it lacks is malformed:
+    DimensionError for a multiindex of another length, DomainError for a
+    level below max(|P|, |Q|)."""
     n = len(M) - 1
     by_level: dict = {}  # one slices() lookup, which hashes M, per level
     acc: dict = {}
     for (P, Q, alpha), coeff in a.terms.items():
-        if len(P) != n:
-            raise DomainError(
-                f"element lives on a cone with {len(P)} disk directions, "
-                f"the matrix acts on {n}"
-            )
         level = by_level.get(alpha)
         if level is None:
             level = by_level[alpha] = slices(M, alpha)
+        images = level.get((P, Q))
+        if images is None:
+            if len(P) != n or len(Q) != n:
+                raise DimensionError(
+                    f"element has multiindices of length {len(P)} and {len(Q)}, "
+                    f"the matrix acts on {n}"
+                )
+            raise DomainError(f"level {alpha} below max(|P|, |Q|)")
         x, y, d = gaussian_parts(coeff)
-        for (K, L), val in level.get((P, Q), ()):
+        for (K, L), val in images:
             u, v, e = gaussian_parts(val)
             accumulate(acc, (K, L, alpha), (x * u - y * v, x * v + y * u, d * e), 1)
     return settled_element(acc)

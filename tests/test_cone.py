@@ -487,6 +487,30 @@ def test_eval_upstairs_rejects_outside_points():
         eval_upstairs(Element.basis((MultiIndex((2,)), Z1, 1)), (2, 0), H)
 
 
+# triples built without make_triple, each below its minimal level 1: a big P
+# and a big Q, on the left and on the right of a pair
+_BIG_P, _BIG_Q = (MultiIndex((2,)), Z1, 1), (Z1, MultiIndex((2,)), 1)
+
+
+@pytest.mark.parametrize("bad", [_BIG_P, _BIG_Q], ids=["big-P", "big-Q"])
+@pytest.mark.parametrize("route", [
+    lambda t, u: multiply(ConeModel(1, H), Element.basis(t), Element.basis(u)),
+    lambda t, u: multiply(ConeModel(1, H), Element.basis(u), Element.basis(t)),
+    lambda t, u: oracle_structure_constants(t, u, H),
+    lambda t, u: oracle_structure_constants(u, t, H),
+    lambda t, u: tilde_structure_constants(u, t),
+    lambda t, u: disk_reduce(Element.basis(t), H),
+    lambda t, u: disk_reduce(Element.basis(t) + Element.basis(u), Fraction(-3, 7)),
+], ids=["multiply-left", "multiply-right", "oracle-left", "oracle-right", "tilde-right",
+        "disk-reduce", "disk-reduce-sum"])
+def test_below_level_triples_raise_one_domain_error(route, bad):
+    # every entry point gives the error eval_pair gives
+    with pytest.raises(DomainError, match="level 1 below max"):
+        route(bad, (E1, E1, 2))
+    with pytest.raises(DomainError, match="level 1 below max"):
+        eval_pair(Element.basis(bad), (2, 0), (2, 0), H)
+
+
 @pytest.mark.parametrize("point", [(2,), (2, 0, 0)])
 def test_evaluate_rejects_points_of_the_wrong_dimension(point):
     # a cone point has n + 1 coordinates and a disk point n

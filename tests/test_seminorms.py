@@ -18,6 +18,7 @@ from exactstar.seminorms import (
     present,
     rootsum_bracket,
     rootsum_sign,
+    weight_value,
 )
 
 from laws import comparison_constant, growth_classify, seminorm_max_ell
@@ -91,7 +92,7 @@ def test_bracket_arithmetic_encloses(lo1, w1, lo2, w2, t1, t2, s):
     y = lo2 + t2 * w2
     assert _contains(b1 + b2, x + y)
     assert _contains(b1 * b2, x * y)
-    assert _contains(b1.scale(s), x * s)
+    assert _contains(b1 * Bracket.exact(s), x * s)
 
 
 def test_bracket_root_interval():
@@ -118,7 +119,7 @@ def test_hval_kinds_and_exact_rational():
     assert HVal.root(rs).exact_rational() is None
     assert HVal.zero().is_zero() and HVal.infinite().is_infinite()
     # 0 * inf = 0: an absent contribution stays absent
-    assert HVal.infinite().times(Fraction(0)).is_zero()
+    assert hval_product(HVal.infinite(), weight_value(Fraction(0))).is_zero()
     assert hval_product(HVal.infinite(), HVal.zero()).is_zero()
     with pytest.raises(ValueError):
         HVal.exact(-1)
@@ -130,7 +131,7 @@ def test_hval_kinds_and_exact_rational():
 def test_hval_squared_times_plus():
     s = HVal.modulus_sq(Fraction(2))          # sqrt 2
     assert s.squared().exact_rational() == 2
-    assert s.times(Fraction(3)).squared().exact_rational() == 18
+    assert hval_product(s, weight_value(Fraction(3))).squared().exact_rational() == 18
     assert s.plus(s).squared().exact_rational() == 8
     mix = HVal.exact(Fraction(1)).plus(s)     # 1 + sqrt 2, a root sum
     assert mix.kind == "root"
@@ -140,7 +141,7 @@ def test_hval_squared_times_plus():
     assert br.lo < Fraction(24143, 10**4)
     # infinity absorbs, except against zero weight
     assert HVal.infinite().plus(HVal.exact(1)).is_infinite()
-    assert HVal.infinite().times(Fraction(0)).is_zero()
+    assert hval_product(HVal.infinite(), weight_value(Fraction(0))).is_zero()
 
 
 def test_hval_product():
@@ -153,6 +154,57 @@ def test_hval_product():
     out = hval_product(b, HVal.exact(3))
     assert out.kind == "bracket"
     assert _contains(out.to_bracket(), Fraction(4))
+
+
+def _kind_cells() -> list:
+    """One cell of every kind: zero, exact, rational and irrational sqrt,
+    root sum, finite bracket, truncated bracket, divergent."""
+    r2, r3 = RootSum.sqrt_rational(Fraction(2)), RootSum.sqrt_rational(Fraction(3))
+    return [
+        HVal.zero(), HVal.exact(Fraction(5, 3)),
+        HVal.modulus_sq(Fraction(9, 4)), HVal.modulus_sq(Fraction(2)),
+        HVal.root(r2 + r3 * Fraction(1, 2)),
+        HVal.bracket(Bracket.enclosure(Fraction(1), Fraction(2), 3, "model_majorant")),
+        HVal.bracket(Bracket.truncated(Fraction(7, 2), 5)),
+        HVal.infinite(),
+    ]
+
+
+def test_weighted_sums_and_products_unchanged():
+    """Each cell kind times each weight kind (zero, Fraction, rational and
+    irrational RootSum), and each pair of cells multiplied and added, pinned
+    bit for bit: the sha256 of (kind, q, sq, rs, bracket), recorded while a
+    weight still had its own product, HVal.times, and plus and hval_product
+    each had their own kind ladder."""
+    import hashlib
+
+    def digest(values):
+        d = hashlib.sha256()
+        for v in values:
+            d.update(repr((v.kind, v.q, v.sq, v.rs, v.to_bracket())).encode() + b"\n")
+        return d.hexdigest()[:16]
+
+    xs = _kind_cells()
+    weights = [Fraction(0), Fraction(3, 2), RootSum.rational(Fraction(5, 4)),
+               RootSum.sqrt_rational(Fraction(3))]
+    assert digest(hval_product(x, weight_value(w)) for x in xs for w in weights) == "420d2944b3de9daa"
+    assert digest(hval_product(x, y) for x in xs for y in xs) == "204cd7c5d27f1fba"
+    assert digest(x.plus(y) for x in xs for y in xs) == "9824385a93869ef2"
+
+
+def test_weight_value_kinds():
+    assert weight_value(2).kind == "exact" and weight_value(2).q == 2
+    assert weight_value(RootSum.rational(Fraction(1, 3))).exact_rational() == Fraction(1, 3)
+    assert weight_value(RootSum.sqrt_rational(Fraction(2))).kind == "root"
+    assert weight_value(RootSum.rational(0)).is_zero()
+    with pytest.raises(TypeError):
+        weight_value(1.5)
+    with pytest.raises(ValueError):
+        weight_value(Fraction(-1))
+    # a weight of another type raises in step, also past the integer path
+    table = HTable(get_model("poly:factorial"), from_pairs([(0, 1), (1, GaussianRational.of(1, 1))]))
+    with pytest.raises(TypeError):
+        table.step(1, 0, [(0, RootSum.sqrt_rational(Fraction(2))), (1, 0.5)])
 
 
 def test_rootsum_sign_and_bracket():
@@ -171,8 +223,8 @@ _INF = HVal.infinite()
 @pytest.mark.parametrize("op", [
     lambda: _INF,
     lambda: _INF.squared(),
-    lambda: _INF.times(Fraction(3, 2)),
-    lambda: _INF.times(RootSum.sqrt_rational(Fraction(2))),
+    lambda: hval_product(_INF, weight_value(Fraction(3, 2))),
+    lambda: hval_product(_INF, weight_value(RootSum.sqrt_rational(Fraction(2)))),
     lambda: _INF.plus(HVal.exact(Fraction(5, 3))),
     lambda: HVal.modulus_sq(Fraction(2)).plus(_INF),
     lambda: _INF.plus(HVal.bracket(Bracket.enclosure(Fraction(1), Fraction(2), depth=4))),
@@ -665,7 +717,7 @@ def _reference_cell(table, m, ell, gamma):
         hv = table.h(m - 1, ell >> 1, p)
         if hv.is_zero():
             continue
-        acc = acc.plus(hv.squared().times(w))
+        acc = acc.plus(hval_product(hv.squared(), weight_value(w)))
     return acc
 
 
@@ -798,7 +850,7 @@ def test_step_tests_a_zero_weight_before_reading_its_cell():
                 (4, Fraction(0)), (5, RootSum.rational(0))]
     got = table.step(1, 0, weighted)
     assert table.read == [(0, 1), (0, 3)]
-    want = HVal.exact(4).plus(HVal.exact(2).times(root2))
+    want = HVal.exact(4).plus(HVal.root(root2 * 2))
     assert (got.kind, got.rs) == (want.kind, want.rs) == ("root", want.rs)
 
 

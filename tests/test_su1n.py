@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactstar.algebra import DomainError, Element
+from exactstar.algebra import DimensionError, DomainError, Element
 from exactstar.scalars import GaussianRational, MultiIndex
 from exactstar.su1n import (
     MOMENTUM_SIGN,
@@ -263,6 +263,31 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(DomainError):
         check_automorphism(U_BOOST, Element.basis((MultiIndex((1, 0)), MultiIndex((0, 0)), 1)),
                            Element.basis((MultiIndex((0, 0)), MultiIndex((0, 0)), 0)), H)
+
+
+@pytest.mark.parametrize("act", [
+    lambda a: apply_pullback(U_BOOST, a),
+    lambda a: apply_infinitesimal(XI_SH1, a),
+], ids=["pullback", "infinitesimal"])
+def test_action_rejects_terms_outside_every_slice(act):
+    # a term no slice holds raises instead of dropping out of the image
+    with pytest.raises(DomainError, match="level 1 below"):
+        act(Element.basis((MultiIndex((2,)), Z1, 1)))
+    with pytest.raises(DomainError, match="level 1 below"):
+        act(Element.basis((Z1, MultiIndex((2,)), 1)))
+    with pytest.raises(DimensionError, match="length 1 and 2"):
+        act(Element.basis((E1, MultiIndex((0, 0)), 1)))
+    with pytest.raises(DimensionError, match="length 2 and 2"):
+        act(Element.basis((MultiIndex((1, 0)), MultiIndex((0, 0)), 1)))
+    # a valid term beside the bad one does not hide it
+    with pytest.raises(DomainError):
+        act(Element.basis((E1, Z1, 1)) + Element.basis((MultiIndex((2,)), Z1, 1)))
+
+
+def test_automorphism_check_rejects_a_below_level_term():
+    with pytest.raises(DomainError, match="level 1 below"):
+        check_automorphism(U_BOOST, Element.basis((MultiIndex((2,)), Z1, 1)),
+                           Element.basis((Z1, Z1, 0)), H)
 
 
 def test_su1n_and_oracle_outputs_unchanged():
